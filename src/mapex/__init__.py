@@ -31,6 +31,7 @@ from .query import (
     LiteralDNF,
     Query,
     WhatAnswer,
+    answer,
     answer_what,
     answer_when,
     answer_whynot,

@@ -5,15 +5,18 @@ assignment in neither set is a don't-care the minimizer may absorb.  Prime
 implicants are generated per on-set minterm as the minimal hitting sets of its
 difference sets against the off-set (a cube keeping exactly the variables in a
 hitting set excludes every zero and cannot drop a variable, i.e. is prime).
-The minimum-cardinality cover is then found exactly via essential-implicant
-extraction plus Petrick-style expansion, falling back to greedy set cover with
-a logged warning when the prime count exceeds the exact-cover limit.
+The essential primes (each the sole cover of some one) are taken first; the
+minimum cover of the remaining ones is then found exactly by depth-first
+branch and bound, falling back to greedy set cover with a logged warning when
+more candidate primes remain than the exact-cover limit.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,8 +28,8 @@ log = logging.getLogger(__name__)
 # filter is the intended way to stay under it.
 MAX_VARIABLES = 24
 
-# Above this many prime implicants the exact Petrick cover is replaced by
-# greedy set cover (non-optimality logged).
+# Above this many candidate primes the exact branch-and-bound cover is
+# replaced by greedy set cover (non-optimality logged).
 EXACT_COVER_LIMIT = 64
 
 # Cap on minimal hitting sets kept per minterm; prevents pathological blowup
@@ -54,15 +57,11 @@ class Implicant:
 
     def literals(self) -> tuple[tuple[int, bool], ...]:
         """(variable index, polarity) pairs in ascending variable order."""
-        out = []
-        mask = self.care_mask
-        v = 0
-        while mask:
-            if mask & 1:
-                out.append((v, bool(self.values >> v & 1)))
-            mask >>= 1
-            v += 1
-        return tuple(out)
+        return tuple(
+            (v, bool(self.values >> v & 1))
+            for v in range(self.care_mask.bit_length())
+            if self.care_mask >> v & 1
+        )
 
     def sort_key(self) -> tuple:
         return tuple((v, 0 if pol else 1) for v, pol in self.literals())
@@ -146,46 +145,56 @@ def _prime_implicants(
     return primes
 
 
-def _petrick_cover(
+def _exact_cover(
     remaining: list[int],
     primes: list[Implicant],
     coverage: dict[Implicant, set[int]],
     deadline: float | None,
 ) -> list[Implicant]:
-    """Exact minimum cover of ``remaining`` by Petrick expansion with absorption."""
-    index_of = {p: i for i, p in enumerate(primes)}
-    terms: set[frozenset[int]] = {frozenset()}
-    for m in remaining:
+    """Minimum cover of ``remaining`` by depth-first branch and bound.
+
+    Covers rank by (clause count, total literals, sorted literal tuples).  A
+    node branches on the uncovered one with the fewest open primes, and closes
+    each prime to its siblings once its own branch is searched, so no cover is
+    reached twice.  A node is cut when its lower bound on (clauses, literals)
+    is already worse than the best cover: uncovered ones whose open primes are
+    pairwise disjoint each need a prime of their own.
+    """
+    masks = [sum(1 << j for j, m in enumerate(remaining) if m in coverage[p])
+             for p in primes]
+    lits = [p.n_literals for p in primes]
+    best: list = [(math.inf,), []]  # [cover key, chosen prime indices]
+
+    def search(covered: int, chosen: list[int], n_lits: int, closed: int) -> None:
         _check_deadline(deadline, "cover selection", len(primes))
-        options = [index_of[p] for p in primes if m in coverage[p]]
-        expanded: set[frozenset[int]] = set()
-        for i, t in enumerate(terms):
-            if i % 1024 == 0:
-                _check_deadline(deadline, "cover selection", len(primes))
-            if any(o in t for o in options):
-                expanded.add(t)
-                continue
-            for o in options:
-                expanded.add(t | {o})
-        # absorption: drop any term containing another
-        pool = sorted(expanded, key=lambda s: (len(s), sorted(s)))
-        terms = set()
-        for i, cand in enumerate(pool):
-            if i % 256 == 0:
-                _check_deadline(deadline, "cover selection", len(primes))
-            if not any(kept <= cand for kept in terms):
-                terms.add(cand)
-
-    def cover_key(t: frozenset[int]) -> tuple:
-        chosen = [primes[i] for i in t]
-        return (
-            len(chosen),
-            sum(p.n_literals for p in chosen),
-            tuple(sorted(p.sort_key() for p in chosen)),
+        open_sets = sorted(
+            ([i for i, mask in enumerate(masks) if mask >> j & 1 and not closed >> i & 1]
+             for j in range(len(remaining)) if not covered >> j & 1),
+            key=len,
         )
+        if not open_sets:
+            key = (len(chosen), n_lits, sorted(primes[i].sort_key() for i in chosen))
+            if key < best[0]:
+                best[:] = [key, list(chosen)]
+            return
+        if not open_sets[0]:
+            return
+        used, bound = 0, (len(chosen), n_lits)
+        for avail in open_sets:
+            avail_mask = sum(1 << i for i in avail)
+            if not used & avail_mask:
+                used |= avail_mask
+                bound = (bound[0] + 1, bound[1] + min(lits[i] for i in avail))
+        if bound > best[0][:2]:
+            return
+        for i in sorted(open_sets[0], key=lambda i: -(masks[i] & ~covered).bit_count()):
+            chosen.append(i)
+            search(covered | masks[i], chosen, n_lits + lits[i], closed)
+            chosen.pop()
+            closed |= 1 << i
 
-    best = min(terms, key=cover_key)
-    return [primes[i] for i in best]
+    search(0, [], 0, 0)
+    return [primes[i] for i in best[1]]
 
 
 def _greedy_cover(
@@ -228,13 +237,14 @@ def minimize(
     *,
     deadline: float | None = None,
     max_vars: int = MAX_VARIABLES,
-    exact_cover_limit: int = EXACT_COVER_LIMIT,
 ) -> list[Implicant]:
     """Minimum-cardinality DNF that is true on ``ones`` and false on ``zeros``.
 
     Assignments in neither set are don't-cares.  Ties are broken by fewest
-    total literals, then lexicographically on the implicants' literal tuples;
-    identical inputs always yield the identical implicant list.
+    total literals, then lexicographically on the sorted implicants' literal
+    tuples; identical inputs always yield the identical implicant list.  The
+    cover is exact unless more than ``EXACT_COVER_LIMIT`` candidate primes
+    remain after the essential ones, when greedy set cover takes over.
 
     Raises MintermConflictError when the sets overlap, TooManyVariablesError
     when ``n_vars`` exceeds ``max_vars``, and MinimizationTimeout when the
@@ -260,30 +270,19 @@ def minimize(
     coverage = _prime_implicants(ones, zeros, deadline)
     primes = sorted(coverage, key=Implicant.sort_key)
 
-    # essential primes first: any minterm covered by exactly one prime
-    chosen: list[Implicant] = []
-    remaining = list(ones)
-    changed = True
-    while changed and remaining:
-        changed = False
-        for m in list(remaining):
-            covering = [p for p in primes if m in coverage[p]]
-            if len(covering) == 1:
-                p = covering[0]
-                if p not in chosen:
-                    chosen.append(p)
-                remaining = [x for x in remaining if not p.covers(x)]
-                changed = True
-                break
+    # essential primes: the sole prime covering some one
+    n_covering = Counter(m for p in primes for m in coverage[p])
+    chosen = {p for p in primes if any(n_covering[m] == 1 for m in coverage[p])}
+    remaining = [m for m in ones if not evaluate_dnf(chosen, m)]
 
     if remaining:
-        candidates = [p for p in primes if coverage[p] & set(remaining)]
-        if len(candidates) <= exact_cover_limit:
-            chosen.extend(_petrick_cover(remaining, candidates, coverage, deadline))
+        candidates = [p for p in primes if not coverage[p].isdisjoint(remaining)]
+        if len(candidates) <= EXACT_COVER_LIMIT:
+            chosen.update(_exact_cover(remaining, candidates, coverage, deadline))
         else:
-            chosen.extend(_greedy_cover(remaining, candidates, coverage))
+            chosen.update(_greedy_cover(remaining, candidates, coverage))
 
-    result = sorted(set(chosen), key=Implicant.sort_key)
+    result = sorted(chosen, key=Implicant.sort_key)
 
     if __debug__:
         for m in ones:

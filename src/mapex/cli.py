@@ -29,14 +29,7 @@ from .errors import (
     TooManyVariablesError,
 )
 from .nlg import PhraseMap, format_dnf, render
-from .query import (
-    Query,
-    answer_what,
-    answer_when,
-    answer_whynot,
-    compatible,
-    relevancy_filter,
-)
+from .query import Query, answer, compatible, relevancy_filter
 from .summarize import most_probable_path, render_chart, summarize
 
 ENV_PREFIX = "MAPEX_"
@@ -172,12 +165,18 @@ class _Options:
         return value
 
     def get_int(self, name: str, required: bool = False):
-        v = self.get(name, required)
-        return None if v is None else int(v)
+        return self._convert(name, required, int, "an integer")
 
     def get_float(self, name: str, required: bool = False):
+        return self._convert(name, required, float, "a number")
+
+    def _convert(self, name: str, required: bool, kind, what: str):
         v = self.get(name, required)
-        return None if v is None else float(v)
+        try:
+            return None if v is None else kind(v)
+        except (TypeError, ValueError):
+            flag = _FLAG_ALIASES.get(name, name).replace("_", "-")
+            raise MapexError(f"--{flag} must be {what}, got {v!r}") from None
 
     def get_bool(self, name: str) -> bool:
         v = self.get(name)
@@ -201,10 +200,18 @@ def _write_output(text: str, out: str) -> None:
 
 
 def _parse_state(text: str, m) -> JointState:
-    if "," in text:
-        bits = tuple(int(x) for x in text.split(","))
-        return bits
-    return m.states[int(text)]
+    try:
+        if "," in text:
+            return tuple(int(x) for x in text.split(","))
+        index = int(text)
+    except ValueError:
+        index = -1
+    if not 0 <= index < m.n_states:
+        raise MapexError(
+            f"--state {text!r} is neither a state index below {m.n_states} "
+            f"nor comma-separated per-agent bits"
+        )
+    return m.states[index]
 
 
 def _cmd_simulate(opts: _Options) -> int:
@@ -303,12 +310,7 @@ def _cmd_explain(opts: _Options) -> int:
     max_vars = opts.get_int("max_vars")
     out = str(opts.get("out"))
     try:
-        if query.kind == "when":
-            answer = answer_when(query, m, domain, deadline=deadline, max_vars=max_vars)
-        elif query.kind == "whynot":
-            answer = answer_whynot(query, m, domain, deadline=deadline, max_vars=max_vars)
-        else:
-            answer = answer_what(query, m, domain)
+        result = answer(query, m, domain, deadline=deadline, max_vars=max_vars)
     except ContradictionNotice as exc:
         _write_output(f"notice: {exc}", out)
         return EXIT_OK
@@ -326,9 +328,9 @@ def _cmd_explain(opts: _Options) -> int:
             file=sys.stderr,
         )
         return EXIT_TIMEOUT
-    lines = [render(answer, phrases)]
+    lines = [render(result, phrases)]
     if opts.get_bool("emit_dnf") and query.kind in ("when", "whynot"):
-        lines.append("DNF: " + format_dnf(answer))
+        lines.append("DNF: " + format_dnf(result))
     _write_output("\n".join(lines), out)
     return EXIT_OK
 
@@ -417,19 +419,14 @@ def _cmd_bench(opts: _Options) -> int:
             start = time.perf_counter()
             status, clauses = "ok", ""
             try:
-                if kind == "when":
-                    a = answer_when(q, m, domain, deadline=deadline, max_vars=max_vars)
-                    clauses = str(a.n_clauses)
-                elif kind == "whynot":
-                    a = answer_whynot(q, m, domain, deadline=deadline, max_vars=max_vars)
-                    clauses = str(a.n_clauses)
-                else:
-                    a = answer_what(q, m, domain)
-                    total = sum(
+                a = answer(q, m, domain, deadline=deadline, max_vars=max_vars)
+                if kind == "what":
+                    clauses = str(sum(
                         len(v) if isinstance(v, tuple) else (0 if v is None else 1)
                         for v in a.actions.values()
-                    )
-                    clauses = str(total)
+                    ))
+                else:
+                    clauses = str(a.n_clauses)
             except MinimizationTimeout:
                 status = "timeout"
             except TooManyVariablesError:

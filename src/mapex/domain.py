@@ -138,10 +138,6 @@ def decode_agent_state(bits: AgentBits, schema: FeatureSchema) -> dict[str, bool
     return {p.id: bool(bits >> i & 1) for i, p in enumerate(schema.predicates)}
 
 
-def satisfies(bits: AgentBits, schema: FeatureSchema, predicate_id: str) -> bool:
-    return bool(bits >> schema.index_of(predicate_id) & 1)
-
-
 def variable_index(
     agent: AgentId | str,
     predicate_id: str,
@@ -299,28 +295,11 @@ class DomainDefinition:
                 return AgentId(i, a.name)
         raise DomainFormatError(f"unknown agent {name!r}")
 
-    def joint_goal(self, state: JointState) -> bool:
-        """True iff every task-completion predicate holds for at least one agent."""
-        for pred_id in self.schema.task_completion_ids:
-            i = self.schema.index_of(pred_id)
-            if not any(bits >> i & 1 for bits in state):
-                return False
-        return True
-
 
 def encode_joint_state(
     concrete_states: Sequence[Mapping[str, Any]], schema: FeatureSchema
 ) -> JointState:
     return tuple(encode_agent_state(c, schema) for c in concrete_states)
-
-
-def joint_state_satisfies_goal(state: JointState, schema: FeatureSchema) -> bool:
-    """Goal predicate over a joint state: each task predicate held by >= 1 agent."""
-    for pred_id in schema.task_completion_ids:
-        i = schema.index_of(pred_id)
-        if not any(bits >> i & 1 for bits in state):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

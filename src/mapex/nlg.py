@@ -83,10 +83,7 @@ def _subject(query: Query, phrases: PhraseMap) -> str:
 def _subject_verb(query: Query, phrases: PhraseMap, adverb: str = "") -> str:
     """"UAV rescues the victim" / "UGV_1 and UGV_2 remove the obstacle"."""
     adverb = adverb + " " if adverb else ""
-    distinct = []
-    for _, action in query.actions:
-        if action not in distinct:
-            distinct.append(action)
+    distinct = list(dict.fromkeys(action for _, action in query.actions))
     if len(distinct) == 1:
         verb = phrases.action(distinct[0])
         form = verb.third if len(query.agents) == 1 else verb.base
@@ -98,16 +95,20 @@ def _subject_verb(query: Query, phrases: PhraseMap, adverb: str = "") -> str:
     return _join_and(parts)
 
 
-def _clause_text(clause, answer: ConditionAnswer, phrases: PhraseMap) -> str:
+def _ordered(clause, answer: ConditionAnswer) -> list:
+    """A clause's literals in the answer's Boolean-variable order."""
     space = answer.space
-    ordered = sorted(
+    return sorted(
         clause,
         key=lambda lit: variable_index(
             lit[0], lit[1], space.agent_order, space.feature_order
         ),
     )
+
+
+def _clause_text(clause, answer: ConditionAnswer, phrases: PhraseMap) -> str:
     parts = []
-    for agent, pred_id, polarity in ordered:
+    for agent, pred_id, polarity in _ordered(clause, answer):
         pred = phrases.predicate(pred_id)
         phrase = pred.positive if polarity else pred.negative
         parts.append(f"{phrases.agent(agent.display_name)} {phrase}")
@@ -146,10 +147,7 @@ def render_whynot(answer: ConditionAnswer, phrases: PhraseMap) -> str:
         return f"{_subject_verb(query, phrases, 'never')} under the policy."
     assert not answer.dnf.is_never, "why-not DNF cannot be empty"
     aux = "doesn't" if len(query.agents) == 1 else "don't"
-    distinct = []
-    for _, action in query.actions:
-        if action not in distinct:
-            distinct.append(action)
+    distinct = list(dict.fromkeys(action for _, action in query.actions))
     verb = phrases.action(distinct[0]).base if len(distinct) == 1 else "do this"
     return (
         f"{_subject(query, phrases)} {aux} {verb} in this state because "
@@ -200,18 +198,11 @@ def format_dnf(answer: ConditionAnswer) -> str:
         return "FALSE"
     if dnf.is_always:
         return "TRUE"
-    space = answer.space
     out = []
     for clause in dnf.clauses:
-        ordered = sorted(
-            clause,
-            key=lambda lit: variable_index(
-                lit[0], lit[1], space.agent_order, space.feature_order
-            ),
-        )
         lits = [
             f"{'' if pol else '!'}{agent.display_name}.{pred}"
-            for agent, pred, pol in ordered
+            for agent, pred, pol in _ordered(clause, answer)
         ]
         out.append("(" + " & ".join(lits) + ")")
     return " | ".join(out)

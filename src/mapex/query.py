@@ -30,6 +30,7 @@ from .domain import (
 from .errors import (
     ContradictionNotice,
     PreconditionError,
+    TooManyVariablesError,
     UnknownStateError,
 )
 
@@ -206,8 +207,13 @@ def compatible(action: JointAction, criterion, domain: DomainDefinition) -> bool
     )
 
 
-def _boolean_space(query: Query, domain: DomainDefinition) -> tuple[BooleanSpace, object]:
-    """Variable ordering and compatibility criterion for a when/whynot query."""
+def _condition_space(
+    query: Query, domain: DomainDefinition, kind: str
+) -> tuple[BooleanSpace, object]:
+    """Variable ordering and compatibility criterion of a validated ``kind`` query."""
+    query.validate(domain)
+    if query.kind != kind:
+        raise PreconditionError(f"{kind} answerer got a {query.kind!r} query")
     a_q = frozenset(query.actions)
     if query.method == "withrf":
         g, f, sets = relevancy_filter(query.actions, domain.relevance)
@@ -222,6 +228,12 @@ def _boolean_space(query: Query, domain: DomainDefinition) -> tuple[BooleanSpace
     # the filtered problem can never be wider than the baseline's N * |F|
     assert space.n_variables <= domain.n_agents * domain.schema.n_features
     return space, criterion
+
+
+def _check_width(space: BooleanSpace, max_vars: int) -> None:
+    """The minimizer's variable guardrail, applied before any state is read."""
+    if space.n_variables > max_vars:
+        raise TooManyVariablesError(space.n_variables, max_vars)
 
 
 def _minimize_to_dnf(
@@ -243,19 +255,8 @@ def _minimize_to_dnf(
     return LiteralDNF(clauses)
 
 
-def when_partition(
-    query: Query, m: PolicyAbstraction, domain: DomainDefinition
-) -> tuple[BooleanSpace, frozenset[JointState], frozenset[JointState]]:
-    """Target / non-target split of a when query, before any minimization.
-
-    A state is a target when at least one of its enabled joint actions passes
-    the compatibility check, and a non-target when at least one fails; states
-    qualifying as both count as targets only.
-    """
-    query.validate(domain)
-    if query.kind != "when":
-        raise PreconditionError(f"when_partition got a {query.kind!r} query")
-    space, criterion = _boolean_space(query, domain)
+def _partition(criterion, m: PolicyAbstraction, domain: DomainDefinition):
+    """(targets, non-targets) of a compatibility criterion; see when_partition."""
     targets: set[JointState] = set()
     nontargets: set[JointState] = set()
     for s in m.states:
@@ -265,7 +266,20 @@ def when_partition(
             else:
                 nontargets.add(s)
     nontargets -= targets
-    return space, frozenset(targets), frozenset(nontargets)
+    return frozenset(targets), frozenset(nontargets)
+
+
+def when_partition(
+    query: Query, m: PolicyAbstraction, domain: DomainDefinition
+) -> tuple[BooleanSpace, frozenset[JointState], frozenset[JointState]]:
+    """Target / non-target split of a when query, before any minimization.
+
+    A state is a target when at least one of its enabled joint actions passes
+    the compatibility check, and a non-target when at least one fails; states
+    qualifying as both count as targets only.
+    """
+    space, criterion = _condition_space(query, domain, "when")
+    return (space, *_partition(criterion, m, domain))
 
 
 def answer_when(
@@ -281,7 +295,9 @@ def answer_when(
     An empty target set yields the empty (never) DNF; a criterion satisfied in
     every state yields the tautology (always) DNF.
     """
-    space, targets, nontargets = when_partition(query, m, domain)
+    space, criterion = _condition_space(query, domain, "when")
+    _check_width(space, max_vars)
+    targets, nontargets = _partition(criterion, m, domain)
     ones = {space.minterm(s, m.schema) for s in targets}
     zeros = {space.minterm(s, m.schema) for s in nontargets}
     dnf = _minimize_to_dnf(ones, zeros, space, deadline=deadline, max_vars=max_vars)
@@ -303,13 +319,11 @@ def answer_whynot(
     the action at all, the DNF degenerates to the tautology, rendered as "the
     agents never take this action".
     """
-    query.validate(domain)
-    if query.kind != "whynot":
-        raise PreconditionError(f"answer_whynot got a {query.kind!r} query")
+    space, criterion = _condition_space(query, domain, "whynot")
+    _check_width(space, max_vars)
     s_q = query.state
     if s_q not in m.state_index:
         raise UnknownStateError(f"queried state {s_q} is not in the abstraction")
-    space, criterion = _boolean_space(query, domain)
     for action in m.enabled_actions(s_q):
         if compatible(action, criterion, domain):
             raise ContradictionNotice(
@@ -383,3 +397,16 @@ def answer_what(
         else:
             best[name] = None
     return WhatAnswer(query, best, frozenset(satisfying))
+
+
+def answer(
+    query: Query, m: PolicyAbstraction, domain: DomainDefinition, *,
+    deadline: float | None = None, max_vars: int = boolmin.MAX_VARIABLES,
+) -> ConditionAnswer | WhatAnswer:
+    """Answer any query; dispatches on its kind.  ``deadline`` and
+    ``max_vars`` bound the when/why-not minimization only."""
+    if query.kind == "when":
+        return answer_when(query, m, domain, deadline=deadline, max_vars=max_vars)
+    if query.kind == "whynot":
+        return answer_whynot(query, m, domain, deadline=deadline, max_vars=max_vars)
+    return answer_what(query, m, domain)

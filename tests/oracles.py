@@ -94,20 +94,57 @@ def cube_covers(cube, minterm: int) -> bool:
 
 def minimal_cover_size(ones, zeros, n_vars: int) -> int:
     """Exhaustive minimum DNF cardinality: fewest cubes covering all ones and
-    no zero.  Practical for n_vars <= 3."""
+    no zero.  Practical for n_vars <= 4."""
+    return len(minimal_cover(ones, zeros, n_vars))
+
+
+def minimal_cover(ones, zeros, n_vars: int) -> list[tuple[int, int]]:
+    """Exhaustive minimum DNF under the documented tie-break: fewest cubes,
+    then fewest literals, then the sorted per-cube literal tuples, where a
+    cube's tuple lists (variable, 0 if positive else 1) by ascending
+    variable.  Returns the winning cubes as (mask, values) pairs in
+    literal-tuple order.  Practical for n_vars <= 4.
+
+    Only prime cubes (each literal needed to exclude some zero) are tried: a
+    cover holding a non-prime cube keeps its count and loses a literal when
+    that cube is widened, so it is never the minimum.
+    """
     ones = sorted(set(ones))
     zeros = set(zeros)
     if not ones:
-        return 0
+        return []
+
+    def literal_tuple(cube):
+        mask, values = cube
+        return tuple(
+            (v, 0 if values >> v & 1 else 1) for v in range(n_vars) if mask >> v & 1
+        )
+
+    def rank(combo):
+        n_literals = sum(bin(mask).count("1") for mask, _ in combo)
+        return (n_literals, sorted(literal_tuple(c) for c in combo))
+
+    def excludes_zeros(cube):
+        return not any(cube_covers(cube, z) for z in zeros)
+
+    def prime(cube):
+        mask, values = cube
+        return not any(
+            excludes_zeros((mask & ~(1 << v), values & ~(1 << v)))
+            for v in range(n_vars) if mask >> v & 1
+        )
+
     usable = [
         c for c in all_cubes(n_vars)
-        if not any(cube_covers(c, z) for z in zeros)
-        and any(cube_covers(c, m) for m in ones)
+        if excludes_zeros(c) and prime(c) and any(cube_covers(c, m) for m in ones)
     ]
     for k in range(1, len(ones) + 1):
-        for combo in combinations(usable, k):
-            if all(any(cube_covers(c, m) for c in combo) for m in ones):
-                return k
+        covers = [
+            combo for combo in combinations(usable, k)
+            if all(any(cube_covers(c, m) for c in combo) for m in ones)
+        ]
+        if covers:
+            return sorted(min(covers, key=rank), key=literal_tuple)
     raise AssertionError("no cover found; ones and zeros must overlap")
 
 

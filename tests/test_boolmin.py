@@ -5,13 +5,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mapex import build_abstraction, get_domain, simulate
 from mapex.boolmin import Implicant, evaluate_dnf, minimize
 from mapex.errors import (
     MintermConflictError,
     MinimizationTimeout,
     TooManyVariablesError,
 )
-from oracles import dnf_truth, minimal_cover_size
+from mapex.query import Query, when_partition
+from oracles import dnf_truth, minimal_cover
 
 
 def partitions(n_vars):
@@ -29,7 +31,9 @@ def check_against_oracle(ones, zeros, n_vars):
         assert dnf_truth(dnf, m)
     for z in zeros:
         assert not dnf_truth(dnf, z)
-    assert len(dnf) == minimal_cover_size(ones, zeros, n_vars)
+    # the minimum cover that the documented tie-break singles out
+    cubes = [(imp.care_mask, imp.values) for imp in dnf]
+    assert cubes == minimal_cover(ones, zeros, n_vars), (ones, zeros)
     return dnf
 
 
@@ -71,6 +75,16 @@ class TestOracle:
             check_against_oracle(ones, zeros, 3)
             cases += 1
 
+    def test_random_v4(self):
+        # four variables make ties on (clauses, literals) common enough to
+        # pin the last tie-break on sorted literal tuples
+        rng = random.Random(4321)
+        for _ in range(150):
+            labels = [rng.choice((0, 1, None)) for _ in range(16)]
+            ones = [m for m in range(16) if labels[m] == 1]
+            zeros = [m for m in range(16) if labels[m] == 0]
+            check_against_oracle(ones, zeros, 4)
+
     @settings(max_examples=120, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.data())
     def test_functional_correctness_random(self, n_vars, data):
@@ -82,6 +96,23 @@ class TestOracle:
             assert dnf_truth(dnf, m)
         for z in zeros:
             assert not dnf_truth(dnf, z)
+
+
+class TestExactCoverScale:
+    def test_lbf4_when_norf_within_deadline(self, caplog):
+        # 16 variables and under 64 candidate primes, so the cover is exact;
+        # enumerating every irredundant cover runs far past the deadline here
+        domain = get_domain("lbf4")
+        m = build_abstraction(simulate("lbf4", episodes=20, seed=42), domain.schema)
+        q = Query("when", ("F_1",), "norf", (("F_1", "collect_food_1"),))
+        space, targets, nontargets = when_partition(q, m, domain)
+        ones = {space.minterm(s, m.schema) for s in targets}
+        zeros = {space.minterm(s, m.schema) for s in nontargets} - ones
+        dnf = minimize(ones, zeros, space.n_variables,
+                       deadline=time.monotonic() + 5)
+        assert all(dnf_truth(dnf, o) for o in ones)
+        assert not any(dnf_truth(dnf, z) for z in zeros)
+        assert "greedy" not in caplog.text
 
 
 class TestPrimality:

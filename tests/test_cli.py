@@ -132,6 +132,15 @@ class TestExplain:
         assert code == 3
         assert "partial progress" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state", ["999", "abc"])
+    def test_bad_state_exits_2(self, pipeline, capsys, state):
+        _, _, mmdp = pipeline
+        assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3",
+                     "--type", "whynot", "--agents", "UGV_1,UGV_2",
+                     "--actions", "remove_obstacle", "--state", state]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --state")
+
     def test_missing_required_flag_exits_2(self, pipeline):
         _, _, mmdp = pipeline
         assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3",
@@ -165,6 +174,14 @@ class TestConfigAndEnv:
                      "--type", "what", "--agents", "UAV",
                      "--predicates", "victim_detect"]) == 0
         assert "can rescue the victim" in capsys.readouterr().out
+
+
+    def test_non_integer_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MAPEX_EPISODES", "abc")
+        assert main(["simulate", "--domain", "sr3",
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --episodes must be an integer, got 'abc'"]
 
 
 class TestBench:

@@ -383,6 +383,21 @@ class TestQueryValidation:
         with pytest.raises(TooManyVariablesError):
             answer_when(q, m, domain)
 
+    def test_guardrail_precedes_partition(self, sr3_domain, sr3_abstraction,
+                                          monkeypatch):
+        # the width is known from the query alone, so no state is inspected
+        def no_scan(self, state):
+            raise AssertionError("states were partitioned before the guardrail")
+
+        state = sr3_abstraction.states[0]
+        monkeypatch.setattr(PolicyAbstraction, "enabled_actions", no_scan)
+        when = when_query("UAV", RESCUE, "norf")
+        whynot = Query(kind="whynot", agents=("UAV",), method="norf",
+                       actions=(("UAV", RESCUE),), state=state)
+        for answerer, q in ((answer_when, when), (answer_whynot, whynot)):
+            with pytest.raises(TooManyVariablesError):
+                answerer(q, sr3_abstraction, sr3_domain, max_vars=4)
+
 
 class TestWhatScaling:
     def test_what_query_fast_on_thousand_states(self):
