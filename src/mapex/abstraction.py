@@ -136,11 +136,7 @@ class PolicyAbstraction:
         return len(self.initial_counts) > 1
 
     def enabled_actions(self, state: JointState) -> tuple[JointAction, ...]:
-        seen: list[JointAction] = []
-        for e in self.out_edges.get(state, ()):
-            if e.action not in seen:
-                seen.append(e.action)
-        return tuple(seen)
+        return tuple(dict.fromkeys(e.action for e in self.out_edges.get(state, ())))
 
     def is_goal(self, state: JointState) -> bool:
         for pred_id in self.schema.task_completion_ids:

@@ -5,6 +5,8 @@ assignment in neither set is a don't-care the minimizer may absorb.  Prime
 implicants are generated per on-set minterm as the minimal hitting sets of its
 difference sets against the off-set (a cube keeping exactly the variables in a
 hitting set excludes every zero and cannot drop a variable, i.e. is prime).
+They are enumerated depth-first over variable bitmasks (MMCS with the
+critical-edge check), each exactly once and all of them, with no cap.
 The essential primes (each the sole cover of some one) are taken first; the
 minimum cover of the remaining ones is then found exactly by depth-first
 branch and bound, falling back to greedy set cover with a logged warning when
@@ -31,10 +33,6 @@ MAX_VARIABLES = 24
 # Above this many candidate primes the exact branch-and-bound cover is
 # replaced by greedy set cover (non-optimality logged).
 EXACT_COVER_LIMIT = 64
-
-# Cap on minimal hitting sets kept per minterm; prevents pathological blowup
-# while always retaining at least one cover per minterm.
-_HITTING_SET_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -72,50 +70,38 @@ def _check_deadline(deadline: float | None, stage: str, primes_found: int):
         raise MinimizationTimeout(stage, primes_found)
 
 
-def _minimal_hitting_sets(
-    families: Sequence[frozenset[int]],
-    deadline: float | None,
-    primes_so_far: int,
-) -> list[frozenset[int]]:
-    """All minimal hitting sets of ``families`` (Berge's incremental scheme).
+def _minimal_transversals(
+    edges: set[int], deadline: float | None, primes_so_far: int
+) -> list[int]:
+    """Every minimal hitting set of ``edges`` (variable bitmasks), as a bitmask.
 
-    The frontier can grow exponentially on wide baseline (norf) problems, so
-    the cooperative deadline is polled inside the expansion and minimality
-    loops, not just per family.
+    Depth-first MMCS (Murakami & Uno, Discrete Applied Mathematics, 2014): a
+    node branches on the uncovered edge with the fewest candidate variables
+    and withholds each variable it has tried from its later siblings, so every
+    minimal set is reached once.  A branch is cut as soon as some chosen
+    variable is the only chosen one in no edge (has no critical edge): adding
+    variables never gives it one back, so no minimal set lies below.
     """
-    hitting: list[frozenset[int]] = [frozenset()]
-    for fam in families:
+    found: list[int] = []
+
+    def search(chosen: int, cand: int, uncov: list[int], crit: list[list[int]]):
         _check_deadline(deadline, "prime generation", primes_so_far)
-        nxt: set[frozenset[int]] = set()
-        for i, h in enumerate(hitting):
-            if i % 1024 == 0:
-                _check_deadline(deadline, "prime generation", primes_so_far)
-            if h & fam:
-                nxt.add(h)
-            else:
-                for v in sorted(fam):
-                    nxt.add(h | {v})
-        # drop non-minimal candidates; same-size sets cannot contain each
-        # other, so only strictly smaller kept sets need checking
-        pool = sorted(nxt, key=lambda s: (len(s), sorted(s)))
-        hitting = []
-        smaller: list[frozenset[int]] = []
-        boundary = 0
-        for i, cand in enumerate(pool):
-            if i % 256 == 0:
-                _check_deadline(deadline, "prime generation", primes_so_far)
-            while boundary < len(hitting) and len(hitting[boundary]) < len(cand):
-                smaller.append(hitting[boundary])
-                boundary += 1
-            if not any(kept < cand for kept in smaller):
-                hitting.append(cand)
-        if len(hitting) > _HITTING_SET_CAP:
-            log.warning(
-                "hitting-set enumeration capped at %d; cover may be non-optimal",
-                _HITTING_SET_CAP,
-            )
-            hitting = hitting[:_HITTING_SET_CAP]
-    return hitting
+        if not uncov:
+            found.append(chosen)
+            return
+        branch = cand & min(uncov, key=lambda f: (f & cand).bit_count())
+        cand &= ~branch
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            kept = [[f for f in fs if not f & bit] for fs in crit]
+            if all(kept):
+                hit = [f for f in uncov if f & bit]
+                search(chosen | bit, cand | branch,
+                       [f for f in uncov if not f & bit], kept + [hit])
+
+    search(0, -1, list(edges), [])  # -1: every variable is a candidate
+    return found
 
 
 def _prime_implicants(
@@ -124,19 +110,8 @@ def _prime_implicants(
     """All prime implicants touching the on-set, mapped to the ones they cover."""
     primes: dict[Implicant, set[int]] = {}
     for m in ones:
-        diff_sets = []
-        for z in zeros:
-            d = m ^ z
-            fam = frozenset(i for i in range(d.bit_length()) if d >> i & 1)
-            diff_sets.append(fam)
-        # deduplicate and process small sets first (keeps Berge's frontier tight)
-        diff_sets = sorted(set(diff_sets), key=lambda s: (len(s), sorted(s)))
-        for keep in _minimal_hitting_sets(diff_sets, deadline, len(primes)):
-            care = 0
-            for v in keep:
-                care |= 1 << v
-            imp = Implicant(care, m & care)
-            primes.setdefault(imp, set())
+        for care in _minimal_transversals({m ^ z for z in zeros}, deadline, len(primes)):
+            primes.setdefault(Implicant(care, m & care), set())
     # a prime generated from one minterm may cover others; complete the map
     for imp, covered in primes.items():
         for m in ones:
@@ -284,9 +259,10 @@ def minimize(
 
     result = sorted(chosen, key=Implicant.sort_key)
 
-    if __debug__:
-        for m in ones:
-            assert evaluate_dnf(result, m), f"DNF misses one-minterm {m}"
-        for z in zeros:
-            assert not evaluate_dnf(result, z), f"DNF covers zero-minterm {z}"
+    for m in ones:
+        if not evaluate_dnf(result, m):
+            raise AssertionError(f"DNF misses one-minterm {m}")
+    for z in zeros:
+        if evaluate_dnf(result, z):
+            raise AssertionError(f"DNF covers zero-minterm {z}")
     return result

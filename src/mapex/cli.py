@@ -124,7 +124,10 @@ def _load_config(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise MapexError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MapexError(f"config file {path} must hold a JSON object")
     return {str(k).replace("-", "_"): v for k, v in data.items()}
@@ -475,13 +478,19 @@ def _cmd_bench(opts: _Options) -> int:
 def _cmd_boolmin_debug(opts: _Options) -> int:
     path = str(opts.get("table", required=True))
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    n_vars = int(lines[0])
+        rows = [ln.split() for ln in fh if ln.strip()]
+    if not rows or len(rows[0]) != 1 or not rows[0][0].isdecimal():
+        raise MapexError(f"truth table {path}: first line must be the variable count")
+    n_vars = int(rows[0][0])
     ones, zeros = [], []
-    for ln in lines[1:]:
-        bits, value = ln.split()
-        m = int(bits, 2)
-        (ones if value == "1" else zeros).append(m)
+    for row in rows[1:]:
+        if (len(row) != 2 or row[1] not in ("0", "1")
+                or not set(row[0]) <= {"0", "1"} or int(row[0], 2) >> n_vars):
+            raise MapexError(
+                f"truth table {path}: row {' '.join(row)!r} is not "
+                f"'<bits> 0|1' over {n_vars} variables"
+            )
+        (ones if row[1] == "1" else zeros).append(int(row[0], 2))
     result = boolmin.minimize(ones, zeros, n_vars, max_vars=opts.get_int("max_vars"))
     if not result:
         print("FALSE")

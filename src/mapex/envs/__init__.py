@@ -19,16 +19,17 @@ from .warehouse import run_rware_episodes, rware_domain
 
 DEFAULT_MAX_STEPS = 50
 
-_REGISTRY: dict[str, tuple[Callable[[], DomainDefinition], Callable]] = {
-    "sr3": (lambda: sr_domain(3), lambda e, m, s: run_sr_episodes(3, e, m, s)),
-    "sr4": (lambda: sr_domain(4), lambda e, m, s: run_sr_episodes(4, e, m, s)),
-    "sr5": (lambda: sr_domain(5), lambda e, m, s: run_sr_episodes(5, e, m, s)),
-    "rware2": (lambda: rware_domain(2), lambda e, m, s: run_rware_episodes(2, e, m, s)),
-    "rware4": (lambda: rware_domain(4), lambda e, m, s: run_rware_episodes(4, e, m, s)),
-    "rware19": (lambda: rware_domain(19), lambda e, m, s: run_rware_episodes(19, e, m, s)),
-    "lbf2": (lambda: lbf_domain(2), lambda e, m, s: run_lbf_episodes(2, e, m, s)),
-    "lbf4": (lambda: lbf_domain(4), lambda e, m, s: run_lbf_episodes(4, e, m, s)),
-    "lbf9": (lambda: lbf_domain(9), lambda e, m, s: run_lbf_episodes(9, e, m, s)),
+# domain id -> (family's domain builder, its episode runner, agent count)
+_REGISTRY: dict[str, tuple[Callable[[int], DomainDefinition], Callable, int]] = {
+    "sr3": (sr_domain, run_sr_episodes, 3),
+    "sr4": (sr_domain, run_sr_episodes, 4),
+    "sr5": (sr_domain, run_sr_episodes, 5),
+    "rware2": (rware_domain, run_rware_episodes, 2),
+    "rware4": (rware_domain, run_rware_episodes, 4),
+    "rware19": (rware_domain, run_rware_episodes, 19),
+    "lbf2": (lbf_domain, run_lbf_episodes, 2),
+    "lbf4": (lbf_domain, run_lbf_episodes, 4),
+    "lbf9": (lbf_domain, run_lbf_episodes, 9),
 }
 
 
@@ -36,26 +37,25 @@ def domain_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def get_domain(domain_id: str) -> DomainDefinition:
+def _lookup(domain_id: str) -> tuple:
     try:
-        builder, _ = _REGISTRY[domain_id]
+        return _REGISTRY[domain_id]
     except KeyError:
         raise UnknownDomainError(
             f"unknown domain {domain_id!r}; available: {', '.join(domain_ids())}"
         ) from None
-    return builder()
+
+
+def get_domain(domain_id: str) -> DomainDefinition:
+    build, _, n_agents = _lookup(domain_id)
+    return build(n_agents)
 
 
 def simulate(domain_id: str, *, episodes: int, max_steps: int = DEFAULT_MAX_STEPS,
              seed: int = 42) -> Iterator[TraceSample]:
     """Stream of TraceSamples from the domain's scripted policy."""
-    try:
-        _, runner = _REGISTRY[domain_id]
-    except KeyError:
-        raise UnknownDomainError(
-            f"unknown domain {domain_id!r}; available: {', '.join(domain_ids())}"
-        ) from None
-    return runner(episodes, max_steps, seed)
+    _, run, n_agents = _lookup(domain_id)
+    return run(n_agents, episodes, max_steps, seed)
 
 
 __all__ = [

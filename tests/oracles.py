@@ -98,6 +98,28 @@ def minimal_cover_size(ones, zeros, n_vars: int) -> int:
     return len(minimal_cover(ones, zeros, n_vars))
 
 
+def prime_cubes(ones, zeros, n_vars: int) -> list[tuple[int, int]]:
+    """Every prime cube touching the on-set, by exhaustive search: a cube that
+    covers some one and no zero, and covers a zero once any literal is
+    dropped.  Returned as (mask, values) pairs in ``all_cubes`` order."""
+    zeros = set(zeros)
+
+    def excludes_zeros(cube):
+        return not any(cube_covers(cube, z) for z in zeros)
+
+    def prime(cube):
+        mask, values = cube
+        return not any(
+            excludes_zeros((mask & ~(1 << v), values & ~(1 << v)))
+            for v in range(n_vars) if mask >> v & 1
+        )
+
+    return [
+        c for c in all_cubes(n_vars)
+        if excludes_zeros(c) and prime(c) and any(cube_covers(c, m) for m in ones)
+    ]
+
+
 def minimal_cover(ones, zeros, n_vars: int) -> list[tuple[int, int]]:
     """Exhaustive minimum DNF under the documented tie-break: fewest cubes,
     then fewest literals, then the sorted per-cube literal tuples, where a
@@ -110,7 +132,6 @@ def minimal_cover(ones, zeros, n_vars: int) -> list[tuple[int, int]]:
     that cube is widened, so it is never the minimum.
     """
     ones = sorted(set(ones))
-    zeros = set(zeros)
     if not ones:
         return []
 
@@ -124,20 +145,7 @@ def minimal_cover(ones, zeros, n_vars: int) -> list[tuple[int, int]]:
         n_literals = sum(bin(mask).count("1") for mask, _ in combo)
         return (n_literals, sorted(literal_tuple(c) for c in combo))
 
-    def excludes_zeros(cube):
-        return not any(cube_covers(cube, z) for z in zeros)
-
-    def prime(cube):
-        mask, values = cube
-        return not any(
-            excludes_zeros((mask & ~(1 << v), values & ~(1 << v)))
-            for v in range(n_vars) if mask >> v & 1
-        )
-
-    usable = [
-        c for c in all_cubes(n_vars)
-        if excludes_zeros(c) and prime(c) and any(cube_covers(c, m) for m in ones)
-    ]
+    usable = prime_cubes(ones, zeros, n_vars)
     for k in range(1, len(ones) + 1):
         covers = [
             combo for combo in combinations(usable, k)

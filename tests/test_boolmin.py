@@ -1,19 +1,25 @@
+import logging
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mapex
 from mapex import build_abstraction, get_domain, simulate
-from mapex.boolmin import Implicant, evaluate_dnf, minimize
+from mapex.boolmin import Implicant, _prime_implicants, evaluate_dnf, minimize
 from mapex.errors import (
     MintermConflictError,
     MinimizationTimeout,
     TooManyVariablesError,
 )
 from mapex.query import Query, when_partition
-from oracles import dnf_truth, minimal_cover
+from oracles import cube_covers, dnf_truth, minimal_cover, prime_cubes
 
 
 def partitions(n_vars):
@@ -98,6 +104,31 @@ class TestOracle:
             assert not dnf_truth(dnf, z)
 
 
+class TestPrimeImplicants:
+    def test_primes_and_coverage_match_oracle(self):
+        rng = random.Random(2718)
+        for _ in range(300):
+            n_vars = rng.randint(2, 4)
+            labels = [rng.choice((0, 1, None)) for _ in range(1 << n_vars)]
+            ones = [m for m in range(1 << n_vars) if labels[m] == 1]
+            zeros = [m for m in range(1 << n_vars) if labels[m] == 0]
+            got = {(p.care_mask, p.values): covered
+                   for p, covered in _prime_implicants(ones, zeros, None).items()}
+            want = {c: {m for m in ones if cube_covers(c, m)}
+                    for c in prime_cubes(ones, zeros, n_vars)}
+            assert got == want, (n_vars, ones, zeros)
+
+    def test_every_prime_of_a_wide_problem(self, caplog):
+        # 13 disjoint difference pairs: one literal from each pair makes a
+        # prime, 2**13 of them, all kept and none dropped with a warning
+        zeros = [3 << 2 * i for i in range(13)]
+        with caplog.at_level(logging.WARNING, logger="mapex.boolmin"):
+            assert len(_prime_implicants([0], zeros, None)) == 2 ** 13
+            dnf = minimize([0], zeros, 26, max_vars=26)
+        assert not any("capped" in r.getMessage() for r in caplog.records)
+        assert dnf_truth(dnf, 0) and not any(dnf_truth(dnf, z) for z in zeros)
+
+
 class TestExactCoverScale:
     def test_lbf4_when_norf_within_deadline(self, caplog):
         # 16 variables and under 64 candidate primes, so the cover is exact;
@@ -174,6 +205,24 @@ class TestGuardrails:
     def test_out_of_range_minterm(self):
         with pytest.raises(ValueError):
             minimize({4}, set(), 2)
+
+    def test_soundness_check_survives_optimize(self):
+        # a broken prime generator must not slip an unsound DNF past the
+        # final check, even with assert statements compiled out
+        code = (
+            "from mapex import boolmin\n"
+            "boolmin._prime_implicants = lambda ones, zeros, deadline: "
+            "{boolmin.Implicant(0, 0): set(ones)}\n"
+            "try:\n"
+            "    boolmin.minimize([0], [1], 1)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(mapex.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src),
+                             timeout=60)
+        assert run.stdout == "DNF covers zero-minterm 1\n", run.stderr
 
     def test_implicant_invariant(self):
         with pytest.raises(ValueError):

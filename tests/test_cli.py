@@ -176,6 +176,13 @@ class TestConfigAndEnv:
         assert "can rescue the victim" in capsys.readouterr().out
 
 
+    def test_invalid_json_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text("{bad")
+        assert main(["explain", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config file {config} ")
+
     def test_non_integer_env_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MAPEX_EPISODES", "abc")
         assert main(["simulate", "--domain", "sr3",
@@ -290,3 +297,14 @@ class TestBoolminDebug:
         table.write_text("2\n11 1\n")
         assert main(["boolmin-debug", "--table", str(table)]) == 0
         assert capsys.readouterr().out.strip() == "TRUE"
+
+    @pytest.mark.parametrize("text", [
+        "abc\n", "", "2\n11\n", "2\n111 1\n", "2\n1x 1\n", "2\n11 2\n",
+    ], ids=["count-not-a-number", "empty", "row-without-value",
+            "minterm-out-of-range", "not-bits", "value-not-0-or-1"])
+    def test_malformed_table_exits_2(self, tmp_path, capsys, text):
+        table = tmp_path / "tt.txt"
+        table.write_text(text)
+        assert main(["boolmin-debug", "--table", str(table)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: truth table {table}")
