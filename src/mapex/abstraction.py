@@ -24,6 +24,7 @@ from .errors import (
     MultipleInitialStatesError,
     PreconditionError,
     SchemaMismatchError,
+    TraceFormatError,
 )
 
 _PROB_TOLERANCE = 1e-9
@@ -185,8 +186,14 @@ def build_abstraction(
     first_initial: JointState | None = None
     n_agents = None
     for sample in samples:
-        source = encode_joint_state(sample.joint_concrete_state, schema)
-        target = encode_joint_state(sample.next_joint_concrete_state, schema)
+        try:
+            source = encode_joint_state(sample.joint_concrete_state, schema)
+            target = encode_joint_state(sample.next_joint_concrete_state, schema)
+        except (KeyError, TypeError, IndexError) as exc:
+            raise TraceFormatError(
+                f"episode {sample.episode_id} step {sample.step}: malformed agent "
+                f"record ({type(exc).__name__}: {exc})"
+            ) from None
         action = tuple(sample.joint_action)
         if n_agents is None:
             n_agents = len(source)

@@ -528,6 +528,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: input file is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def console_main() -> None:

@@ -8,6 +8,14 @@ becomes passable once completed.  Completion of a task requires every member
 of one of its declared combos to be adjacent and to take the task's action at
 the same step; completion flags are set only for that combo's members and,
 once set, never fall within an episode.
+
+Routing: ``GridWorld`` keeps the open cells and a per-cell neighbour table for
+the current task liveness, and memoises one breadth-first parent tree per
+start cell (``bfs_tree``); agents that share a cell share its tree.  All
+three are rebuilt only when ``resolve`` completes a task, the one event that
+changes which cells are passable.  The scripted policy answers both staging
+reachability and its first move (``first_move``) from the tree of the agent's
+cell, so each agent costs at most one BFS per step.
 """
 
 from __future__ import annotations
@@ -143,55 +151,59 @@ class GridWorld:
         self.done: list[dict[str, bool]] = [
             {t.id: False for t in config.tasks} for _ in agent_names
         ]
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Rebuild the open-cell set and the neighbour table for the current
+        task liveness, and drop every cached BFS tree."""
+        cfg = self.config
+        blocked = cfg.walls | {t.cell for t in cfg.tasks if self.alive[t.id]}
+        cells = [(r, c) for r in range(cfg.rows) for c in range(cfg.cols)]
+        self._open = frozenset(x for x in cells if x not in blocked)
+        # neighbour order is sorted(): (r-1, c), (r, c-1), (r, c+1), (r+1, c)
+        self._neighbors = {
+            (r, c): tuple(x for x in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c))
+                          if x in self._open)
+            for r, c in cells
+        }
+        self._trees: dict[Cell, dict[Cell, Cell]] = {}
 
     def passable(self, cell: Cell) -> bool:
-        r, c = cell
-        if not (0 <= r < self.config.rows and 0 <= c < self.config.cols):
-            return False
-        if cell in self.config.walls:
-            return False
-        for t in self.config.tasks:
-            if t.cell == cell and self.alive[t.id]:
-                return False
-        return True
+        return cell in self._open
 
-    def neighbors(self, cell: Cell) -> list[Cell]:
-        r, c = cell
-        out = [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]
-        return sorted(x for x in out if self.passable(x))
+    def neighbors(self, cell: Cell) -> tuple[Cell, ...]:
+        return self._neighbors[cell]
 
-    def bfs_step(self, start: Cell, goal: Cell) -> Cell | None:
-        """First move of a shortest path start->goal, or None when unreachable."""
-        if start == goal:
-            return start
-        prev: dict[Cell, Cell] = {start: start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            if cur == goal:
-                while prev[cur] != start:
-                    cur = prev[cur]
-                return cur
-            for nxt in self.neighbors(cur):
-                if nxt not in prev:
-                    prev[nxt] = cur
-                    queue.append(nxt)
-        return None
-
-    def concrete_record(self, agent_index: int) -> dict[str, Any]:
-        """Self-contained per-agent record: position, task board, own flags."""
-        pos = self.positions[agent_index]
-        return {
-            "pos": [pos[0], pos[1]],
-            "tasks": {
-                t.id: {"pos": [t.cell[0], t.cell[1]], "present": self.alive[t.id]}
-                for t in self.config.tasks
-            },
-            "done": dict(self.done[agent_index]),
-        }
+    def bfs_tree(self, start: Cell) -> dict[Cell, Cell]:
+        """Parent of every cell reachable from ``start`` (``start`` maps to
+        itself) in breadth-first order; shared by every caller with the same
+        start until the next task completion."""
+        tree = self._trees.get(start)
+        if tree is None:
+            tree = {start: start}
+            queue = deque([start])
+            neighbors = self._neighbors
+            while queue:
+                cur = queue.popleft()
+                for nxt in neighbors[cur]:
+                    if nxt not in tree:
+                        tree[nxt] = cur
+                        queue.append(nxt)
+            self._trees[start] = tree
+        return tree
 
     def joint_record(self) -> tuple[dict[str, Any], ...]:
-        return tuple(self.concrete_record(i) for i in range(len(self.agent_names)))
+        """Self-contained per-agent records: position, task board, own flags.
+        The agents of one record share its task board dict; nothing mutates
+        a record once built."""
+        board = {
+            t.id: {"pos": [t.cell[0], t.cell[1]], "present": self.alive[t.id]}
+            for t in self.config.tasks
+        }
+        return tuple(
+            {"pos": [r, c], "tasks": board, "done": dict(done)}
+            for (r, c), done in zip(self.positions, self.done)
+        )
 
     def all_done(self) -> bool:
         return not any(self.alive.values())
@@ -199,6 +211,7 @@ class GridWorld:
     def resolve(self, actions: Sequence[str]) -> None:
         """Apply task completions for one step's joint action."""
         name_to_index = {n: i for i, n in enumerate(self.agent_names)}
+        completed = False
         for task in self.config.tasks:
             if not self.alive[task.id]:
                 continue
@@ -212,7 +225,10 @@ class GridWorld:
                     self.alive[task.id] = False
                     for name in combo:
                         self.done[name_to_index[name]][task.id] = True
+                    completed = True
                     break
+        if completed:
+            self._refresh()
 
 
 def episode_rng(seed: int, episode: int) -> random.Random:
@@ -245,7 +261,7 @@ class GenericScriptedPolicy:
                 None,
             )
             if task is None:
-                options = world.neighbors(pos) + [pos]
+                options = [*world.neighbors(pos), pos]
                 choice = options[rng.randrange(len(options))]
                 actions.append(MOVE if choice != pos else WAIT)
                 targets.append(choice)
@@ -255,27 +271,32 @@ class GenericScriptedPolicy:
                 actions.append(task.action)
                 targets.append(pos)
                 continue
-            staging = sorted(
-                c for c in _around(task.cell)
-                if world.passable(c) and world.bfs_step(pos, c) is not None
-            )
-            if not staging:
-                actions.append(WAIT)
-                targets.append(pos)
-                continue
-            rank = sorted(assigned[task.id]).index(name)
-            goal = staging[rank % len(staging)]
-            step_to = world.bfs_step(pos, goal)
-            if step_to is None or step_to == pos:
-                actions.append(WAIT)
-                targets.append(pos)
+            # a staging cell in the tree is open and reachable: only the
+            # start joins the tree unchecked, and an agent on a staging cell
+            # (Chebyshev distance 1) took the task action above
+            tree = world.bfs_tree(pos)
+            staging = [c for c in _around(task.cell) if c in tree]
+            if staging:
+                rank = sorted(assigned[task.id]).index(name)
+                step_to = first_move(tree, pos, staging[rank % len(staging)])
             else:
-                actions.append(MOVE)
-                targets.append(step_to)
+                step_to = pos
+            actions.append(MOVE if step_to != pos else WAIT)
+            targets.append(step_to)
         return actions, targets
 
 
+def first_move(tree: Mapping[Cell, Cell], start: Cell, goal: Cell) -> Cell:
+    """First cell of the shortest path start -> goal recorded in ``tree``, a
+    ``bfs_tree(start)`` that holds ``goal``; ``start`` itself when
+    goal == start."""
+    while tree[goal] != start:
+        goal = tree[goal]
+    return goal
+
+
 def _around(cell: Cell) -> list[Cell]:
+    """The eight Chebyshev neighbours of ``cell`` in sorted order."""
     r, c = cell
     return [
         (r + dr, c + dc)
@@ -302,13 +323,13 @@ def run_generic_episodes(
         rng = episode_rng(seed, episode)
         world = GridWorld(config, agent_names)
         assigned = policy.assign(rng)
+        state = world.joint_record()
         for step in range(max_steps):
-            state = world.joint_record()
             actions, targets = policy.step(world, assigned, rng)
             world.resolve(actions)
-            for i, tgt in enumerate(targets):
-                world.positions[i] = tgt
+            world.positions[:] = targets
             next_state = world.joint_record()
             yield TraceSample(episode, step, state, tuple(actions), next_state)
             if world.all_done():
                 break
+            state = next_state

@@ -196,7 +196,8 @@ def sr_grid_config(n_agents: int) -> GridConfig:
 # ---------------------------------------------------------------------------
 # The hand-scripted 3-agent policy.  Each branch is a literal per-agent
 # timeline of (cell, action); the grid engine still owns completion rules, so
-# a script inconsistent with the map would fail its legality assertions.
+# a script inconsistent with the map fails its legality checks (explicit
+# raises, so they also run under ``python -O``).
 # ---------------------------------------------------------------------------
 
 _M, _W = MOVE, WAIT
@@ -294,18 +295,27 @@ def run_sr3_episodes(episodes: int, max_steps: int, seed: int) -> Iterator[Trace
         plans = _SR3_PLANS[_pick_branch(rng)]
         world = GridWorld(config, _SR3_NAMES)
         horizon = min(max_steps, len(plans["UAV"]) - 1)
+        state = world.joint_record()
         for step in range(horizon):
-            state = world.joint_record()
             actions = []
             for i, name in enumerate(_SR3_NAMES):
                 cell, action = plans[name][step]
                 next_cell = plans[name][step + 1][0]
-                assert world.positions[i] == cell, (name, step, cell)
+                if world.positions[i] != cell:
+                    raise AssertionError(
+                        f"{name} step {step}: scripted at {cell}, "
+                        f"world has {world.positions[i]}")
                 if action == MOVE:
-                    assert chebyshev(cell, next_cell) == 1 and cell != next_cell
-                    assert world.passable(next_cell), (name, step, next_cell)
-                else:
-                    assert cell == next_cell, (name, step)
+                    if chebyshev(cell, next_cell) != 1:
+                        raise AssertionError(
+                            f"{name} step {step}: move {cell} -> {next_cell} "
+                            f"is not a one-cell step")
+                    if not world.passable(next_cell):
+                        raise AssertionError(
+                            f"{name} step {step}: move into blocked {next_cell}")
+                elif cell != next_cell:
+                    raise AssertionError(
+                        f"{name} step {step}: {action} moves {cell} -> {next_cell}")
                 actions.append(action)
             world.resolve(actions)
             for i, name in enumerate(_SR3_NAMES):
@@ -314,6 +324,7 @@ def run_sr3_episodes(episodes: int, max_steps: int, seed: int) -> Iterator[Trace
             yield TraceSample(episode, step, state, tuple(actions), next_state)
             if world.all_done():
                 break
+            state = next_state
 
 
 def run_sr_episodes(n_agents: int, episodes: int, max_steps: int,

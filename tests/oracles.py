@@ -3,13 +3,14 @@
 Each oracle re-derives an expected result by brute force, without touching the
 library code path it is checking: path search is checked by exhaustive simple-
 path enumeration, transition counting by a from-scratch recount of the trace
-file, and the minimizer by exhaustive search over all cube covers.
+file, the minimizer by exhaustive search over all cube covers, and grid
+routing by a fresh early-exit BFS per (start, goal) pair.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, product
 
 
@@ -162,3 +163,34 @@ def dnf_truth(implicants, minterm: int) -> bool:
         if (minterm & imp.care_mask) == imp.values:
             return True
     return False
+
+
+def bfs_first_move(world, start, goal):
+    """First move of a shortest 4-neighbour path start -> goal on ``world``'s
+    grid, or None when goal is unreachable; ``start`` itself when
+    start == goal.  Passability is re-derived from the config and task
+    liveness, and neighbours are tried in sorted order, one BFS per call."""
+    cfg = world.config
+
+    def passable(cell):
+        r, c = cell
+        return (0 <= r < cfg.rows and 0 <= c < cfg.cols
+                and cell not in cfg.walls
+                and not any(t.cell == cell and world.alive[t.id] for t in cfg.tasks))
+
+    if start == goal:
+        return start
+    prev = {start: start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        if cur == goal:
+            while prev[cur] != start:
+                cur = prev[cur]
+            return cur
+        r, c = cur
+        for nxt in sorted([(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]):
+            if passable(nxt) and nxt not in prev:
+                prev[nxt] = cur
+                queue.append(nxt)
+    return None

@@ -147,6 +147,40 @@ class TestExplain:
                      "--type", "when"]) == 2
 
 
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("reader", ["abstract-trace", "summarize-mmdp",
+                                        "domain-file", "boolmin-table"])
+    def test_non_utf8_file_exits_2(self, pipeline, tmp_path, capsys, reader):
+        _, _, mmdp = pipeline
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe" + "not utf-8".encode("utf-16-le"))
+        argv = {
+            "abstract-trace": ["abstract", "--trace", str(bad), "--domain", "sr3",
+                               "--out", str(tmp_path / "m.mmdp")],
+            "summarize-mmdp": ["summarize", "--mmdp", str(bad), "--domain", "sr3"],
+            "domain-file": ["summarize", "--mmdp", str(mmdp), "--domain", str(bad)],
+            "boolmin-table": ["boolmin-debug", "--table", str(bad)],
+        }[reader]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: input file is not UTF-8 text")
+
+    @pytest.mark.parametrize("field", ["tasks", "done", "pos"])
+    def test_agent_record_missing_field_exits_2(self, pipeline, tmp_path, capsys,
+                                                 field):
+        _, trace, _ = pipeline
+        header, first, *rest = trace.read_text().splitlines()
+        rec = json.loads(first)
+        del rec["state"][0][field]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n")
+        assert main(["abstract", "--trace", str(bad), "--domain", "sr3",
+                     "--out", str(tmp_path / "m.mmdp")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: episode 0 step 0: malformed agent record "
+                       f"(KeyError: '{field}')"]
+
+
 class TestConfigAndEnv:
     def test_config_file_supplies_flags(self, pipeline, tmp_path, capsys):
         _, _, mmdp = pipeline

@@ -1,14 +1,23 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mapex
 from mapex import get_domain, read_trace, simulate, write_trace
 from mapex.envs import domain_ids
+from mapex.envs.base import WAIT, GridConfig, GridWorld, TaskSpec, chebyshev, first_move
 from mapex.errors import (
     PreconditionError,
     TraceFormatError,
     UnknownDomainError,
 )
+from oracles import bfs_first_move
 
 ALL_DOMAINS = [
     ("sr3", 30), ("sr4", 12), ("sr5", 12),
@@ -57,6 +66,85 @@ class TestDeterminism:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestTraceDigests:
+    # SHA-256 of write_trace(simulate(d, episodes=30, seed=42)); any change to
+    # the scripted policies, their RNG draws or the record layout shows here
+    DIGESTS = {
+        "sr3": "791db5eacf2def9410da11d844a1fa78ba1238058e03922a28f083b80ba5786b",
+        "sr4": "d4acb11bda3371b41540e0594dcb8a76f32a3d13e7c058a0d0d072cc598700d1",
+        "sr5": "52df9ff604359f6e66ccfb0efd24b1a22d2a5f5f45dd1772bf66f824a0136442",
+        "rware2": "8d6c764002bd7bd013bf4d514011bc2daaecbe5178d24bdb0ead49c5cfe7b48c",
+        "rware4": "b26e9103bdd76dc34103f3d21b4a3ed196cb5c0ff80c8b3274a9fa53fa39aefe",
+        "rware19": "6515b1ad71993262f5f8637bd169a6bd1476e0ff617cfa8d1c58afe22f12c553",
+        "lbf2": "664d0acfac3be3a207ce75f9f882896d02cad28aea32c5a9a2ac2abbe3fc3dbb",
+        "lbf4": "84abfba8b5ffd7b0b61b841fbccc9d4c809038e2321c29e6f4536f88db3d216e",
+        "lbf9": "c64d0c74c625b3783e39975ebe746874ccc1d20c9e820712450ccd01ffa57386",
+    }
+
+    @pytest.mark.parametrize("domain_id", sorted(DIGESTS))
+    def test_trace_bytes_pinned(self, domain_id, tmp_path):
+        path = tmp_path / f"{domain_id}.jsonl"
+        write_trace(path, domain_id, get_domain(domain_id).n_agents,
+                    simulate(domain_id, episodes=30, seed=42))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[domain_id]
+
+
+@st.composite
+def grid_worlds(draw):
+    """A small GridWorld with walls and tasks, some of them completed through
+    ``resolve`` after every cell's BFS tree was cached under full liveness."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(2, 5))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    walls = draw(st.frozensets(st.sampled_from(cells), max_size=len(cells) // 2))
+    task_cells = draw(st.lists(st.sampled_from(cells), unique=True, max_size=3))
+    completed = draw(st.lists(st.booleans(), min_size=len(task_cells),
+                              max_size=len(task_cells)))
+    # one agent per task, on a Chebyshev neighbour of its cell, is the
+    # task's only combo, so resolve completes exactly the chosen tasks
+    starts = tuple(
+        draw(st.sampled_from([x for x in cells if chebyshev(x, cell) == 1]))
+        for cell in task_cells
+    )
+    tasks = tuple(TaskSpec(f"t{i}", cell, f"do_{i}", ((f"a{i}",),))
+                  for i, cell in enumerate(task_cells))
+    config = GridConfig(rows, cols, walls, starts, tasks)
+    world = GridWorld(config, [f"a{i}" for i in range(len(tasks))])
+    for cell in cells:
+        world.bfs_tree(cell)
+    world.resolve([t.action if done else WAIT for t, done in zip(tasks, completed)])
+    assert [not world.alive[t.id] for t in tasks] == completed
+    return world, cells
+
+
+class TestBfsTree:
+    @given(grid_worlds())
+    @settings(max_examples=150, deadline=None)
+    def test_tree_matches_per_goal_bfs(self, case):
+        world, cells = case
+        for start in cells:
+            tree = world.bfs_tree(start)
+            assert first_move(tree, start, start) == start
+            for goal in cells:
+                expected = bfs_first_move(world, start, goal)
+                if expected is None:
+                    assert goal not in tree, (start, goal)
+                else:
+                    assert first_move(tree, start, goal) == expected, (start, goal)
+
+    def test_tree_shared_until_completion(self):
+        config = GridConfig(1, 3, frozenset(), ((0, 0),),
+                            (TaskSpec("t", (0, 1), "do", (("a",),)),))
+        world = GridWorld(config, ["a"])
+        tree = world.bfs_tree((0, 0))
+        assert tree == {(0, 0): (0, 0)}
+        assert world.bfs_tree((0, 0)) is tree
+        world.resolve([WAIT])
+        assert world.bfs_tree((0, 0)) is tree
+        world.resolve(["do"])
+        assert first_move(world.bfs_tree((0, 0)), (0, 0), (0, 2)) == (0, 1)
+
+
 class TestScriptedSr3:
     def test_single_episode_completes_all_tasks(self):
         # seed 42 episode 0 runs the main branch: UAV+UGV_2 rescue, both UGVs
@@ -95,6 +183,30 @@ class TestScriptedSr3:
             )
             partners.add(rescuers)
         assert partners == {(0, 2), (0, 1)}
+
+
+    @pytest.mark.parametrize("step,entry,message", [
+        (0, ((2, 1), "move"), "UAV step 0: scripted at (2, 1), world has (2, 0)"),
+        (1, ((0, 0), "move"), "UAV step 0: move (2, 0) -> (0, 0) is not a one-cell step"),
+        (3, ((0, 2), "wait"), "UAV step 2: move into blocked (0, 2)"),
+        (1, ((1, 0), "wait"), "UAV step 1: wait moves (1, 0) -> (1, 1)"),
+    ], ids=["position", "distance", "blocked", "wait-moves"])
+    def test_legality_checks_survive_optimize(self, step, entry, message):
+        # a script inconsistent with the map must stop the run even with
+        # assert statements compiled out; seed 42 episode 0 runs this branch
+        code = (
+            "from mapex.envs import search_rescue as sr\n"
+            f"sr._SR3_PLANS['uav_first_ugv2']['UAV'][{step}] = {entry!r}\n"
+            "try:\n"
+            "    list(sr.run_sr3_episodes(1, 50, 42))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(mapex.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src),
+                             timeout=60)
+        assert run.stdout == message + "\n", run.stderr
 
 
 class TestEpisodeInvariants:
