@@ -15,6 +15,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .domain import FeatureSchema, JointAction, JointState, encode_joint_state
@@ -87,41 +88,34 @@ class PolicyAbstraction:
             s: i for i, s in enumerate(self.states)
         }
 
-        self.visit_counts: Counter = Counter()
-        action_counts: Counter = Counter()
+        # a probability divides by the count out of its source state, or out
+        # of its source state and action
+        by_state = normalization == "state"
+        totals: Counter = Counter()
         for (s, a, _), c in self.counts.items():
-            self.visit_counts[s] += c
-            action_counts[(s, a)] += c
-
+            totals[s if by_state else (s, a)] += c
         edges: dict[JointState, list[Transition]] = {s: [] for s in self.states}
         for (s, a, t), c in sorted(self.counts.items()):
-            denom = (
-                self.visit_counts[s]
-                if normalization == "state"
-                else action_counts[(s, a)]
-            )
-            edges[s].append(Transition(s, a, t, c, c / denom))
+            total = totals[s if by_state else (s, a)]
+            edges[s].append(Transition(s, a, t, c, c / total))
         self.out_edges: dict[JointState, tuple[Transition, ...]] = {
             s: tuple(es) for s, es in edges.items()
         }
 
+        # soundness checks: explicit raises, so they also run under python -O
         max_states = (1 << schema.n_features) ** n_agents
-        assert len(self.states) <= max_states, "state count exceeds 2^|F|^N bound"
-        if normalization == "state":
-            for s, es in self.out_edges.items():
-                if es:
-                    total = sum(e.probability for e in es)
-                    assert math.isclose(total, 1.0, abs_tol=_PROB_TOLERANCE), (
-                        f"outgoing probability mass {total} != 1 for state {s}"
-                    )
-        else:
-            per_action: Counter = Counter()
-            for s, es in self.out_edges.items():
-                for e in es:
-                    per_action[(s, e.action)] += e.probability
-            for key, total in per_action.items():
-                assert math.isclose(total, 1.0, abs_tol=_PROB_TOLERANCE), (
-                    f"probability mass {total} != 1 for {key}"
+        if len(self.states) > max_states:
+            raise AssertionError(
+                f"state count {len(self.states)} exceeds the 2^|F|^N bound {max_states}"
+            )
+        mass: Counter = Counter()
+        for s, es in self.out_edges.items():
+            for e in es:
+                mass[s if by_state else (s, e.action)] += e.probability
+        for key, total in mass.items():
+            if not math.isclose(total, 1.0, abs_tol=_PROB_TOLERANCE):
+                raise AssertionError(
+                    f"outgoing probability mass {total} != 1 for {key}"
                 )
 
     @property
@@ -136,8 +130,29 @@ class PolicyAbstraction:
     def has_virtual_init(self) -> bool:
         return len(self.initial_counts) > 1
 
+    # The query index: built on first use, so building, loading and
+    # summarizing a model never pay for it.
+
+    @cached_property
+    def _enabled(self) -> dict[JointState, tuple[JointAction, ...]]:
+        return {
+            s: tuple(dict.fromkeys(e.action for e in es))
+            for s, es in self.out_edges.items()
+        }
+
+    @cached_property
+    def enabling_states(self) -> dict[JointAction, tuple[JointState, ...]]:
+        """Each distinct enabled joint action -> the states enabling it, in
+        canonical state order."""
+        table: dict[JointAction, list[JointState]] = {}
+        for s in self.states:
+            for action in self._enabled[s]:
+                table.setdefault(action, []).append(s)
+        return {action: tuple(states) for action, states in table.items()}
+
     def enabled_actions(self, state: JointState) -> tuple[JointAction, ...]:
-        return tuple(dict.fromkeys(e.action for e in self.out_edges.get(state, ())))
+        """The state's distinct enabled joint actions, in first-seen order."""
+        return self._enabled.get(state, ())
 
     def is_goal(self, state: JointState) -> bool:
         for pred_id in self.schema.task_completion_ids:
@@ -283,56 +298,76 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
     if header[1] != str(_MMDP_VERSION):
         fail(f"unsupported version {header[1]}")
 
-    fields = {}
     idx = 1
-    for key in ("schema", "agents", "features", "normalization", "initial",
-                "init-counts", "states"):
-        parts = lines[idx].split(" ", 1)
-        if parts[0] != key:
-            fail(f"expected {key!r} on line {idx + 1}")
-        fields[key] = parts[1] if len(parts) > 1 else ""
+    try:
+        fields = {}
+        for key in ("schema", "agents", "features", "normalization", "initial",
+                    "init-counts", "states"):
+            parts = lines[idx].split(" ", 1)
+            if parts[0] != key:
+                fail(f"expected {key!r} on line {idx + 1}")
+            fields[key] = parts[1] if len(parts) > 1 else ""
+            idx += 1
+
+        if fields["schema"] != schema.schema_hash():
+            raise SchemaMismatchError(
+                f"{path}: abstraction was built against schema {fields['schema']}, "
+                f"not the supplied schema {schema.schema_hash()}"
+            )
+        n_agents = int(fields["agents"])
+        if int(fields["features"]) != schema.n_features:
+            fail("feature count disagrees with the supplied schema")
+
+        n_states = int(fields["states"])
+        states: list[JointState] = []
+        for k in range(n_states):
+            num, bits = lines[idx].split(" ", 1)
+            if int(num) != k:
+                fail(f"state table out of order at line {idx + 1}")
+            states.append(tuple(int(b) for b in bits.split(",")))
+            idx += 1
+
+        by_index = {str(i): s for i, s in enumerate(states)}
+
+        def state(text: str) -> JointState:
+            if text not in by_index:
+                fail(f"state index {text} on line {idx + 1} is outside the state table")
+            return by_index[text]
+
+        head = lines[idx].split()
+        if head[0] != "transitions":
+            fail("missing transitions header")
+        n_transitions = int(head[1])
         idx += 1
+        counts = {}
+        for _ in range(n_transitions):
+            s_i, action, t_i, count, _prob = lines[idx].split(" ")
+            if s_i not in by_index or t_i not in by_index:
+                fail(f"transition {s_i} -> {t_i} on line {idx + 1} names a state "
+                     f"index outside the state table")
+            key = (by_index[s_i], tuple(action.split(",")), by_index[t_i])
+            counts[key] = int(count)
+            idx += 1
+        if len(counts) < n_transitions:
+            fail("duplicate transition lines")
+        if idx != len(lines) - 1:
+            fail(f"unexpected line {idx + 1} after the transition table")
 
-    if fields["schema"] != schema.schema_hash():
-        raise SchemaMismatchError(
-            f"{path}: abstraction was built against schema {fields['schema']}, "
-            f"not the supplied schema {schema.schema_hash()}"
-        )
-    n_agents = int(fields["agents"])
-    if int(fields["features"]) != schema.n_features:
-        fail("feature count disagrees with the supplied schema")
-
-    n_states = int(fields["states"])
-    states: list[JointState] = []
-    for k in range(n_states):
-        num, bits = lines[idx].split(" ", 1)
-        if int(num) != k:
-            fail(f"state table out of order at line {idx + 1}")
-        states.append(tuple(int(b) for b in bits.split(",")))
-        idx += 1
-
-    head = lines[idx].split()
-    if head[0] != "transitions":
-        fail("missing transitions header")
-    n_transitions = int(head[1])
-    idx += 1
-    counts = {}
-    for _ in range(n_transitions):
-        s_i, action, t_i, count, _prob = lines[idx].split(" ")
-        key = (states[int(s_i)], tuple(action.split(",")), states[int(t_i)])
-        counts[key] = int(count)
-        idx += 1
-
-    initial_counts = {}
-    for part in fields["init-counts"].split(","):
-        s_i, c = part.split(":")
-        initial_counts[states[int(s_i)]] = int(c)
+        idx = 5  # back to the header's initial and init-counts lines
+        initial = state(fields["initial"])
+        idx = 6
+        initial_counts = {}
+        for part in fields["init-counts"].split(","):
+            s_i, c = part.split(":")
+            initial_counts[state(s_i)] = int(c)
+    except (ValueError, IndexError) as exc:
+        fail(f"malformed line {idx + 1} ({type(exc).__name__}: {exc})")
 
     return PolicyAbstraction(
         schema,
         n_agents,
         counts,
-        states[int(fields["initial"])],
+        initial,
         normalization=fields["normalization"],
         initial_counts=initial_counts,
     )

@@ -29,7 +29,7 @@ from .errors import (
     TooManyVariablesError,
 )
 from .nlg import PhraseMap, format_dnf, render
-from .query import Query, answer, compatible, relevancy_filter
+from .query import Query, answer, partition, relevancy_filter
 from .summarize import most_probable_path, render_chart, summarize
 
 ENV_PREFIX = "MAPEX_"
@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="state index or inline per-agent bits (whynot)")
     p.add_argument("--predicates", help="comma-separated predicate ids (what)")
     p.add_argument("--method", choices=["norf", "withrf"])
-    p.add_argument("--timeout", type=float, help="seconds before aborting minimization")
+    p.add_argument("--timeout", type=float,
+                   help="seconds before aborting minimization (must be > 0)")
     p.add_argument("--max-vars", type=int, help="minimizer variable guardrail")
     p.add_argument("--emit-dnf", action="store_true", default=None,
                    help="also print the raw DNF")
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--timeout", type=float, help="seconds per query")
+    p.add_argument("--timeout", type=float, help="seconds per query (must be > 0)")
     p.add_argument("--max-vars", type=int)
     p.add_argument("--csv", help="also write rows to this CSV file")
 
@@ -180,6 +181,14 @@ class _Options:
         except (TypeError, ValueError):
             flag = _FLAG_ALIASES.get(name, name).replace("_", "-")
             raise MapexError(f"--{flag} must be {what}, got {v!r}") from None
+
+    def get_timeout(self) -> float:
+        """--timeout in seconds; 0, negative and NaN are rejected, not
+        read as "no timeout"."""
+        v = self.get_float("timeout")
+        if not v > 0:
+            raise MapexError(f"--timeout must be a positive number of seconds, got {v}")
+        return v
 
     def get_bool(self, name: str) -> bool:
         v = self.get(name)
@@ -308,8 +317,7 @@ def _cmd_explain(opts: _Options) -> int:
     domain, m = _load_mmdp(opts)
     query = _build_query(opts, domain, m)
     phrases = PhraseMap.from_domain(domain)
-    timeout = opts.get_float("timeout")
-    deadline = time.monotonic() + timeout if timeout else None
+    deadline = time.monotonic() + opts.get_timeout()
     max_vars = opts.get_int("max_vars")
     out = str(opts.get("out"))
     try:
@@ -344,18 +352,10 @@ def _cmd_explain(opts: _Options) -> int:
 
 def _bench_queries(domain: DomainDefinition) -> dict[str, dict[str, Any]]:
     """Default query set per domain: the first cooperative task's action."""
-    first = None
-    for (agent, action), entry in sorted(domain.relevance.entries.items()):
-        if entry.features and len(entry.agents) > 1:
-            first = (agent, action, entry)
-            break
-    if first is None:
-        for (agent, action), entry in sorted(domain.relevance.entries.items()):
-            if entry.features:
-                first = (agent, action, entry)
-                break
-    assert first is not None, "domain has no task actions"
-    agent, action, entry = first
+    tasks = [(k, e) for k, e in sorted(domain.relevance.entries.items()) if e.features]
+    if not tasks:
+        raise MapexError(f"domain {domain.id} has no task actions to bench")
+    (agent, action), entry = next((t for t in tasks if len(t[1].agents) > 1), tasks[0])
     partners = sorted(entry.agents)
     # prefer a condition-style feature (detect) over a completion flag
     completion = set(domain.schema.task_completion_ids)
@@ -373,20 +373,12 @@ def _bench_queries(domain: DomainDefinition) -> dict[str, dict[str, Any]]:
 
 
 def _incompatible_state(m, domain: DomainDefinition, actions) -> JointState:
-    """First state (canonical order) where the queried actions do not happen,
-    so the default why-not query has something to ask about."""
-    norf_criterion = frozenset(actions)
+    """First state (canonical order) with enabled actions, none compatible with
+    the queried actions under either method, so the default why-not query has
+    something to ask about."""
     _, _, withrf_criterion = relevancy_filter(actions, domain.relevance)
-    for s in m.states:
-        enabled = m.enabled_actions(s)
-        if not enabled:
-            continue
-        if any(compatible(a, norf_criterion, domain) for a in enabled):
-            continue
-        if any(compatible(a, withrf_criterion, domain) for a in enabled):
-            continue
-        return s
-    return m.initial_state
+    _, never = partition([frozenset(actions), *withrf_criterion], m, domain)
+    return min(never, default=m.initial_state)  # m.states is sorted
 
 
 def _cmd_bench(opts: _Options) -> int:
@@ -394,7 +386,7 @@ def _cmd_bench(opts: _Options) -> int:
     domain = get_domain(domain_id)
     episodes = opts.get_int("episodes")
     seed = opts.get_int("seed")
-    timeout = opts.get_float("timeout")
+    timeout = opts.get_timeout()
     max_vars = opts.get_int("max_vars")
 
     samples = simulate(
@@ -418,7 +410,7 @@ def _cmd_bench(opts: _Options) -> int:
                 state=whynot_state if kind == "whynot" else None,
                 predicates=spec[kind].get("predicates", ()),
             )
-            deadline = time.monotonic() + timeout if timeout else None
+            deadline = time.monotonic() + timeout
             start = time.perf_counter()
             status, clauses = "ok", ""
             try:

@@ -2,7 +2,8 @@
 questions, each in a baseline (norf) and a relevancy-filtered (withrf) variant.
 
 The when/why-not answerers partition states into targets and non-targets by
-checking enabled joint actions against the query criterion, project both sets
+checking each distinct enabled joint action of the model once against the
+query criterion (through the model's lazily built query index), project both sets
 onto Boolean minterms (all agents x all features for norf; relevant agents x
 relevant features for withrf), and hand the resulting on/off-sets to the
 minimizer.  States in both partitions count as targets: explanations describe
@@ -13,7 +14,9 @@ minterm.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Mapping
 
 from . import boolmin
@@ -25,10 +28,10 @@ from .domain import (
     JointAction,
     JointState,
     RelevanceKnowledge,
-    variable_index,
 )
 from .errors import (
     ContradictionNotice,
+    DomainFormatError,
     PreconditionError,
     TooManyVariablesError,
     UnknownStateError,
@@ -121,14 +124,22 @@ class BooleanSpace:
     def n_variables(self) -> int:
         return len(self.agent_order) * len(self.feature_order)
 
+    def _projection(self, schema) -> tuple[tuple[int, int, int], ...]:
+        """(agent index, schema bit, variable bit) per variable, agent-major
+        as in ``variable_index``; kept for the last schema it was built for."""
+        memo = self.__dict__.get("_memo")
+        if memo is None or memo[0] is not schema:
+            pairs = product(self.agent_order, self.feature_order)
+            triples = tuple((agent.index, 1 << schema.index_of(pred), 1 << var)
+                            for var, (agent, pred) in enumerate(pairs))
+            memo = self.__dict__["_memo"] = (schema, triples)
+        return memo[1]
+
     def minterm(self, state: JointState, schema) -> int:
         bits = 0
-        for agent in self.agent_order:
-            for pred in self.feature_order:
-                if state[agent.index] >> schema.index_of(pred) & 1:
-                    bits |= 1 << variable_index(
-                        agent, pred, self.agent_order, self.feature_order
-                    )
+        for i, schema_bit, var_bit in self._projection(schema):
+            if state[i] & schema_bit:
+                bits |= var_bit
         return bits
 
     def literal(self, var: int, polarity: bool) -> Literal:
@@ -183,7 +194,8 @@ def relevancy_filter(
         agents |= entry.agents
         features |= entry.features
         for s in entry.action_sets:
-            assert (agent, action) in s, "relevance set lost its generating action"
+            if (agent, action) not in s:
+                raise AssertionError("relevance set lost its generating action")
             if s not in action_sets:
                 action_sets.append(s)
     return (
@@ -193,6 +205,26 @@ def relevancy_filter(
     )
 
 
+# A compiled criterion: alternatives, each a tuple of (agent index, action)
+# requirements; a joint action satisfies it when it meets every requirement
+# of at least one alternative.
+Compiled = tuple[tuple[tuple[int, str], ...], ...]
+
+
+def _compile(criterion, domain: DomainDefinition) -> Compiled:
+    """A norf set (one alternative) or withrf list of sets (one each)."""
+    sets = criterion if isinstance(criterion, (list, tuple)) else (criterion,)
+    position = {a.name: i for i, a in enumerate(domain.agents)}
+    try:
+        return tuple(tuple((position[agent], act) for agent, act in s) for s in sets)
+    except KeyError as exc:
+        raise DomainFormatError(f"unknown agent {exc.args[0]!r}") from None
+
+
+def _satisfies(action: JointAction, compiled: Compiled) -> bool:
+    return any(all(action[i] == act for i, act in alt) for alt in compiled)
+
+
 def compatible(action: JointAction, criterion, domain: DomainDefinition) -> bool:
     """Does a joint action satisfy the query criterion?
 
@@ -200,11 +232,7 @@ def compatible(action: JointAction, criterion, domain: DomainDefinition) -> bool
     contained in the joint action; a list of such sets (withrf) when at least
     one member set is fully contained.
     """
-    if isinstance(criterion, (list, tuple)):
-        return any(compatible(action, s, domain) for s in criterion)
-    return all(
-        action[domain.agent_id(agent).index] == act for agent, act in criterion
-    )
+    return _satisfies(action, _compile(criterion, domain))
 
 
 def _condition_space(
@@ -214,7 +242,6 @@ def _condition_space(
     query.validate(domain)
     if query.kind != kind:
         raise PreconditionError(f"{kind} answerer got a {query.kind!r} query")
-    a_q = frozenset(query.actions)
     if query.method == "withrf":
         g, f, sets = relevancy_filter(query.actions, domain.relevance)
         agent_order = tuple(a for a in domain.agent_ids if a.display_name in g)
@@ -223,10 +250,11 @@ def _condition_space(
     else:
         agent_order = domain.agent_ids
         feature_order = domain.schema.predicate_ids
-        criterion = a_q
+        criterion = frozenset(query.actions)
     space = BooleanSpace(agent_order, feature_order)
     # the filtered problem can never be wider than the baseline's N * |F|
-    assert space.n_variables <= domain.n_agents * domain.schema.n_features
+    if space.n_variables > domain.n_agents * domain.schema.n_features:
+        raise AssertionError(f"{space.n_variables} query variables exceed N * |F|")
     return space, criterion
 
 
@@ -255,16 +283,19 @@ def _minimize_to_dnf(
     return LiteralDNF(clauses)
 
 
-def _partition(criterion, m: PolicyAbstraction, domain: DomainDefinition):
-    """(targets, non-targets) of a compatibility criterion; see when_partition."""
+def partition(
+    criterion, m: PolicyAbstraction, domain: DomainDefinition
+) -> tuple[frozenset[JointState], frozenset[JointState]]:
+    """(targets, non-targets) of a compatibility criterion; see when_partition.
+
+    Each distinct enabled joint action of the model is checked once, and its
+    states join the targets or the non-targets as a whole.
+    """
+    compiled = _compile(criterion, domain)
     targets: set[JointState] = set()
     nontargets: set[JointState] = set()
-    for s in m.states:
-        for action in m.enabled_actions(s):
-            if compatible(action, criterion, domain):
-                targets.add(s)
-            else:
-                nontargets.add(s)
+    for action, states in m.enabling_states.items():
+        (targets if _satisfies(action, compiled) else nontargets).update(states)
     nontargets -= targets
     return frozenset(targets), frozenset(nontargets)
 
@@ -279,7 +310,7 @@ def when_partition(
     qualifying as both count as targets only.
     """
     space, criterion = _condition_space(query, domain, "when")
-    return (space, *_partition(criterion, m, domain))
+    return (space, *partition(criterion, m, domain))
 
 
 def answer_when(
@@ -297,7 +328,7 @@ def answer_when(
     """
     space, criterion = _condition_space(query, domain, "when")
     _check_width(space, max_vars)
-    targets, nontargets = _partition(criterion, m, domain)
+    targets, nontargets = partition(criterion, m, domain)
     ones = {space.minterm(s, m.schema) for s in targets}
     zeros = {space.minterm(s, m.schema) for s in nontargets}
     dnf = _minimize_to_dnf(ones, zeros, space, deadline=deadline, max_vars=max_vars)
@@ -324,22 +355,19 @@ def answer_whynot(
     s_q = query.state
     if s_q not in m.state_index:
         raise UnknownStateError(f"queried state {s_q} is not in the abstraction")
-    for action in m.enabled_actions(s_q):
-        if compatible(action, criterion, domain):
-            raise ContradictionNotice(
-                "the agents DO take this action here: the queried state has a "
-                f"compatible enabled action {action}"
-            )
-    nontargets = {
-        s
-        for s in m.states
-        if any(compatible(a, criterion, domain) for a in m.enabled_actions(s))
-    }
-    nontargets.discard(s_q)
+    # the states taking the action are the non-targets of the answer
+    nontargets, _ = partition(criterion, m, domain)
+    if s_q in nontargets:
+        enabled = m.enabled_actions(s_q)
+        action = next(a for a in enabled if compatible(a, criterion, domain))
+        raise ContradictionNotice(
+            "the agents DO take this action here: the queried state has a "
+            f"compatible enabled action {action}"
+        )
     ones = {space.minterm(s_q, m.schema)}
     zeros = {space.minterm(s, m.schema) for s in nontargets}
     dnf = _minimize_to_dnf(ones, zeros, space, deadline=deadline, max_vars=max_vars)
-    return ConditionAnswer(query, dnf, space, frozenset({s_q}), frozenset(nontargets))
+    return ConditionAnswer(query, dnf, space, frozenset({s_q}), nontargets)
 
 
 def answer_what(
@@ -349,53 +377,38 @@ def answer_what(
     query.validate(domain)
     if query.kind != "what":
         raise PreconditionError(f"answer_what got a {query.kind!r} query")
-    pred_bits = [m.schema.index_of(p) for p in query.predicates]
+    mask = 0
+    for p in query.predicates:
+        mask |= 1 << m.schema.index_of(p)
     indices = {name: domain.agent_id(name).index for name in query.agents}
-    satisfying = [
-        s
-        for s in m.states
-        if all(s[i] >> b & 1 for i in indices.values() for b in pred_bits)
-    ]
+    satisfying = list(m.states)
+    for i in indices.values():
+        satisfying = [s for s in satisfying if s[i] & mask == mask]
     if not satisfying:
         return WhatAnswer(query, {}, frozenset())
 
     if query.method == "norf":
-        observed: dict[str, set[str]] = {name: set() for name in query.agents}
-        for s in satisfying:
-            for action in m.enabled_actions(s):
-                for name, i in indices.items():
-                    observed[name].add(action[i])
-        listed = {
-            name: tuple(
-                a for a in domain.agent_spec(name).actions if a in observed[name]
+        listed = {}
+        for name, i in indices.items():
+            observed = {a[i] for s in satisfying for a in m.enabled_actions(s)}
+            listed[name] = tuple(
+                a for a in domain.agent_spec(name).actions if a in observed
             )
-            for name in query.agents
-        }
         return WhatAnswer(query, listed, frozenset(satisfying))
 
     # withrf: invert the relevance map (predicates -> actions), then take the
     # transition-count-weighted most frequent relevant action per agent
     wanted = set(query.predicates)
-    relevant: dict[str, set[str]] = {}
-    for name in query.agents:
-        relevant[name] = {
-            action
-            for action in domain.agent_spec(name).actions
-            if domain.relevance.get(name, action).features & wanted
-        }
-    weights: dict[str, dict[str, int]] = {name: {} for name in query.agents}
-    for s in satisfying:
-        for e in m.out_edges[s]:
-            for name, i in indices.items():
-                act = e.action[i]
-                if act in relevant[name]:
-                    weights[name][act] = weights[name].get(act, 0) + e.count
     best: dict[str, str | None] = {}
-    for name in query.agents:
-        if weights[name]:
-            best[name] = min(weights[name], key=lambda a: (-weights[name][a], a))
-        else:
-            best[name] = None
+    for name, i in indices.items():
+        relevant = {a for a in domain.agent_spec(name).actions
+                    if domain.relevance.get(name, a).features & wanted}
+        weights: Counter = Counter()
+        for s in satisfying:
+            for e in m.out_edges[s]:
+                if e.action[i] in relevant:
+                    weights[e.action[i]] += e.count
+        best[name] = min(weights, key=lambda a: (-weights[a], a)) if weights else None
     return WhatAnswer(query, best, frozenset(satisfying))
 
 

@@ -3,8 +3,9 @@
 Each oracle re-derives an expected result by brute force, without touching the
 library code path it is checking: path search is checked by exhaustive simple-
 path enumeration, transition counting by a from-scratch recount of the trace
-file, the minimizer by exhaustive search over all cube covers, and grid
-routing by a fresh early-exit BFS per (start, goal) pair.
+file, the minimizer by exhaustive search over all cube covers, grid routing
+by a fresh early-exit BFS per (start, goal) pair, and the query partition by
+testing every (state, enabled action) pair of the model's edges.
 """
 
 from __future__ import annotations
@@ -194,3 +195,22 @@ def bfs_first_move(world, start, goal):
                 prev[nxt] = cur
                 queue.append(nxt)
     return None
+
+
+def partition(criterion, m, domain):
+    """(targets, non-targets) of a norf set or withrf list of sets of
+    (agent, action) pairs: every outgoing edge of every state is tested, with
+    agent positions looked up by name; a state with a compatible action is a
+    target, one with only incompatible actions a non-target."""
+    position = {a.name: i for i, a in enumerate(domain.agents)}
+    sets = list(criterion) if isinstance(criterion, (list, tuple)) else [criterion]
+
+    def compatible(action):
+        return any(all(action[position[agent]] == act for agent, act in s)
+                   for s in sets)
+
+    targets, nontargets = set(), set()
+    for s in m.states:
+        for edge in m.out_edges[s]:
+            (targets if compatible(edge.action) else nontargets).add(s)
+    return targets, nontargets - targets

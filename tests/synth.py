@@ -1,8 +1,10 @@
-"""Synthetic fixtures: schemas with explicit-feature predicates and seeded
-random layered abstractions for path-search and latency checks."""
+"""Synthetic fixtures: schemas with explicit-feature predicates, seeded
+random layered abstractions for path-search and latency checks, and
+malformed but well-checksummed .mmdp files."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 from mapex import FeatureSchema, PolicyAbstraction, PredicateSpec
@@ -84,3 +86,45 @@ def big_layered_abstraction(n_states: int = 1000) -> PolicyAbstraction:
                 key = (state, action, target)
                 counts[key] = counts.get(key, 0) + rng.randint(1, 9)
     return PolicyAbstraction(schema, 2, counts, (0, 0))
+
+
+def rewrite_mmdp(path, out, edit):
+    """Apply ``edit`` to the body lines of an .mmdp file and re-checksum it, so
+    only the parser, not the checksum, can reject the result."""
+    lines = path.read_text().splitlines()[:-1]
+    edit(lines)
+    body = "\n".join(lines) + "\n"
+    out.write_text(body + f"checksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+    return out
+
+
+def _first_transition(lines):
+    return next(i for i, ln in enumerate(lines) if ln.startswith("transitions ")) + 1
+
+
+def _set_count(lines):
+    lines[_first_transition(lines) - 1] = "transitions x"
+
+
+def _set_target(lines):
+    i = _first_transition(lines)
+    s_i, action, _, count, prob = lines[i].split(" ")
+    lines[i] = " ".join([s_i, action, "9999", count, prob])
+
+
+def _duplicate(lines):
+    i = _first_transition(lines)
+    lines.insert(i, lines[i])
+    lines[i - 1] = f"transitions {int(lines[i - 1].split()[1]) + 1}"
+
+
+def _append(lines):
+    lines.append(lines[-1])
+
+
+MALFORMED_MMDP = {
+    "non-numeric-count": (_set_count, "malformed line"),
+    "target-out-of-range": (_set_target, "transition 0 -> 9999 on line"),
+    "duplicate-transition": (_duplicate, "duplicate transition lines"),
+    "trailing-line": (_append, "unexpected line"),
+}

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mapex
 
 from mapex import (
     PolicyAbstraction,
@@ -16,7 +22,7 @@ from mapex.errors import (
     SchemaMismatchError,
 )
 from oracles import recount_trace
-from synth import plain_schema
+from synth import MALFORMED_MMDP, plain_schema, rewrite_mmdp
 
 
 def rec(*true_ids):
@@ -179,3 +185,47 @@ class TestFiles:
         bad.write_text(body + f"checksum {digest}\n")
         with pytest.raises(AbstractionFormatError):
             load_abstraction(bad, sr3_domain.schema)
+
+
+class TestMalformedFiles:
+    # well-checksummed files the parser must still reject
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MMDP))
+    def test_rejected(self, tmp_path, sr3_domain, sr3_abstraction, case):
+        edit, message = MALFORMED_MMDP[case]
+        path = tmp_path / "m.mmdp"
+        save_abstraction(sr3_abstraction, path)
+        bad = rewrite_mmdp(path, tmp_path / "bad.mmdp", edit)
+        with pytest.raises(AbstractionFormatError, match=message):
+            load_abstraction(bad, sr3_domain.schema)
+
+
+class TestSoundnessChecksSurviveOptimize:
+    # each snippet breaks an invariant the constructor checks; the check must
+    # still raise with assert statements compiled out
+    @pytest.mark.parametrize("code,message", [
+        ("PolicyAbstraction(plain_schema(1), 1,\n"
+         "    {((0,), ('a',), (1,)): 1, ((1,), ('a',), (2,)): 1}, (0,))\n",
+         "state count 3 exceeds the 2^|F|^N bound 2"),
+        ("real = abstraction.Transition\n"
+         "abstraction.Transition = lambda s, a, t, c, p: real(s, a, t, c, p / 2)\n"
+         "PolicyAbstraction(plain_schema(1), 1, {((0,), ('a',), (1,)): 1}, (0,))\n",
+         "outgoing probability mass 0.5 != 1 for (0,)"),
+        ("real = abstraction.Transition\n"
+         "abstraction.Transition = lambda s, a, t, c, p: real(s, a, t, c, p / 2)\n"
+         "PolicyAbstraction(plain_schema(1), 1, {((0,), ('a',), (1,)): 1}, (0,),\n"
+         "    normalization='state-action')\n",
+         "outgoing probability mass 0.5 != 1 for ((0,), ('a',))"),
+    ], ids=["state-bound", "state-mass", "state-action-mass"])
+    def test_raises_under_optimize(self, code, message):
+        prelude = ("from mapex import abstraction\n"
+                   "from mapex.abstraction import PolicyAbstraction\n"
+                   "from synth import plain_schema\n")
+        wrapped = (prelude + "try:\n"
+                   + "".join("    " + ln + "\n" for ln in code.splitlines())
+                   + "except AssertionError as exc:\n    print(exc)\n")
+        src = str(Path(mapex.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        path = os.pathsep.join([src, tests])
+        run = subprocess.run([sys.executable, "-O", "-c", wrapped], capture_output=True,
+                             text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+        assert run.stdout == message + "\n", run.stderr

@@ -4,6 +4,7 @@ import pytest
 
 from mapex import build_abstraction, get_domain, render_chart, simulate, summarize
 from mapex.cli import main
+from synth import MALFORMED_MMDP, rewrite_mmdp
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,16 @@ class TestExplain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --state")
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_non_positive_timeout_exits_2(self, pipeline, capsys, timeout):
+        _, _, mmdp = pipeline
+        assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3",
+                     "--type", "when", "--agents", "UAV",
+                     "--actions", "rescue_victim", "--timeout", timeout]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --timeout must be a positive number of seconds, "
+                       f"got {float(timeout)}"]
+
     def test_missing_required_flag_exits_2(self, pipeline):
         _, _, mmdp = pipeline
         assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3",
@@ -164,6 +175,15 @@ class TestMalformedInputFiles:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: input file is not UTF-8 text")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MMDP))
+    def test_malformed_mmdp_exits_2(self, pipeline, tmp_path, capsys, case):
+        _, _, mmdp = pipeline
+        edit, message = MALFORMED_MMDP[case]
+        bad = rewrite_mmdp(mmdp, tmp_path / "bad.mmdp", edit)
+        assert main(["summarize", "--mmdp", str(bad), "--domain", "sr3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
 
     @pytest.mark.parametrize("field", ["tasks", "done", "pos"])
     def test_agent_record_missing_field_exits_2(self, pipeline, tmp_path, capsys,
@@ -244,6 +264,27 @@ class TestBench:
             assert f"{values['query']}" in table
             assert values["time_ms"] in table
         assert "|S|=" in table and "|rho|=" in table
+
+    def test_non_positive_timeout_exits_2(self, capsys):
+        assert main(["bench", "--domain", "sr3", "--timeout", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --timeout must be a positive number of seconds, got 0.0"]
+
+    def test_domain_without_task_actions_is_an_error(self):
+        # a real check, not an assert that python -O would drop
+        from mapex import ActionPhrases, AgentSpec, DomainDefinition
+        from mapex.cli import _bench_queries
+        from mapex.domain import RelevanceEntry, RelevanceKnowledge
+        from mapex.errors import MapexError
+        from synth import plain_schema
+        domain = DomainDefinition(
+            id="idle", agents=(AgentSpec("A", ("wait",)),), schema=plain_schema(1),
+            action_phrases={"wait": ActionPhrases("wait", "waits")},
+            relevance=RelevanceKnowledge({("A", "wait"): RelevanceEntry(
+                frozenset({"A"}), frozenset(), (frozenset({("A", "wait")}),))}),
+        )
+        with pytest.raises(MapexError, match="no task actions"):
+            _bench_queries(domain)
 
     def test_bench_reports_guardrail_cells(self, capsys):
         assert main(["bench", "--domain", "lbf9", "--episodes", "5"]) == 0

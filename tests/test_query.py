@@ -1,15 +1,31 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mapex import PolicyAbstraction, variable_index
+import mapex
+import oracles
+from mapex import (
+    ActionPhrases,
+    AgentSpec,
+    DomainDefinition,
+    PolicyAbstraction,
+    variable_index,
+)
+from mapex.domain import RelevanceEntry, RelevanceKnowledge
 from mapex.query import (
     Query,
     answer_what,
     answer_when,
     answer_whynot,
     compatible,
+    partition,
     relevancy_filter,
+    when_partition,
 )
 from mapex.errors import (
     ContradictionNotice,
@@ -17,7 +33,7 @@ from mapex.errors import (
     TooManyVariablesError,
     UnknownStateError,
 )
-from synth import plain_schema
+from synth import plain_schema, random_layered_abstraction
 
 RESCUE = "rescue_victim"
 REMOVE = "remove_obstacle"
@@ -385,11 +401,13 @@ class TestQueryValidation:
 
     def test_guardrail_precedes_partition(self, sr3_domain, sr3_abstraction,
                                           monkeypatch):
-        # the width is known from the query alone, so no state is inspected
-        def no_scan(self, state):
+        # the width is known from the query alone, so neither the query index
+        # nor any state's enabled actions are read
+        def no_scan(self, *state):
             raise AssertionError("states were partitioned before the guardrail")
 
         state = sr3_abstraction.states[0]
+        monkeypatch.setattr(PolicyAbstraction, "enabling_states", property(no_scan))
         monkeypatch.setattr(PolicyAbstraction, "enabled_actions", no_scan)
         when = when_query("UAV", RESCUE, "norf")
         whynot = Query(kind="whynot", agents=("UAV",), method="norf",
@@ -428,3 +446,129 @@ class TestWhatScaling:
         start = time.perf_counter()
         answer_what(q, m, domain)
         assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the indexed partition against the per-(state, enabled action) oracle
+# ---------------------------------------------------------------------------
+
+# the agents and actions of synth.random_layered_abstraction
+PAIRS = tuple((agent, act) for agent in ("A", "B") for act in ("a", "b"))
+SYNTH_SCHEMA = plain_schema(6, task_ids=("f5",))
+
+pair_sets = st.frozensets(st.sampled_from(PAIRS), max_size=3)
+criteria = st.one_of(pair_sets, st.lists(pair_sets, max_size=3).map(tuple))
+
+
+@st.composite
+def synth_domains(draw):
+    """The two synth agents with random admissible action sets and features."""
+    entries = {}
+    for pair in PAIRS:
+        n_sets = draw(st.integers(1, 2))
+        sets = tuple(dict.fromkeys(draw(pair_sets) | {pair} for _ in range(n_sets)))
+        entries[pair] = RelevanceEntry(
+            frozenset(agent for s in sets for agent, _ in s),
+            draw(st.frozensets(st.sampled_from(SYNTH_SCHEMA.predicate_ids),
+                               max_size=3)),
+            sets,
+        )
+    return DomainDefinition(
+        id="synth",
+        agents=(AgentSpec("A", ("a", "b")), AgentSpec("B", ("a", "b"))),
+        schema=SYNTH_SCHEMA,
+        action_phrases={"a": ActionPhrases("a", "as"), "b": ActionPhrases("b", "bs")},
+        relevance=RelevanceKnowledge(entries),
+    )
+
+
+def synth_model(seed):
+    return random_layered_abstraction(seed, max_states=12 + seed % 29)
+
+
+class TestIndexedPartition:
+    @given(st.integers(0, 10_000), criteria, synth_domains())
+    @settings(max_examples=150, deadline=None)
+    def test_partition_matches_oracle(self, seed, criterion, domain):
+        m = synth_model(seed)
+        targets, nontargets = partition(criterion, m, domain)
+        expected = oracles.partition(criterion, m, domain)
+        assert (set(targets), set(nontargets)) == expected
+
+    @given(st.integers(0, 10_000), synth_domains(), st.sampled_from(("norf", "withrf")),
+           st.lists(st.sampled_from(PAIRS), min_size=1, max_size=2,
+                    unique_by=lambda p: p[0]),
+           st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_when_and_whynot_match_oracle(self, seed, domain, method, pairs, pick):
+        m = synth_model(seed)
+        pairs = tuple(pairs)
+        agents = tuple(agent for agent, _ in pairs)
+        if method == "norf":
+            criterion = frozenset(pairs)
+        else:
+            criterion = relevancy_filter(pairs, domain.relevance)[2]
+        taking, not_taking = oracles.partition(criterion, m, domain)
+
+        when = Query(kind="when", agents=agents, method=method, actions=pairs)
+        _, targets, nontargets = when_partition(when, m, domain)
+        assert (set(targets), set(nontargets)) == (taking, not_taking)
+
+        state = m.states[pick % m.n_states]
+        whynot = Query(kind="whynot", agents=agents, method=method, actions=pairs,
+                       state=state)
+        if state in taking:
+            with pytest.raises(ContradictionNotice) as notice:
+                answer_whynot(whynot, m, domain)
+            action = next(a for a in m.enabled_actions(state)
+                          if compatible(a, criterion, domain))
+            assert str(notice.value).endswith(f"compatible enabled action {action}")
+        else:
+            answer = answer_whynot(whynot, m, domain)
+            assert answer.target_states == {state}
+            assert set(answer.nontarget_states) == taking
+
+    @given(st.integers(0, 10_000), synth_domains(), st.sampled_from(("norf", "withrf")),
+           st.lists(st.sampled_from(("A", "B")), min_size=1, max_size=2, unique=True),
+           st.lists(st.sampled_from(SYNTH_SCHEMA.predicate_ids), min_size=1,
+                    max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_what_states_match_brute_force(self, seed, domain, method, agents,
+                                           predicates):
+        m = synth_model(seed)
+        q = Query(kind="what", agents=tuple(agents), method=method,
+                  predicates=tuple(predicates))
+        bits = [SYNTH_SCHEMA.index_of(p) for p in predicates]
+        expected = {s for s in m.states
+                    if all(s["AB".index(a)] >> b & 1 for a in agents for b in bits)}
+        assert answer_what(q, m, domain).satisfying_states == expected
+
+
+class TestSoundnessChecksSurviveOptimize:
+    # each snippet breaks an invariant the query layer checks; the check must
+    # still raise with assert statements compiled out
+    @pytest.mark.parametrize("code,message", [
+        ("from mapex import get_domain, query\n"
+         "d = get_domain('sr3')\n"
+         "entry = d.relevance.entries[('UAV', 'rescue_victim')]\n"
+         "d.relevance.entries[('UAV', 'rescue_victim')] = type(entry)(\n"
+         "    entry.agents, entry.features,\n"
+         "    (frozenset({('UGV_1', 'rescue_victim')}),))\n"
+         "query.relevancy_filter([('UAV', 'rescue_victim')], d.relevance)\n",
+         "relevance set lost its generating action"),
+        ("from mapex import get_domain, query\n"
+         "from mapex.domain import DomainDefinition\n"
+         "ids = DomainDefinition.agent_ids.fget\n"
+         "DomainDefinition.agent_ids = property(lambda self: ids(self) * 2)\n"
+         "q = query.Query('when', ('UAV',), 'norf', (('UAV', 'rescue_victim'),))\n"
+         "query._condition_space(q, get_domain('sr3'), 'when')\n",
+         "36 query variables exceed N * |F|"),
+    ], ids=["relevance-set", "width"])
+    def test_raises_under_optimize(self, code, message):
+        wrapped = ("try:\n" + "".join("    " + ln + "\n" for ln in code.splitlines())
+                   + "except AssertionError as exc:\n    print(exc)\n")
+        src = str(Path(mapex.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", wrapped], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src),
+                             timeout=60)
+        assert run.stdout == message + "\n", run.stderr
