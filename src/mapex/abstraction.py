@@ -200,10 +200,16 @@ def build_abstraction(
     initial_counts: Counter = Counter()
     first_initial: JointState | None = None
     n_agents = None
+    previous_next, target = object(), None  # object(): no sample's state is it
     for sample in samples:
         try:
-            source = encode_joint_state(sample.joint_concrete_state, schema)
-            target = encode_joint_state(sample.next_joint_concrete_state, schema)
+            # a sample that starts where the previous one ended reuses its encoding
+            if sample.joint_concrete_state is previous_next:
+                source = target
+            else:
+                source = encode_joint_state(sample.joint_concrete_state, schema)
+            previous_next = sample.next_joint_concrete_state
+            target = encode_joint_state(previous_next, schema)
         except (KeyError, TypeError, IndexError) as exc:
             raise TraceFormatError(
                 f"episode {sample.episode_id} step {sample.step}: malformed agent "

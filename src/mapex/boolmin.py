@@ -6,7 +6,8 @@ implicants are generated per on-set minterm as the minimal hitting sets of its
 difference sets against the off-set (a cube keeping exactly the variables in a
 hitting set excludes every zero and cannot drop a variable, i.e. is prime).
 They are enumerated depth-first over variable bitmasks (MMCS with the
-critical-edge check), each exactly once and all of them, with no cap.
+critical-edge check), all of them with no cap, and each exactly once across
+all ones: a prime is generated only from the first one it covers.
 The essential primes (each the sole cover of some one) are taken first; the
 minimum cover of the remaining ones is then found exactly by depth-first
 branch and bound, falling back to greedy set cover with a logged warning when
@@ -18,7 +19,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -71,23 +71,43 @@ def _check_deadline(deadline: float | None, stage: str, primes_found: int):
 
 
 def _minimal_transversals(
-    edges: set[int], deadline: float | None, primes_so_far: int
+    edges: set[int], apart: Sequence[int], earlier: int,
+    deadline: float | None, primes_so_far: int,
 ) -> list[int]:
-    """Every minimal hitting set of ``edges`` (variable bitmasks), as a bitmask.
+    """The minimal hitting sets of ``edges`` (variable bitmasks) that also
+    hit every earlier difference, as bitmasks.
+
+    ``apart[v]`` is the set (a bitmask over their positions) of the earlier
+    ones that differ from this one in variable ``v``, and ``earlier`` is the
+    set of all of them; a set of variables hits every earlier difference when
+    the ``apart`` sets of its variables together make up ``earlier``.
 
     Depth-first MMCS (Murakami & Uno, Discrete Applied Mathematics, 2014): a
     node branches on the uncovered edge with the fewest candidate variables
     and withholds each variable it has tried from its later siblings, so every
     minimal set is reached once.  A branch is cut as soon as some chosen
     variable is the only chosen one in no edge (has no critical edge): adding
-    variables never gives it one back, so no minimal set lies below.
+    variables never gives it one back, so no minimal set lies below.  It is
+    also cut when its chosen and candidate variables together miss some
+    earlier difference, since every set below lies inside them.
     """
     found: list[int] = []
+
+    def hits_all_earlier(variables: int) -> bool:
+        reached = 0
+        while variables and reached != earlier:
+            low = variables & -variables
+            reached |= apart[low.bit_length() - 1]
+            variables ^= low
+        return reached == earlier
 
     def search(chosen: int, cand: int, uncov: list[int], crit: list[list[int]]):
         _check_deadline(deadline, "prime generation", primes_so_far)
         if not uncov:
-            found.append(chosen)
+            if hits_all_earlier(chosen):
+                found.append(chosen)
+            return
+        if not hits_all_earlier(chosen | cand):
             return
         branch = cand & min(uncov, key=lambda f: (f & cand).bit_count())
         cand &= ~branch
@@ -100,23 +120,34 @@ def _minimal_transversals(
                 search(chosen | bit, cand | branch,
                        [f for f in uncov if not f & bit], kept + [hit])
 
-    search(0, -1, list(edges), [])  # -1: every variable is a candidate
+    search(0, (1 << len(apart)) - 1, list(edges), [])  # every variable a candidate
     return found
 
 
 def _prime_implicants(
     ones: Sequence[int], zeros: Sequence[int], deadline: float | None
 ) -> dict[Implicant, set[int]]:
-    """All prime implicants touching the on-set, mapped to the ones they cover."""
+    """All prime implicants touching the on-set, mapped to the ones they cover.
+
+    Each prime is generated once, from the first one it covers: the k-th one
+    keeps only the care masks that hit its difference with every earlier one,
+    so it covers none of them and only later ones need checking.
+    """
     primes: dict[Implicant, set[int]] = {}
-    for m in ones:
-        for care in _minimal_transversals({m ^ z for z in zeros}, deadline, len(primes)):
-            primes.setdefault(Implicant(care, m & care), set())
-    # a prime generated from one minterm may cover others; complete the map
-    for imp, covered in primes.items():
-        for m in ones:
-            if imp.covers(m):
-                covered.add(m)
+    n_vars = max([*ones, *zeros], default=0).bit_length()
+    set_by = [0] * n_vars  # set_by[v]: earlier ones (bits by position) with v set
+    for k, m in enumerate(ones):
+        earlier = (1 << k) - 1
+        apart = [earlier & ~s if m >> v & 1 else s for v, s in enumerate(set_by)]
+        later = ones[k:]
+        for care in _minimal_transversals(
+            {m ^ z for z in zeros}, apart, earlier, deadline, len(primes)
+        ):
+            values = m & care
+            primes[Implicant(care, values)] = {o for o in later if o & care == values}
+        for v in range(n_vars):
+            if m >> v & 1:
+                set_by[v] |= 1 << k
     return primes
 
 
@@ -172,32 +203,22 @@ def _exact_cover(
     return [primes[i] for i in best[1]]
 
 
-def _greedy_cover(
-    remaining: list[int],
-    primes: list[Implicant],
-    coverage: dict[Implicant, set[int]],
-) -> list[Implicant]:
+def _greedy_cover(uncovered: int, candidates: list[tuple[int, Implicant]]) -> list[Implicant]:
+    """Greedy set cover of the ``uncovered`` bitmask by (coverage mask, prime)
+    ``candidates`` listed by (literals, sort key): each pick takes the most
+    uncovered ones, the earliest listed prime among equals."""
     log.warning(
         "prime implicant count %d exceeds exact-cover limit %d; "
         "falling back to greedy set cover (result may be non-minimal)",
-        len(primes), EXACT_COVER_LIMIT,
+        len(candidates), EXACT_COVER_LIMIT,
     )
     chosen: list[Implicant] = []
-    uncovered = set(remaining)
     while uncovered:
-        best = min(
-            primes,
-            key=lambda p: (
-                -len(coverage[p] & uncovered),
-                p.n_literals,
-                p.sort_key(),
-            ),
-        )
-        gain = coverage[best] & uncovered
-        if not gain:
+        mask, best = max(candidates, key=lambda c: (c[0] & uncovered).bit_count())
+        if not mask & uncovered:
             raise AssertionError("greedy cover stalled; uncovered ones remain")
         chosen.append(best)
-        uncovered -= gain
+        uncovered &= ~mask
     return chosen
 
 
@@ -243,21 +264,35 @@ def minimize(
         return [Implicant(0, 0)]
 
     coverage = _prime_implicants(ones, zeros, deadline)
-    primes = sorted(coverage, key=Implicant.sort_key)
+    keys = {p: p.sort_key() for p in coverage}
+    primes = sorted(coverage, key=keys.__getitem__)
+    bit = {m: 1 << i for i, m in enumerate(ones)}
+    masks = [sum(bit[m] for m in coverage[p]) for p in primes]
 
     # essential primes: the sole prime covering some one
-    n_covering = Counter(m for p in primes for m in coverage[p])
-    chosen = {p for p in primes if any(n_covering[m] == 1 for m in coverage[p])}
-    remaining = [m for m in ones if not evaluate_dnf(chosen, m)]
+    once = twice = 0
+    for mask in masks:
+        twice |= once & mask
+        once |= mask
+    sole = once & ~twice
+    chosen: set[Implicant] = set()
+    uncovered = (1 << len(ones)) - 1
+    for p, mask in zip(primes, masks):
+        if mask & sole:
+            chosen.add(p)
+            uncovered &= ~mask
 
-    if remaining:
-        candidates = [p for p in primes if not coverage[p].isdisjoint(remaining)]
+    if uncovered:
+        candidates = [(mask, p) for p, mask in zip(primes, masks) if mask & uncovered]
         if len(candidates) <= EXACT_COVER_LIMIT:
-            chosen.update(_exact_cover(remaining, candidates, coverage, deadline))
+            remaining = [m for m in ones if bit[m] & uncovered]
+            chosen.update(_exact_cover(
+                remaining, [p for _, p in candidates], coverage, deadline))
         else:
-            chosen.update(_greedy_cover(remaining, candidates, coverage))
+            candidates.sort(key=lambda c: c[1].n_literals)  # stable: sort keys tie-break
+            chosen.update(_greedy_cover(uncovered, candidates))
 
-    result = sorted(chosen, key=Implicant.sort_key)
+    result = sorted(chosen, key=keys.__getitem__)
 
     for m in ones:
         if not evaluate_dnf(result, m):

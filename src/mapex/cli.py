@@ -190,6 +190,14 @@ class _Options:
             raise MapexError(f"--timeout must be a positive number of seconds, got {v}")
         return v
 
+    def get_max_vars(self) -> int:
+        """--max-vars, the minimizer's variable guardrail; below 1 it would
+        refuse every problem, so it is rejected instead."""
+        v = self.get_int("max_vars")
+        if v < 1:
+            raise MapexError(f"--max-vars must be a positive integer, got {v}")
+        return v
+
     def get_bool(self, name: str) -> bool:
         v = self.get(name)
         if isinstance(v, str):
@@ -318,7 +326,7 @@ def _cmd_explain(opts: _Options) -> int:
     query = _build_query(opts, domain, m)
     phrases = PhraseMap.from_domain(domain)
     deadline = time.monotonic() + opts.get_timeout()
-    max_vars = opts.get_int("max_vars")
+    max_vars = opts.get_max_vars()
     out = str(opts.get("out"))
     try:
         result = answer(query, m, domain, deadline=deadline, max_vars=max_vars)
@@ -387,7 +395,7 @@ def _cmd_bench(opts: _Options) -> int:
     episodes = opts.get_int("episodes")
     seed = opts.get_int("seed")
     timeout = opts.get_timeout()
-    max_vars = opts.get_int("max_vars")
+    max_vars = opts.get_max_vars()
 
     samples = simulate(
         domain_id, episodes=episodes, max_steps=opts.get_int("max_steps"), seed=seed
@@ -483,7 +491,7 @@ def _cmd_boolmin_debug(opts: _Options) -> int:
                 f"'<bits> 0|1' over {n_vars} variables"
             )
         (ones if row[1] == "1" else zeros).append(int(row[0], 2))
-    result = boolmin.minimize(ones, zeros, n_vars, max_vars=opts.get_int("max_vars"))
+    result = boolmin.minimize(ones, zeros, n_vars, max_vars=opts.get_max_vars())
     if not result:
         print("FALSE")
     else:

@@ -96,7 +96,8 @@ def read_trace(path) -> tuple[dict[str, Any], list[TraceSample]]:
             raise TraceFormatError(f"{path}:{lineno}: bad record: {exc}") from None
         try:
             episode, step = rec["episode"], rec["step"]
-            state, action, nxt = rec["state"], rec["action"], rec["next_state"]
+            state, action, nxt = (
+                tuple(rec["state"]), tuple(rec["action"]), tuple(rec["next_state"]))
         except (KeyError, TypeError):
             raise TraceFormatError(f"{path}:{lineno}: record missing fields") from None
         if step != expected.get(episode, 0):
@@ -104,14 +105,17 @@ def read_trace(path) -> tuple[dict[str, Any], list[TraceSample]]:
                 f"{path}:{lineno}: episode {episode} step {step}, "
                 f"expected {expected.get(episode, 0)}"
             )
-        if step > 0 and last_next[episode] != state:
-            raise TraceFormatError(
-                f"{path}:{lineno}: episode {episode} state at step {step} does "
-                f"not chain from the previous next_state"
-            )
+        if step > 0:
+            if last_next[episode] != state:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: episode {episode} state at step {step} does "
+                    f"not chain from the previous next_state"
+                )
+            # hand on the previous next_state itself, so it is encoded once
+            state = last_next[episode]
         expected[episode] = step + 1
         last_next[episode] = nxt
-        samples.append(TraceSample(episode, step, tuple(state), tuple(action), tuple(nxt)))
+        samples.append(TraceSample(episode, step, state, action, nxt))
     return header, samples
 
 

@@ -145,7 +145,8 @@ def render_whynot(answer: ConditionAnswer, phrases: PhraseMap) -> str:
     if answer.dnf.is_always:
         # no state takes the action at all, so there is nothing to contrast
         return f"{_subject_verb(query, phrases, 'never')} under the policy."
-    assert not answer.dnf.is_never, "why-not DNF cannot be empty"
+    if answer.dnf.is_never:
+        raise AssertionError("why-not DNF cannot be empty")
     aux = "doesn't" if len(query.agents) == 1 else "don't"
     distinct = list(dict.fromkeys(action for _, action in query.actions))
     verb = phrases.action(distinct[0]).base if len(distinct) == 1 else "do this"

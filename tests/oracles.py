@@ -3,7 +3,8 @@
 Each oracle re-derives an expected result by brute force, without touching the
 library code path it is checking: path search is checked by exhaustive simple-
 path enumeration, transition counting by a from-scratch recount of the trace
-file, the minimizer by exhaustive search over all cube covers, grid routing
+file, the minimizer by exhaustive search over all cube covers (and its
+greedy fallback by a greedy cover that re-derives every key), grid routing
 by a fresh early-exit BFS per (start, goal) pair, and the query partition by
 testing every (state, enabled action) pair of the model's edges.
 """
@@ -122,6 +123,14 @@ def prime_cubes(ones, zeros, n_vars: int) -> list[tuple[int, int]]:
     ]
 
 
+def literal_tuple(cube) -> tuple:
+    """(variable, 0 if positive else 1) per literal, by ascending variable."""
+    mask, values = cube
+    return tuple(
+        (v, 0 if values >> v & 1 else 1) for v in range(mask.bit_length()) if mask >> v & 1
+    )
+
+
 def minimal_cover(ones, zeros, n_vars: int) -> list[tuple[int, int]]:
     """Exhaustive minimum DNF under the documented tie-break: fewest cubes,
     then fewest literals, then the sorted per-cube literal tuples, where a
@@ -137,12 +146,6 @@ def minimal_cover(ones, zeros, n_vars: int) -> list[tuple[int, int]]:
     if not ones:
         return []
 
-    def literal_tuple(cube):
-        mask, values = cube
-        return tuple(
-            (v, 0 if values >> v & 1 else 1) for v in range(n_vars) if mask >> v & 1
-        )
-
     def rank(combo):
         n_literals = sum(bin(mask).count("1") for mask, _ in combo)
         return (n_literals, sorted(literal_tuple(c) for c in combo))
@@ -156,6 +159,31 @@ def minimal_cover(ones, zeros, n_vars: int) -> list[tuple[int, int]]:
         if covers:
             return sorted(min(covers, key=rank), key=literal_tuple)
     raise AssertionError("no cover found; ones and zeros must overlap")
+
+
+def greedy_cover(remaining, cubes, coverage) -> list[tuple[int, int]]:
+    """Reference greedy set cover, the minimizer's fallback above its
+    exact-cover limit: each pick re-derives every cube's key and takes the
+    cube covering the most still-uncovered ones, then the fewest literals,
+    then the smallest literal tuple.  ``coverage`` maps each (mask, values)
+    cube to the set of ones it covers; returns the cubes in pick order."""
+    chosen = []
+    uncovered = set(remaining)
+    while uncovered:
+        best = min(
+            cubes,
+            key=lambda c: (
+                -len(coverage[c] & uncovered),
+                bin(c[0]).count("1"),
+                literal_tuple(c),
+            ),
+        )
+        gain = coverage[best] & uncovered
+        if not gain:
+            raise AssertionError("greedy cover stalled; uncovered ones remain")
+        chosen.append(best)
+        uncovered -= gain
+    return chosen
 
 
 def dnf_truth(implicants, minterm: int) -> bool:

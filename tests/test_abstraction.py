@@ -20,6 +20,7 @@ from mapex.errors import (
     MultipleInitialStatesError,
     PreconditionError,
     SchemaMismatchError,
+    TraceFormatError,
 )
 from oracles import recount_trace
 from synth import MALFORMED_MMDP, plain_schema, rewrite_mmdp
@@ -65,6 +66,11 @@ class TestBuild:
     def test_empty_stream_rejected(self, tiny_schema):
         with pytest.raises(PreconditionError):
             build_abstraction([], tiny_schema)
+
+    def test_missing_first_state_rejected(self, tiny_schema):
+        # the first sample has no previous next state to share an encoding with
+        with pytest.raises(TraceFormatError):
+            build_abstraction([TraceSample(0, 0, None, ("a",), (rec(),))], tiny_schema)
 
     def test_counts_order_insensitive(self, sr3_domain, sr3_samples):
         shuffled = list(sr3_samples)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -11,15 +12,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mapex
-from mapex import build_abstraction, get_domain, simulate
-from mapex.boolmin import Implicant, _prime_implicants, evaluate_dnf, minimize
+from mapex import boolmin, build_abstraction, get_domain, simulate
+from mapex.boolmin import (
+    EXACT_COVER_LIMIT,
+    Implicant,
+    _prime_implicants,
+    evaluate_dnf,
+    minimize,
+)
 from mapex.errors import (
     MintermConflictError,
     MinimizationTimeout,
     TooManyVariablesError,
 )
 from mapex.query import Query, when_partition
-from oracles import cube_covers, dnf_truth, minimal_cover, prime_cubes
+from oracles import (
+    cube_covers,
+    dnf_truth,
+    greedy_cover,
+    literal_tuple,
+    minimal_cover,
+    prime_cubes,
+)
 
 
 def partitions(n_vars):
@@ -29,6 +43,22 @@ def partitions(n_vars):
         ones = [m for m in space if labels[m] == 1]
         zeros = [m for m in space if labels[m] == 0]
         yield ones, zeros
+
+
+def random_problem(rng, n_vars, n_ones, n_zeros):
+    space = rng.sample(range(1 << n_vars), n_ones + n_zeros)
+    return sorted(space[:n_ones]), sorted(space[n_ones:])
+
+
+def when_norf_problem(domain_id, episodes, agent, action):
+    """(ones, zeros, n_vars) of a norf when query on a seed-42 model."""
+    domain = get_domain(domain_id)
+    m = build_abstraction(simulate(domain_id, episodes=episodes, seed=42), domain.schema)
+    q = Query("when", (agent,), "norf", ((agent, action),))
+    space, targets, nontargets = when_partition(q, m, domain)
+    ones = {space.minterm(s, m.schema) for s in targets}
+    zeros = {space.minterm(s, m.schema) for s in nontargets} - ones
+    return sorted(ones), sorted(zeros), space.n_variables
 
 
 def check_against_oracle(ones, zeros, n_vars):
@@ -129,18 +159,79 @@ class TestPrimeImplicants:
         assert dnf_truth(dnf, 0) and not any(dnf_truth(dnf, z) for z in zeros)
 
 
+class TestEachPrimeOnce:
+    @staticmethod
+    def generated(monkeypatch, ones, zeros):
+        """Every (care mask, values) pair the transversal search yields,
+        across all ones, and the primes _prime_implicants returns."""
+        found_per_one = []
+        search = boolmin._minimal_transversals
+
+        def spy(*args):
+            found_per_one.append(search(*args))
+            return found_per_one[-1]
+
+        monkeypatch.setattr(boolmin, "_minimal_transversals", spy)
+        primes = _prime_implicants(ones, zeros, None)
+        assert len(found_per_one) == len(ones)
+        made = [(care, m & care) for m, found in zip(ones, found_per_one)
+                for care in found]
+        return made, primes
+
+    def test_random_problems(self, monkeypatch):
+        rng = random.Random(1618)
+        for _ in range(200):
+            n_vars = rng.randint(2, 6)
+            n_ones = rng.randint(1, 1 << (n_vars - 1))
+            ones, zeros = random_problem(rng, n_vars, n_ones,
+                                         rng.randint(1, (1 << n_vars) - n_ones))
+            made, primes = self.generated(monkeypatch, ones, zeros)
+            assert len(set(made)) == len(made) == len(primes), (ones, zeros)
+            assert set(made) == {(p.care_mask, p.values) for p in primes}
+            if n_vars <= 5:
+                assert set(made) == set(prime_cubes(ones, zeros, n_vars))
+
+    def test_lbf9_when_norf(self, monkeypatch):
+        # 36 variables, 119 ones: re-generating a prime from every one it
+        # covers would yield 5,476 transversals for these 1,007 primes
+        ones, zeros, _ = when_norf_problem("lbf9", 50, "F_1", "collect_food_1")
+        made, primes = self.generated(monkeypatch, ones, zeros)
+        assert len(set(made)) == len(made) == len(primes) == 1007
+
+
+class TestGreedyCover:
+    def test_matches_reference_greedy(self, caplog):
+        # more candidates than the exact-cover limit, so the greedy fallback
+        # picks them; the reference re-derives every key at every pick
+        rng = random.Random(8128)
+        for _ in range(20):
+            n_vars = rng.choice((8, 9))
+            ones, zeros = random_problem(rng, n_vars, rng.randint(60, 110),
+                                         rng.randint(30, 70))
+            coverage = {(p.care_mask, p.values): covered
+                        for p, covered in _prime_implicants(ones, zeros, None).items()}
+            n_covering = Counter(m for covered in coverage.values() for m in covered)
+            essential = {c for c, covered in coverage.items()
+                         if any(n_covering[m] == 1 for m in covered)}
+            remaining = [m for m in ones
+                         if not any(cube_covers(c, m) for c in essential)]
+            candidates = sorted((c for c, covered in coverage.items()
+                                 if not covered.isdisjoint(remaining)), key=literal_tuple)
+            assert len(candidates) > EXACT_COVER_LIMIT
+            want = sorted(essential | set(greedy_cover(remaining, candidates, coverage)),
+                          key=literal_tuple)
+            with caplog.at_level(logging.WARNING, logger="mapex.boolmin"):
+                got = minimize(ones, zeros, n_vars)
+            assert [(p.care_mask, p.values) for p in got] == want, (ones, zeros)
+        assert "greedy" in caplog.text
+
+
 class TestExactCoverScale:
     def test_lbf4_when_norf_within_deadline(self, caplog):
         # 16 variables and under 64 candidate primes, so the cover is exact;
         # enumerating every irredundant cover runs far past the deadline here
-        domain = get_domain("lbf4")
-        m = build_abstraction(simulate("lbf4", episodes=20, seed=42), domain.schema)
-        q = Query("when", ("F_1",), "norf", (("F_1", "collect_food_1"),))
-        space, targets, nontargets = when_partition(q, m, domain)
-        ones = {space.minterm(s, m.schema) for s in targets}
-        zeros = {space.minterm(s, m.schema) for s in nontargets} - ones
-        dnf = minimize(ones, zeros, space.n_variables,
-                       deadline=time.monotonic() + 5)
+        ones, zeros, n_vars = when_norf_problem("lbf4", 20, "F_1", "collect_food_1")
+        dnf = minimize(ones, zeros, n_vars, deadline=time.monotonic() + 5)
         assert all(dnf_truth(dnf, o) for o in ones)
         assert not any(dnf_truth(dnf, z) for z in zeros)
         assert "greedy" not in caplog.text

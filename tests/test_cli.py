@@ -201,6 +201,38 @@ class TestMalformedInputFiles:
                        f"(KeyError: '{field}')"]
 
 
+class TestMaxVars:
+    # below 1 the guardrail would refuse every problem, whatever its source
+    @pytest.mark.parametrize("command,source,value", [
+        ("explain", "flag", "-1"), ("explain", "env", "0"), ("explain", "config", -1),
+        ("bench", "flag", "0"), ("bench", "env", "-1"), ("bench", "config", 0),
+        ("boolmin-debug", "env", "-1"), ("boolmin-debug", "config", 0),
+    ])
+    def test_below_one_exits_2(self, pipeline, tmp_path, capsys, monkeypatch,
+                               command, source, value):
+        _, _, mmdp = pipeline
+        table = tmp_path / "tt.txt"
+        table.write_text("2\n11 1\n00 0\n")
+        argv = {
+            "explain": ["explain", "--mmdp", str(mmdp), "--domain", "sr3",
+                        "--type", "when", "--agents", "UAV",
+                        "--actions", "rescue_victim"],
+            "bench": ["bench", "--domain", "sr3", "--episodes", "2"],
+            "boolmin-debug": ["boolmin-debug", "--table", str(table)],
+        }[command]
+        if source == "flag":
+            argv += ["--max-vars", value]
+        elif source == "env":
+            monkeypatch.setenv("MAPEX_MAX_VARS", value)
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"max-vars": value}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --max-vars must be a positive integer, got {value}"]
+
+
 class TestConfigAndEnv:
     def test_config_file_supplies_flags(self, pipeline, tmp_path, capsys):
         _, _, mmdp = pipeline

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mapex
 from mapex.nlg import PhraseMap, format_dnf, render
 from mapex.query import Query, answer_what, answer_when, answer_whynot
 from mapex.errors import PhraseMapError
@@ -135,3 +141,27 @@ class TestPhraseMapErrors:
         answer = when_answer(sr3_domain, sr3_abstraction, "UAV", RESCUE)
         with pytest.raises(PhraseMapError):
             render(answer, broken)
+
+
+class TestSoundnessChecksSurviveOptimize:
+    def test_empty_whynot_dnf_raises_under_optimize(self):
+        # an empty why-not DNF has no sentence; the check must still raise
+        # with assert statements compiled out
+        code = (
+            "from mapex import get_domain\n"
+            "from mapex.nlg import PhraseMap, render_whynot\n"
+            "from mapex.query import ConditionAnswer, LiteralDNF, Query\n"
+            "d = get_domain('sr3')\n"
+            "q = Query('whynot', ('UGV_1',), 'norf', (('UGV_1', 'remove_obstacle'),),\n"
+            "          state=(0, 0, 0))\n"
+            "a = ConditionAnswer(q, LiteralDNF(()), None, frozenset(), frozenset())\n"
+            "try:\n"
+            "    render_whynot(a, PhraseMap.from_domain(d))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(mapex.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src),
+                             timeout=60)
+        assert run.stdout == "why-not DNF cannot be empty\n", run.stderr
