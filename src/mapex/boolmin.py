@@ -152,34 +152,34 @@ def _prime_implicants(
 
 
 def _exact_cover(
-    remaining: list[int],
-    primes: list[Implicant],
-    coverage: dict[Implicant, set[int]],
-    deadline: float | None,
+    uncovered: int, candidates: list[tuple[int, Implicant]], deadline: float | None,
 ) -> list[Implicant]:
-    """Minimum cover of ``remaining`` by depth-first branch and bound.
+    """Minimum cover of the ``uncovered`` bitmask by depth-first branch and
+    bound over (coverage mask, prime) ``candidates`` listed in sort-key order.
 
-    Covers rank by (clause count, total literals, sorted literal tuples).  A
-    node branches on the uncovered one with the fewest open primes, and closes
-    each prime to its siblings once its own branch is searched, so no cover is
-    reached twice.  A node is cut when its lower bound on (clauses, literals)
-    is already worse than the best cover: uncovered ones whose open primes are
-    pairwise disjoint each need a prime of their own.
+    Covers rank by (clause count, total literals, sorted candidate positions);
+    the sort keys are distinct, so positions order covers as their sorted
+    literal tuples do.  A node branches on the uncovered one with the fewest
+    open primes, and closes each prime to its siblings once its own branch is
+    searched, so no cover is reached twice.  A node is cut when its lower
+    bound on (clauses, literals) is already worse than the best cover:
+    uncovered ones whose open primes are pairwise disjoint each need a prime
+    of their own.
     """
-    masks = [sum(1 << j for j, m in enumerate(remaining) if m in coverage[p])
-             for p in primes]
-    lits = [p.n_literals for p in primes]
-    best: list = [(math.inf,), []]  # [cover key, chosen prime indices]
+    masks = [mask for mask, _ in candidates]
+    lits = [p.n_literals for _, p in candidates]
+    ones = [1 << j for j in range(uncovered.bit_length()) if uncovered >> j & 1]
+    best: list = [(math.inf,), []]  # [cover key, chosen candidate positions]
 
     def search(covered: int, chosen: list[int], n_lits: int, closed: int) -> None:
-        _check_deadline(deadline, "cover selection", len(primes))
+        _check_deadline(deadline, "cover selection", len(candidates))
         open_sets = sorted(
-            ([i for i, mask in enumerate(masks) if mask >> j & 1 and not closed >> i & 1]
-             for j in range(len(remaining)) if not covered >> j & 1),
+            ([i for i, mask in enumerate(masks) if mask & one and not closed >> i & 1]
+             for one in ones if not covered & one),
             key=len,
         )
         if not open_sets:
-            key = (len(chosen), n_lits, sorted(primes[i].sort_key() for i in chosen))
+            key = (len(chosen), n_lits, sorted(chosen))
             if key < best[0]:
                 best[:] = [key, list(chosen)]
             return
@@ -199,8 +199,8 @@ def _exact_cover(
             chosen.pop()
             closed |= 1 << i
 
-    search(0, [], 0, 0)
-    return [primes[i] for i in best[1]]
+    search(~uncovered, [], 0, 0)  # ones outside ``uncovered`` count as covered
+    return [candidates[i][1] for i in best[1]]
 
 
 def _greedy_cover(uncovered: int, candidates: list[tuple[int, Implicant]]) -> list[Implicant]:
@@ -285,9 +285,7 @@ def minimize(
     if uncovered:
         candidates = [(mask, p) for p, mask in zip(primes, masks) if mask & uncovered]
         if len(candidates) <= EXACT_COVER_LIMIT:
-            remaining = [m for m in ones if bit[m] & uncovered]
-            chosen.update(_exact_cover(
-                remaining, [p for _, p in candidates], coverage, deadline))
+            chosen.update(_exact_cover(uncovered, candidates, deadline))
         else:
             candidates.sort(key=lambda c: c[1].n_literals)  # stable: sort keys tie-break
             chosen.update(_greedy_cover(uncovered, candidates))

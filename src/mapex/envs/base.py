@@ -1,5 +1,6 @@
 """Grid-world plumbing shared by the built-in domains: trace records, trace
-file I/O, and a generic scripted-policy engine for cooperative grid tasks.
+file I/O, the domain builder every grid family uses, and one episode loop
+that runs any scripted policy.
 
 Conventions: movement is 4-neighbor, one cell per step; task detection and
 task eligibility use Chebyshev adjacency (distance exactly 1); agents may
@@ -8,6 +9,12 @@ becomes passable once completed.  Completion of a task requires every member
 of one of its declared combos to be adjacent and to take the task's action at
 the same step; completion flags are set only for that combo's members and,
 once set, never fall within an episode.
+
+A family states each task's combos once, in its ``GridConfig``: the world
+enforces them, and ``grid_domain`` reads the alphabets and the relevance
+knowledge off them.  ``run_episodes`` runs every policy: one with a
+``config``, ``agent_names``, ``assign(rng)`` (once per episode) and
+``step(world, assigned, rng)`` -> (joint action, each agent's next cell).
 
 Routing: ``GridWorld`` keeps the open cells and a per-cell neighbour table for
 the current task liveness, and memoises one breadth-first parent tree per
@@ -26,12 +33,23 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
+from ..domain import (
+    ActionPhrases,
+    AgentSpec,
+    DomainDefinition,
+    FeatureSchema,
+    PredicateSpec,
+    RelevanceEntry,
+    RelevanceKnowledge,
+)
 from ..errors import PreconditionError, TraceFormatError
 
 Cell = tuple[int, int]
 
 MOVE = "move"
 WAIT = "wait"
+_PLAIN_PHRASES = {MOVE: ActionPhrases("move", "moves"),
+                  WAIT: ActionPhrases("wait", "waits")}
 
 _TRACE_FORMAT = "mapex-trace"
 _TRACE_VERSION = 1
@@ -142,6 +160,94 @@ class GridConfig:
     walls: frozenset[Cell]
     starts: tuple[Cell, ...]
     tasks: tuple[TaskSpec, ...]
+
+
+def _detect_evaluator(task_id: str):
+    def evaluate(rec):
+        t = rec["tasks"][task_id]
+        return t["present"] and chebyshev(tuple(rec["pos"]), tuple(t["pos"])) == 1
+
+    return evaluate
+
+
+def _complete_evaluator(task_id: str):
+    def evaluate(rec):
+        return rec["done"][task_id]
+
+    return evaluate
+
+
+def grid_task_schema(task_phrasing) -> FeatureSchema:
+    """detect/complete predicate pair per task, in task declaration order.
+
+    ``task_phrasing`` is a sequence of (task_id, noun, done_phrase) triples,
+    e.g. ("victim", "the victim", "rescued the victim").
+    """
+    predicates = []
+    for task_id, noun, done in task_phrasing:
+        predicates.append(
+            PredicateSpec(
+                id=f"{task_id}_detect",
+                positive=f"detects {noun}",
+                negative=f"does not detect {noun}",
+                positive_plural=f"detect {noun}",
+                negative_plural=f"do not detect {noun}",
+                label=task_id,
+                evaluator=_detect_evaluator(task_id),
+            )
+        )
+        predicates.append(
+            PredicateSpec(
+                id=f"{task_id}_complete",
+                positive=f"has {done}",
+                negative=f"has not {done}",
+                positive_plural=f"have {done}",
+                negative_plural=f"have not {done}",
+                label=task_id,
+                evaluator=_complete_evaluator(task_id),
+            )
+        )
+    return FeatureSchema(
+        predicates=tuple(predicates),
+        task_completion_ids=tuple(t[0] + "_complete" for t in task_phrasing),
+    )
+
+
+def grid_domain(domain_id: str, agent_names: Sequence[str], config: GridConfig,
+                task_phrasing, verb_phrases: Mapping[str, ActionPhrases]
+                ) -> DomainDefinition:
+    """The definition of a grid domain, read off its task list.
+
+    ``task_phrasing`` goes to ``grid_task_schema``; ``verb_phrases`` maps each
+    task action to its phrases, in the order the agents' alphabets list them.
+    An agent takes a task's action when some combo of the task names it: its
+    relevance entry lists those combos, names their agents, and holds the
+    task's detect/complete features.  Every alphabet ends with move and wait,
+    each relevant to its agent alone.
+    """
+    entries = {}
+    for task in config.tasks:
+        features = frozenset({f"{task.id}_detect", f"{task.id}_complete"})
+        for name in agent_names:
+            combos = [c for c in task.combos if name in c]
+            if combos:
+                entries[(name, task.action)] = RelevanceEntry(
+                    frozenset(m for c in combos for m in c), features,
+                    tuple(frozenset((m, task.action) for m in c) for c in combos))
+    agents = []
+    for name in agent_names:
+        verbs = [v for v in verb_phrases if (name, v) in entries]
+        agents.append(AgentSpec(name, (*verbs, MOVE, WAIT)))
+        for plain in (MOVE, WAIT):
+            entries[(name, plain)] = RelevanceEntry(
+                frozenset({name}), frozenset(), (frozenset({(name, plain)}),))
+    return DomainDefinition(
+        id=domain_id,
+        agents=tuple(agents),
+        schema=grid_task_schema(task_phrasing),
+        action_phrases={**verb_phrases, **_PLAIN_PHRASES},
+        relevance=RelevanceKnowledge(entries),
+    )
 
 
 class GridWorld:
@@ -310,22 +416,17 @@ def _around(cell: Cell) -> list[Cell]:
     ]
 
 
-def run_generic_episodes(
-    config: GridConfig,
-    agent_names: Sequence[str],
-    episodes: int,
-    max_steps: int,
-    seed: int,
-) -> Iterator[TraceSample]:
-    """Run the generic scripted policy; yields samples episode by episode."""
+def run_episodes(policy, episodes: int, max_steps: int,
+                 seed: int) -> Iterator[TraceSample]:
+    """Run ``policy`` (see the module docstring); yields samples episode by
+    episode."""
     if episodes < 1:
         raise PreconditionError(f"episodes must be >= 1, got {episodes}")
     if max_steps < 1:
         raise PreconditionError(f"max_steps must be >= 1, got {max_steps}")
-    policy = GenericScriptedPolicy(config, agent_names)
     for episode in range(episodes):
         rng = episode_rng(seed, episode)
-        world = GridWorld(config, agent_names)
+        world = GridWorld(policy.config, policy.agent_names)
         assigned = policy.assign(rng)
         state = world.joint_record()
         for step in range(max_steps):

@@ -8,16 +8,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..domain import (
-    ActionPhrases,
-    AgentSpec,
-    DomainDefinition,
-    RelevanceEntry,
-    RelevanceKnowledge,
-)
+from ..domain import ActionPhrases, DomainDefinition
 from ..errors import PreconditionError
-from .base import MOVE, WAIT, GridConfig, TaskSpec, TraceSample, run_generic_episodes
-from .search_rescue import grid_task_schema
+from .base import (
+    GenericScriptedPolicy,
+    GridConfig,
+    TaskSpec,
+    TraceSample,
+    grid_domain,
+    run_episodes,
+)
 
 COLLECT_1 = "collect_food_1"
 COLLECT_2 = "collect_food_2"
@@ -43,6 +43,17 @@ _SETUPS = {
 }
 
 
+_TASK_PHRASING = (
+    ("food_1", "food 1", "collected food 1"),
+    ("food_2", "food 2", "collected food 2"),
+)
+
+_VERB_PHRASES = {
+    COLLECT_1: ActionPhrases("collect food 1", "collects food 1"),
+    COLLECT_2: ActionPhrases("collect food 2", "collects food 2"),
+}
+
+
 def _names(n: int) -> list[str]:
     return [f"F_{i}" for i in range(1, n + 1)]
 
@@ -52,51 +63,8 @@ def lbf_domain(n_agents: int) -> DomainDefinition:
         raise PreconditionError(
             f"supported foraging agent counts are {sorted(_SETUPS)}; got {n_agents}"
         )
-    setup = _SETUPS[n_agents]
-    schema = grid_task_schema(
-        (
-            ("food_1", "food 1", "collected food 1"),
-            ("food_2", "food 2", "collected food 2"),
-        )
-    )
-    action_of = {"food_1": COLLECT_1, "food_2": COLLECT_2}
-    phrases = {
-        COLLECT_1: ActionPhrases("collect food 1", "collects food 1"),
-        COLLECT_2: ActionPhrases("collect food 2", "collects food 2"),
-        MOVE: ActionPhrases("move", "moves"),
-        WAIT: ActionPhrases("wait", "waits"),
-    }
-    members: dict[str, set[str]] = {t: set() for t in action_of}
-    for task in action_of:
-        for combo in setup[task]:
-            members[task].update(combo)
-    agents = []
-    for name in _names(n_agents):
-        actions = [action_of[t] for t in action_of if name in members[t]]
-        agents.append(AgentSpec(name, tuple(actions) + (MOVE, WAIT)))
-    entries = {}
-    for task, action in action_of.items():
-        features = frozenset({f"{task}_detect", f"{task}_complete"})
-        for name in members[task]:
-            sets = tuple(
-                frozenset((m, action) for m in combo)
-                for combo in setup[task]
-                if name in combo
-            )
-            agents_union = frozenset(a for s in sets for a, _ in s)
-            entries[(name, action)] = RelevanceEntry(agents_union, features, sets)
-    for name in _names(n_agents):
-        for plain in (MOVE, WAIT):
-            entries[(name, plain)] = RelevanceEntry(
-                frozenset({name}), frozenset(), (frozenset({(name, plain)}),)
-            )
-    return DomainDefinition(
-        id=f"lbf{n_agents}",
-        agents=tuple(agents),
-        schema=schema,
-        action_phrases=phrases,
-        relevance=RelevanceKnowledge(entries),
-    )
+    return grid_domain(f"lbf{n_agents}", _names(n_agents), lbf_grid_config(n_agents),
+                       _TASK_PHRASING, _VERB_PHRASES)
 
 
 def lbf_grid_config(n_agents: int) -> GridConfig:
@@ -115,5 +83,5 @@ def lbf_grid_config(n_agents: int) -> GridConfig:
 
 def run_lbf_episodes(n_agents: int, episodes: int, max_steps: int,
                      seed: int) -> Iterator[TraceSample]:
-    config = lbf_grid_config(n_agents)
-    return run_generic_episodes(config, _names(n_agents), episodes, max_steps, seed)
+    policy = GenericScriptedPolicy(lbf_grid_config(n_agents), _names(n_agents))
+    return run_episodes(policy, episodes, max_steps, seed)

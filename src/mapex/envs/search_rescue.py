@@ -1,14 +1,18 @@
 """Search-and-rescue grid domains.
 
+The rescue needs the UAV plus one UGV, removing the obstacle needs two UGVs,
+and any single agent can fight the fire, which sits behind the wall/obstacle
+barrier.  These combos, declared once in ``sr_grid_config``, are also the
+cooperation knowledge of ``sr_domain``.
+
 The 3-agent variant runs on the fixed 3x6 map with a hand-scripted policy:
 three seeded branches vary which UGV joins the UAV for the rescue and which
 team member arrives first, giving the abstraction nondegenerate transition
-probabilities while keeping every branch auditable by hand.  The rescue needs
-the UAV plus one UGV, removing the obstacle needs both UGVs, and any single
-agent can fight the fire, which sits behind the wall/obstacle barrier.
+probabilities while keeping every branch auditable by hand.  The script is a
+policy of the shared episode loop, under the same completion rules.
 
 The 4- and 5-agent variants scale the same tasks onto a 6x6 map and use the
-generic scripted engine; their layouts are artifact choices.
+generic scripted policy; their layouts are artifact choices.
 """
 
 from __future__ import annotations
@@ -16,179 +20,67 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from ..domain import (
-    ActionPhrases,
-    AgentSpec,
-    DomainDefinition,
-    FeatureSchema,
-    PredicateSpec,
-    RelevanceEntry,
-    RelevanceKnowledge,
-)
+from ..domain import ActionPhrases, DomainDefinition
 from ..errors import PreconditionError
 from .base import (
     MOVE,
     WAIT,
+    GenericScriptedPolicy,
     GridConfig,
-    GridWorld,
     TaskSpec,
     TraceSample,
     chebyshev,
-    episode_rng,
-    run_generic_episodes,
+    grid_domain,
+    run_episodes,
 )
 
 RESCUE = "rescue_victim"
 REMOVE = "remove_obstacle"
 FIGHT = "fight_fire"
 
+_SR_TASK_PHRASING = (
+    ("victim", "the victim", "rescued the victim"),
+    ("fire", "the fire", "extinguished the fire"),
+    ("obstacle", "the obstacle", "removed the obstacle"),
+)
 
-def _detect_evaluator(task_id: str):
-    def evaluate(rec):
-        t = rec["tasks"][task_id]
-        return t["present"] and chebyshev(tuple(rec["pos"]), tuple(t["pos"])) == 1
-
-    return evaluate
-
-
-def _complete_evaluator(task_id: str):
-    def evaluate(rec):
-        return rec["done"][task_id]
-
-    return evaluate
-
-
-def grid_task_schema(task_phrasing) -> FeatureSchema:
-    """detect/complete predicate pair per task, in task declaration order.
-
-    ``task_phrasing`` is a sequence of (task_id, noun, done_phrase) triples,
-    e.g. ("victim", "the victim", "rescued the victim").
-    """
-    predicates = []
-    for task_id, noun, done in task_phrasing:
-        predicates.append(
-            PredicateSpec(
-                id=f"{task_id}_detect",
-                positive=f"detects {noun}",
-                negative=f"does not detect {noun}",
-                positive_plural=f"detect {noun}",
-                negative_plural=f"do not detect {noun}",
-                label=task_id,
-                evaluator=_detect_evaluator(task_id),
-            )
-        )
-        predicates.append(
-            PredicateSpec(
-                id=f"{task_id}_complete",
-                positive=f"has {done}",
-                negative=f"has not {done}",
-                positive_plural=f"have {done}",
-                negative_plural=f"have not {done}",
-                label=task_id,
-                evaluator=_complete_evaluator(task_id),
-            )
-        )
-    return FeatureSchema(
-        predicates=tuple(predicates),
-        task_completion_ids=tuple(t[0] + "_complete" for t in task_phrasing),
-    )
-
-
-def _sr_schema() -> FeatureSchema:
-    return grid_task_schema(
-        (
-            ("victim", "the victim", "rescued the victim"),
-            ("fire", "the fire", "extinguished the fire"),
-            ("obstacle", "the obstacle", "removed the obstacle"),
-        )
-    )
-
-
-_SR_ACTION_PHRASES = {
+# also the order of a UGV's task actions
+_SR_VERB_PHRASES = {
     RESCUE: ActionPhrases("rescue the victim", "rescues the victim"),
     REMOVE: ActionPhrases("remove the obstacle", "removes the obstacle"),
     FIGHT: ActionPhrases("fight the fire", "fights the fire"),
-    MOVE: ActionPhrases("move", "moves"),
-    WAIT: ActionPhrases("wait", "waits"),
 }
 
 
-def _sr_relevance(ugvs: tuple[str, ...]) -> RelevanceKnowledge:
-    entries = {}
-    rescue_sets = tuple(frozenset({("UAV", RESCUE), (u, RESCUE)}) for u in ugvs)
-    rescue_agents = frozenset({"UAV", *ugvs})
-    victim_features = frozenset({"victim_detect", "victim_complete"})
-    entries[("UAV", RESCUE)] = RelevanceEntry(rescue_agents, victim_features, rescue_sets)
-    for u in ugvs:
-        entries[(u, RESCUE)] = RelevanceEntry(
-            frozenset({"UAV", u}),
-            victim_features,
-            (frozenset({("UAV", RESCUE), (u, RESCUE)}),),
-        )
-    obstacle_features = frozenset({"obstacle_detect", "obstacle_complete"})
-    for u in ugvs:
-        partners = tuple(
-            frozenset({(u, REMOVE), (v, REMOVE)}) for v in ugvs if v != u
-        )
-        entries[(u, REMOVE)] = RelevanceEntry(frozenset(ugvs), obstacle_features, partners)
-    fire_features = frozenset({"fire_detect", "fire_complete"})
-    for name in ("UAV", *ugvs):
-        entries[(name, FIGHT)] = RelevanceEntry(
-            frozenset({name}), fire_features, (frozenset({(name, FIGHT)}),)
-        )
-        for plain in (MOVE, WAIT):
-            entries[(name, plain)] = RelevanceEntry(
-                frozenset({name}), frozenset(), (frozenset({(name, plain)}),)
-            )
-    return RelevanceKnowledge(entries)
+def _sr_names(n_agents: int) -> tuple[str, ...]:
+    return ("UAV", *(f"UGV_{i}" for i in range(1, n_agents)))
 
 
 def sr_domain(n_agents: int) -> DomainDefinition:
     """SR domain definition for 3, 4, or 5 agents (1 UAV + UGVs)."""
     if n_agents not in (3, 4, 5):
         raise PreconditionError(f"supported SR agent counts are 3, 4, 5; got {n_agents}")
-    ugvs = tuple(f"UGV_{i}" for i in range(1, n_agents))
-    agents = [AgentSpec("UAV", (RESCUE, FIGHT, MOVE, WAIT))]
-    agents += [AgentSpec(u, (RESCUE, REMOVE, FIGHT, MOVE, WAIT)) for u in ugvs]
-    return DomainDefinition(
-        id=f"sr{n_agents}",
-        agents=tuple(agents),
-        schema=_sr_schema(),
-        action_phrases=_SR_ACTION_PHRASES,
-        relevance=_sr_relevance(ugvs),
-    )
+    return grid_domain(f"sr{n_agents}", _sr_names(n_agents), sr_grid_config(n_agents),
+                       _SR_TASK_PHRASING, _SR_VERB_PHRASES)
 
 
 def sr_grid_config(n_agents: int) -> GridConfig:
-    names = ["UAV"] + [f"UGV_{i}" for i in range(1, n_agents)]
-    fire_combos = tuple((name,) for name in names)
-    if n_agents == 3:
-        return GridConfig(
-            rows=3,
-            cols=6,
-            walls=frozenset({(0, 4), (1, 4)}),
-            starts=((2, 0),) * 3,
-            tasks=(
-                TaskSpec("victim", (0, 2), RESCUE,
-                         (("UAV", "UGV_1"), ("UAV", "UGV_2"))),
-                TaskSpec("fire", (0, 5), FIGHT, fire_combos),
-                TaskSpec("obstacle", (2, 4), REMOVE, (("UGV_1", "UGV_2"),)),
-            ),
-        )
+    names = _sr_names(n_agents)
     ugvs = names[1:]
-    rescue_combos = tuple(("UAV", u) for u in ugvs)
-    remove_combos = tuple(
-        (a, b) for i, a in enumerate(ugvs) for b in ugvs[i + 1:]
-    )
+    if n_agents == 3:
+        rows, walls, obstacle = 3, {(0, 4), (1, 4)}, (2, 4)
+    else:
+        rows, walls, obstacle = 6, {(0, 4), (1, 4), (2, 4), (4, 4), (5, 4)}, (3, 4)
     return GridConfig(
-        rows=6,
+        rows=rows,
         cols=6,
-        walls=frozenset({(0, 4), (1, 4), (2, 4), (4, 4), (5, 4)}),
-        starts=tuple((5, 0) for _ in names),
+        walls=frozenset(walls),
+        starts=((rows - 1, 0),) * n_agents,
         tasks=(
-            TaskSpec("victim", (0, 2), RESCUE, rescue_combos),
-            TaskSpec("fire", (0, 5), FIGHT, fire_combos),
-            TaskSpec("obstacle", (3, 4), REMOVE, remove_combos),
+            TaskSpec("victim", (0, 2), RESCUE, tuple(("UAV", u) for u in ugvs)),
+            TaskSpec("fire", (0, 5), FIGHT, tuple((name,) for name in names)),
+            TaskSpec("obstacle", obstacle, REMOVE,
+                     tuple((a, b) for i, a in enumerate(ugvs) for b in ugvs[i + 1:])),
         ),
     )
 
@@ -248,29 +140,13 @@ _SR3_PLANS = {
             ((1, 3), None),
         ],
     },
-    "ugv1_first": {
-        "UAV": [
-            ((2, 0), _M), ((1, 0), _M), ((0, 0), _M), ((0, 1), RESCUE),
-            ((0, 1), _M), ((1, 1), _M), ((1, 2), _M), ((1, 3), _M),
-            ((2, 3), _M), ((2, 4), _M), ((2, 5), _M), ((1, 5), FIGHT),
-            ((1, 5), None),
-        ],
-        "UGV_1": [
-            ((2, 0), _M), ((2, 1), _M), ((1, 1), _M), ((1, 2), RESCUE),
-            ((1, 2), REMOVE), ((1, 2), _M), ((1, 3), REMOVE), ((1, 3), _W),
-            ((1, 3), _W), ((1, 3), _W), ((1, 3), _W), ((1, 3), _W),
-            ((1, 3), None),
-        ],
-        "UGV_2": [
-            ((2, 0), _M), ((2, 1), _M), ((2, 2), _M), ((2, 3), REMOVE),
-            ((2, 3), REMOVE), ((2, 3), REMOVE), ((2, 3), REMOVE), ((2, 3), _W),
-            ((2, 3), _W), ((2, 3), _W), ((2, 3), _W), ((2, 3), _W),
-            ((2, 3), None),
-        ],
-    },
 }
 
-_SR3_NAMES = ("UAV", "UGV_1", "UGV_2")
+# UGV_1 partners the UAV and arrives first: the mirror image of "ugv2_first"
+_SR3_PLANS["ugv1_first"] = {
+    name: list(_SR3_PLANS["ugv2_first"][twin])
+    for name, twin in (("UAV", "UAV"), ("UGV_1", "UGV_2"), ("UGV_2", "UGV_1"))
+}
 
 
 def _pick_branch(rng: random.Random) -> str:
@@ -283,54 +159,49 @@ def _pick_branch(rng: random.Random) -> str:
     return _SR3_BRANCHES[-1][0]
 
 
-def run_sr3_episodes(episodes: int, max_steps: int, seed: int) -> Iterator[TraceSample]:
-    """Run the scripted 3-agent policy; deterministic for a fixed seed."""
-    if episodes < 1:
-        raise PreconditionError(f"episodes must be >= 1, got {episodes}")
-    if max_steps < 1:
-        raise PreconditionError(f"max_steps must be >= 1, got {max_steps}")
+class _Sr3Script:
+    """The scripted 3-agent policy: ``assign`` draws a branch, and ``step``
+    replays the branch's next step once it is legal in the world."""
+
+    agent_names = _sr_names(3)
     config = sr_grid_config(3)
-    for episode in range(episodes):
-        rng = episode_rng(seed, episode)
+
+    def assign(self, rng: random.Random):
         plans = _SR3_PLANS[_pick_branch(rng)]
-        world = GridWorld(config, _SR3_NAMES)
-        horizon = min(max_steps, len(plans["UAV"]) - 1)
-        state = world.joint_record()
-        for step in range(horizon):
-            actions = []
-            for i, name in enumerate(_SR3_NAMES):
-                cell, action = plans[name][step]
-                next_cell = plans[name][step + 1][0]
-                if world.positions[i] != cell:
+        # step k of every timeline: its (cell, action) and the entry after it
+        return enumerate(zip(*(zip(plans[n], plans[n][1:]) for n in self.agent_names)))
+
+    def step(self, world, assigned, rng):
+        step, moves = next(assigned, (None, None))
+        if moves is None:
+            raise AssertionError("the script ended before every task was done")
+        actions, targets = [], []
+        for i, (name, ((cell, action), (next_cell, _))) in enumerate(
+                zip(self.agent_names, moves)):
+            if world.positions[i] != cell:
+                raise AssertionError(
+                    f"{name} step {step}: scripted at {cell}, "
+                    f"world has {world.positions[i]}")
+            if action == MOVE:
+                if chebyshev(cell, next_cell) != 1:
                     raise AssertionError(
-                        f"{name} step {step}: scripted at {cell}, "
-                        f"world has {world.positions[i]}")
-                if action == MOVE:
-                    if chebyshev(cell, next_cell) != 1:
-                        raise AssertionError(
-                            f"{name} step {step}: move {cell} -> {next_cell} "
-                            f"is not a one-cell step")
-                    if not world.passable(next_cell):
-                        raise AssertionError(
-                            f"{name} step {step}: move into blocked {next_cell}")
-                elif cell != next_cell:
+                        f"{name} step {step}: move {cell} -> {next_cell} "
+                        f"is not a one-cell step")
+                if not world.passable(next_cell):
                     raise AssertionError(
-                        f"{name} step {step}: {action} moves {cell} -> {next_cell}")
-                actions.append(action)
-            world.resolve(actions)
-            for i, name in enumerate(_SR3_NAMES):
-                world.positions[i] = plans[name][step + 1][0]
-            next_state = world.joint_record()
-            yield TraceSample(episode, step, state, tuple(actions), next_state)
-            if world.all_done():
-                break
-            state = next_state
+                        f"{name} step {step}: move into blocked {next_cell}")
+            elif cell != next_cell:
+                raise AssertionError(
+                    f"{name} step {step}: {action} moves {cell} -> {next_cell}")
+            actions.append(action)
+            targets.append(next_cell)
+        return actions, targets
 
 
 def run_sr_episodes(n_agents: int, episodes: int, max_steps: int,
                     seed: int) -> Iterator[TraceSample]:
     if n_agents == 3:
-        return run_sr3_episodes(episodes, max_steps, seed)
-    config = sr_grid_config(n_agents)
-    names = ["UAV"] + [f"UGV_{i}" for i in range(1, n_agents)]
-    return run_generic_episodes(config, names, episodes, max_steps, seed)
+        policy = _Sr3Script()
+    else:
+        policy = GenericScriptedPolicy(sr_grid_config(n_agents), _sr_names(n_agents))
+    return run_episodes(policy, episodes, max_steps, seed)

@@ -7,16 +7,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..domain import (
-    ActionPhrases,
-    AgentSpec,
-    DomainDefinition,
-    RelevanceEntry,
-    RelevanceKnowledge,
-)
+from ..domain import ActionPhrases, DomainDefinition
 from ..errors import PreconditionError
-from .base import MOVE, WAIT, GridConfig, TaskSpec, TraceSample, run_generic_episodes
-from .search_rescue import grid_task_schema
+from .base import (
+    GenericScriptedPolicy,
+    GridConfig,
+    TaskSpec,
+    TraceSample,
+    grid_domain,
+    run_episodes,
+)
 
 DELIVER_A = "deliver_item_a"
 DELIVER_B = "deliver_item_b"
@@ -25,6 +25,17 @@ _PAIRS = {
     2: {"item_a": ("R_1", "R_2"), "item_b": ("R_1", "R_2")},
     4: {"item_a": ("R_1", "R_2"), "item_b": ("R_3", "R_4")},
     19: {"item_a": ("R_1", "R_2"), "item_b": ("R_3", "R_4")},
+}
+
+
+_TASK_PHRASING = (
+    ("item_a", "shelf A", "delivered item A"),
+    ("item_b", "shelf B", "delivered item B"),
+)
+
+_VERB_PHRASES = {
+    DELIVER_A: ActionPhrases("deliver item A", "delivers item A"),
+    DELIVER_B: ActionPhrases("deliver item B", "delivers item B"),
 }
 
 
@@ -37,43 +48,8 @@ def rware_domain(n_agents: int) -> DomainDefinition:
         raise PreconditionError(
             f"supported warehouse agent counts are {sorted(_PAIRS)}; got {n_agents}"
         )
-    pairs = _PAIRS[n_agents]
-    schema = grid_task_schema(
-        (
-            ("item_a", "shelf A", "delivered item A"),
-            ("item_b", "shelf B", "delivered item B"),
-        )
-    )
-    action_of = {"item_a": DELIVER_A, "item_b": DELIVER_B}
-    phrases = {
-        DELIVER_A: ActionPhrases("deliver item A", "delivers item A"),
-        DELIVER_B: ActionPhrases("deliver item B", "delivers item B"),
-        MOVE: ActionPhrases("move", "moves"),
-        WAIT: ActionPhrases("wait", "waits"),
-    }
-    agents = []
-    for name in _names(n_agents):
-        actions = [action_of[t] for t, pair in pairs.items() if name in pair]
-        agents.append(AgentSpec(name, tuple(actions) + (MOVE, WAIT)))
-    entries = {}
-    for task, pair in pairs.items():
-        action = action_of[task]
-        features = frozenset({f"{task}_detect", f"{task}_complete"})
-        combo = frozenset((member, action) for member in pair)
-        for member in pair:
-            entries[(member, action)] = RelevanceEntry(frozenset(pair), features, (combo,))
-    for name in _names(n_agents):
-        for plain in (MOVE, WAIT):
-            entries[(name, plain)] = RelevanceEntry(
-                frozenset({name}), frozenset(), (frozenset({(name, plain)}),)
-            )
-    return DomainDefinition(
-        id=f"rware{n_agents}",
-        agents=tuple(agents),
-        schema=schema,
-        action_phrases=phrases,
-        relevance=RelevanceKnowledge(entries),
-    )
+    return grid_domain(f"rware{n_agents}", _names(n_agents), rware_grid_config(n_agents),
+                       _TASK_PHRASING, _VERB_PHRASES)
 
 
 def rware_grid_config(n_agents: int) -> GridConfig:
@@ -92,5 +68,5 @@ def rware_grid_config(n_agents: int) -> GridConfig:
 
 def run_rware_episodes(n_agents: int, episodes: int, max_steps: int,
                        seed: int) -> Iterator[TraceSample]:
-    config = rware_grid_config(n_agents)
-    return run_generic_episodes(config, _names(n_agents), episodes, max_steps, seed)
+    policy = GenericScriptedPolicy(rware_grid_config(n_agents), _names(n_agents))
+    return run_episodes(policy, episodes, max_steps, seed)

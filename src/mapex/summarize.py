@@ -7,7 +7,10 @@ goal state (a state where every task-completion predicate holds for at least
 one agent).  Ties are broken deterministically: goal states settle in
 canonical state-index order, and between equal-distance routes to a node the
 predecessor with the lexicographically smaller (state index, action tuple)
-pair is kept.
+pair is kept.  Distances within ``TIE_TOLERANCE`` (1e-9) of each other are
+equal: equal-probability routes can sum their ``-log`` weights to floats a
+few units in the last place apart (1/3 * 1/6 against 1/18), and rounding
+must not decide a tie.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from dataclasses import dataclass
 from .abstraction import PolicyAbstraction
 from .domain import JointAction, JointState
 from .errors import PreconditionError, UnreachableGoalError
+
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,14 @@ def most_probable_path(m: PolicyAbstraction) -> MostProbablePath:
 
     goal: JointState | None = None
     while heap:
-        d, _, u = heapq.heappop(heap)
+        _, _, u = heapq.heappop(heap)
         if u in settled:
             continue
         settled.add(u)
+        d = dist[u]
         if u in goals:
-            goal = u
+            near = [v for _, _, v in heap if v in goals and dist[v] <= d + TIE_TOLERANCE]
+            goal = min([u, *near], key=m.state_index.__getitem__)
             break
         for e in m.out_edges.get(u, ()):
             if e.probability <= 0.0:
@@ -76,15 +83,17 @@ def most_probable_path(m: PolicyAbstraction) -> MostProbablePath:
             v = e.target
             if v in settled:
                 continue
-            key = (m.state_index[u], e.action)
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                pred[v] = (u, e.action)
+            old = dist.get(v)
+            if old is not None and nd >= old - TIE_TOLERANCE:
+                # not shorter: a tie only trades for a smaller predecessor
+                tie = v in pred and nd <= old + TIE_TOLERANCE
+                if not tie or ((m.state_index[u], e.action)
+                               >= (m.state_index[pred[v][0]], pred[v][1])):
+                    continue
+            dist[v] = nd
+            pred[v] = (u, e.action)
+            if old is None or nd < old:
                 heapq.heappush(heap, (nd, m.state_index[v], v))
-            elif nd == dist[v] and v in pred:
-                old = (m.state_index[pred[v][0]], pred[v][1])
-                if key < old:
-                    pred[v] = (u, e.action)
     if goal is None:
         raise UnreachableGoalError(len(settled))
 
@@ -119,8 +128,7 @@ class SummaryChart:
         return tuple(f"T{i + 1}" for i in range(len(self.columns)))
 
 
-def summarize(m: PolicyAbstraction, task_ids: tuple[str, ...] | None = None,
-              path: MostProbablePath | None = None) -> SummaryChart:
+def summarize(m: PolicyAbstraction, path: MostProbablePath | None = None) -> SummaryChart:
     """Extract agent cooperation and task sequence along the most probable path.
 
     A task enters an agent's cell at the step where its completion predicate
@@ -129,12 +137,7 @@ def summarize(m: PolicyAbstraction, task_ids: tuple[str, ...] | None = None,
     agent completed something are kept; a task appearing in several rows of
     one column is a cooperative completion.
     """
-    if task_ids is None:
-        task_ids = tuple(m.schema.task_completion_ids)
-    else:
-        task_ids = tuple(task_ids)
-        for t in task_ids:
-            m.schema.index_of(t)
+    task_ids = m.schema.task_completion_ids
     if path is None:
         path = most_probable_path(m)
     bit = {t: m.schema.index_of(t) for t in task_ids}

@@ -198,6 +198,32 @@ class TestEachPrimeOnce:
         made, primes = self.generated(monkeypatch, ones, zeros)
         assert len(set(made)) == len(made) == len(primes) == 1007
 
+    def test_one_sort_key_per_prime(self, monkeypatch):
+        # the cover search ranks covers by candidate positions; it derives no
+        # sort key beyond the one minimize takes per prime
+        calls = []
+        sort_key = Implicant.sort_key
+
+        def spy(self):
+            calls.append(self)
+            return sort_key(self)
+
+        monkeypatch.setattr(Implicant, "sort_key", spy)
+        # two primes, !x0 and !x1, share the only one: no prime is essential
+        problems = [([0], [3], 2)]
+        rng = random.Random(2718)
+        for _ in range(100):
+            n_vars = rng.randint(2, 5)
+            n_ones = rng.randint(1, 1 << (n_vars - 1))
+            problems.append((*random_problem(rng, n_vars, n_ones,
+                                             rng.randint(1, (1 << n_vars) - n_ones)),
+                             n_vars))
+        for ones, zeros, n_vars in problems:
+            n_primes = len(_prime_implicants(ones, zeros, None))
+            calls.clear()
+            minimize(ones, zeros, n_vars)
+            assert len(calls) == n_primes, (ones, zeros)
+
 
 class TestGreedyCover:
     def test_matches_reference_greedy(self, caplog):

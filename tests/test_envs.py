@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import mapex
 from mapex import get_domain, read_trace, simulate, write_trace
+from mapex.domain import domain_to_dict
 from mapex.envs import domain_ids
 from mapex.envs.base import WAIT, GridConfig, GridWorld, TaskSpec, chebyshev, first_move
 from mapex.errors import (
@@ -87,6 +88,27 @@ class TestTraceDigests:
         write_trace(path, domain_id, get_domain(domain_id).n_agents,
                     simulate(domain_id, episodes=30, seed=42))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[domain_id]
+
+
+class TestDomainDigests:
+    # SHA-256 of json.dumps(domain_to_dict(get_domain(d))); any change to the
+    # alphabets (and their order), phrases, schema or relevance shows here
+    DIGESTS = {
+        "sr3": "c843d052c46eda7189e75a7c5fadccc46b421d1931373aefe34b7142b34529ce",
+        "sr4": "678ac10c24c649251c08c7a38fe03b7ce58b3bfd7edc1a704680ebd0d4d98f91",
+        "sr5": "576f472c52d20a8d06a75df020f912e6ff10d5d02c0d356fe7a5a81100579d33",
+        "rware2": "2eb2d0f6fb9703ab77e9ae723756211c5dc411bdb250daf229739d75563310bf",
+        "rware4": "2484c190a88a6812e679f3d27d70ce07549504ade1a7a41b10a155d5612724a6",
+        "rware19": "39415d9d3336e83592cf54769f400f91177bd8633ea88fa1e9a8cba33e38775d",
+        "lbf2": "687feb393d2f1bc8eb7123c71dee48749a6830091a63b642f8cfa73d8f1d9cd2",
+        "lbf4": "0346dcd42df5e608d1acc6522aa666124287503696b9b13a7481d72ef2b95235",
+        "lbf9": "0235bc9830291553f1e348bf1c9c9973b7e524d0378239e9680c79a09573dd24",
+    }
+
+    @pytest.mark.parametrize("domain_id", sorted(DIGESTS))
+    def test_domain_definition_pinned(self, domain_id):
+        text = json.dumps(domain_to_dict(get_domain(domain_id)))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[domain_id]
 
 
 @st.composite
@@ -198,7 +220,7 @@ class TestScriptedSr3:
             "from mapex.envs import search_rescue as sr\n"
             f"sr._SR3_PLANS['uav_first_ugv2']['UAV'][{step}] = {entry!r}\n"
             "try:\n"
-            "    list(sr.run_sr3_episodes(1, 50, 42))\n"
+            "    list(sr.run_sr_episodes(3, 1, 50, 42))\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n"
         )

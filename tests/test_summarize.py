@@ -41,6 +41,32 @@ class TestMostProbablePath:
         assert path.states == ((0,), (1,), (2,))
         assert math.isclose(path.probability, 0.9)
 
+    @staticmethod
+    def noisy_tie(via_a):
+        """(0,) -b-> (2,) and (0,) -a-> (1,) -a-> ``via_a`` are equally likely
+        (1/18 = 1/3 * 1/6), but the route through (1,) is float-shorter."""
+        return single_agent_mmdp({
+            ((0,), ("a",), (1,)): 6,
+            ((0,), ("b",), (2,)): 1,
+            ((0,), ("c",), (0,)): 11,
+            ((1,), ("a",), via_a): 1,
+            ((1,), ("c",), (1,)): 5,
+        })
+
+    def test_float_noise_does_not_break_predecessor_ties(self):
+        assert -math.log(6 / 18) - math.log(1 / 6) < -math.log(1 / 18)
+        # the float-shorter route has the larger predecessor key: (1, a)
+        # against (0, b)
+        path = most_probable_path(self.noisy_tie((2,)))
+        assert path.states == ((0,), (2,))
+        assert path.actions == (("b",),)
+        assert path.log_probability == math.log(1 / 18)
+
+    def test_float_noise_does_not_break_goal_ties(self):
+        # goal (3,) is float-nearer than goal (2,); the smaller index settles
+        path = most_probable_path(self.noisy_tie((3,)))
+        assert path.states == ((0,), (2,))
+
     def test_matches_bruteforce_on_random_mmdps(self):
         for seed in range(12):
             m = random_layered_abstraction(seed)
