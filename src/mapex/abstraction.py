@@ -16,7 +16,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import compress
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import FeatureSchema, JointAction, JointState, encode_joint_state
 from .envs.base import TraceSample
@@ -40,6 +42,71 @@ class Transition:
     target: JointState
     count: int
     probability: float
+
+
+_ACTION = attrgetter("action")
+# bin() digits '0'/'1' -> bytes 0/1, so a reversed bin() string selects items
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of ``mask`` (bit k selects ``items[k]``), in
+    order; the scan over the bits runs in C."""
+    bits = bin(mask)[:1:-1].encode("ascii")
+    return compress(items, bits.translate(_BIT_SELECTORS))
+
+
+class QueryIndex:
+    """The when/why-not index of a model, over int bit masks.
+
+    ``actions`` holds each distinct enabled joint action in first-seen
+    canonical order, and ``state_masks[k]`` has bit j set when ``states[j]``
+    enables ``actions[k]``; both come from the one pass over the states that
+    builds ``enabled``.  A mask over action positions selects joint actions:
+    ``requirement`` selects those meeting one (agent index, action)
+    requirement, derived the first time a query asks for it and then
+    memoised, and ``every_action`` selects all.  ``enabled_by`` turns a
+    selection into the mask of the states enabling any of it; ``enabling``
+    masks the states with any enabled action.
+    """
+
+    def __init__(self, states: tuple[JointState, ...],
+                 out_edges: Mapping[JointState, tuple[Transition, ...]]):
+        self.states = states
+        enabled: dict[JointState, tuple[JointAction, ...]] = {}
+        masks: dict[JointAction, int] = {}
+        enabling = 0
+        for j, s in enumerate(states):
+            actions = enabled[s] = tuple(dict.fromkeys(map(_ACTION, out_edges[s])))
+            if actions:
+                bit = 1 << j
+                enabling |= bit
+                for a in actions:
+                    masks[a] = masks.get(a, 0) | bit
+        self.enabled = enabled
+        self.actions = tuple(masks)
+        self.state_masks = tuple(masks.values())
+        self.enabling = enabling
+        self.every_action = (1 << len(masks)) - 1
+        self._requirements: dict[tuple[int, str], int] = {}
+
+    def requirement(self, agent: int, action: str) -> int:
+        """Positions of the joint actions in which agent ``agent`` takes ``action``."""
+        mask = self._requirements.get((agent, action))
+        if mask is None:
+            mask = self._requirements[(agent, action)] = sum(
+                1 << k for k, a in enumerate(self.actions) if a[agent] == action)
+        return mask
+
+    def enabled_by(self, actions: int) -> int:
+        """The states enabling any of the masked action positions."""
+        states = 0
+        for mask in _select(self.state_masks, actions):
+            states |= mask
+        return states
+
+    def states_of(self, mask: int) -> frozenset[JointState]:
+        return frozenset(_select(self.states, mask))
 
 
 class PolicyAbstraction:
@@ -130,29 +197,15 @@ class PolicyAbstraction:
     def has_virtual_init(self) -> bool:
         return len(self.initial_counts) > 1
 
-    # The query index: built on first use, so building, loading and
-    # summarizing a model never pay for it.
-
     @cached_property
-    def _enabled(self) -> dict[JointState, tuple[JointAction, ...]]:
-        return {
-            s: tuple(dict.fromkeys(e.action for e in es))
-            for s, es in self.out_edges.items()
-        }
-
-    @cached_property
-    def enabling_states(self) -> dict[JointAction, tuple[JointState, ...]]:
-        """Each distinct enabled joint action -> the states enabling it, in
-        canonical state order."""
-        table: dict[JointAction, list[JointState]] = {}
-        for s in self.states:
-            for action in self._enabled[s]:
-                table.setdefault(action, []).append(s)
-        return {action: tuple(states) for action, states in table.items()}
+    def query_index(self) -> QueryIndex:
+        """The model's query index, built on first use, so building, loading
+        and summarizing a model never pay for it."""
+        return QueryIndex(self.states, self.out_edges)
 
     def enabled_actions(self, state: JointState) -> tuple[JointAction, ...]:
         """The state's distinct enabled joint actions, in first-seen order."""
-        return self._enabled.get(state, ())
+        return self.query_index.enabled.get(state, ())
 
     def is_goal(self, state: JointState) -> bool:
         for pred_id in self.schema.task_completion_ids:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import (
@@ -283,17 +284,21 @@ class DomainDefinition:
     def agent_ids(self) -> tuple[AgentId, ...]:
         return tuple(AgentId(i, a.name) for i, a in enumerate(self.agents))
 
+    @cached_property
+    def _agent_index(self) -> dict[str, int]:
+        return {a.name: i for i, a in enumerate(self.agents)}
+
+    def _index_of(self, name: str) -> int:
+        try:
+            return self._agent_index[name]
+        except KeyError:
+            raise DomainFormatError(f"unknown agent {name!r}") from None
+
     def agent_spec(self, name: str) -> AgentSpec:
-        for a in self.agents:
-            if a.name == name:
-                return a
-        raise DomainFormatError(f"unknown agent {name!r}")
+        return self.agents[self._index_of(name)]
 
     def agent_id(self, name: str) -> AgentId:
-        for i, a in enumerate(self.agents):
-            if a.name == name:
-                return AgentId(i, a.name)
-        raise DomainFormatError(f"unknown agent {name!r}")
+        return AgentId(self._index_of(name), name)
 
 
 def encode_joint_state(

@@ -16,13 +16,14 @@ knowledge off them.  ``run_episodes`` runs every policy: one with a
 ``config``, ``agent_names``, ``assign(rng)`` (once per episode) and
 ``step(world, assigned, rng)`` -> (joint action, each agent's next cell).
 
-Routing: ``GridWorld`` keeps the open cells and a per-cell neighbour table for
-the current task liveness, and memoises one breadth-first parent tree per
-start cell (``bfs_tree``); agents that share a cell share its tree.  All
-three are rebuilt only when ``resolve`` completes a task, the one event that
-changes which cells are passable.  The scripted policy answers both staging
-reachability and its first move (``first_move``) from the tree of the agent's
-cell, so each agent costs at most one BFS per step.
+Routing: ``GridWorld`` takes the open cells and a per-cell neighbour table for
+the current task liveness from a memo shared by every world of its config, and
+memoises one breadth-first parent tree per start cell (``bfs_tree``); agents
+that share a cell share its tree.  A world changes tables and drops its trees
+only when ``resolve`` completes a task, the one event that changes which cells
+are passable.  The scripted policy answers both staging reachability and its
+first move (``first_move``) from the tree of the agent's cell, so each agent
+costs at most one BFS per step.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..domain import (
@@ -68,21 +70,27 @@ class TraceSample:
 
 def write_trace(path, domain_id: str, n_agents: int,
                 samples: Iterable[TraceSample]) -> int:
-    """Write samples as line-delimited JSON under a version header; returns count."""
+    """Write samples as line-delimited JSON under a version header; returns count.
+
+    A sample whose state is the previous sample's next state (the same
+    object, as the simulator hands it on) reuses that state's JSON text, so
+    each joint state is encoded once.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         header = {"format": _TRACE_FORMAT, "version": _TRACE_VERSION,
                   "domain": domain_id, "agents": n_agents}
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        fh.write(encode(header) + "\n")
+        previous_next, next_text = object(), ""  # object(): no sample's state is it
         for s in samples:
-            record = {
-                "episode": s.episode_id,
-                "step": s.step,
-                "state": list(s.joint_concrete_state),
-                "action": list(s.joint_action),
-                "next_state": list(s.next_joint_concrete_state),
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            state = s.joint_concrete_state
+            state_text = next_text if state is previous_next else encode(state)
+            previous_next = s.next_joint_concrete_state
+            next_text = encode(previous_next)
+            fh.write(f'{{"episode":{encode(s.episode_id)},"step":{encode(s.step)},'
+                     f'"state":{state_text},"action":{encode(s.joint_action)},'
+                     f'"next_state":{next_text}}}\n')
             n += 1
     return n
 
@@ -250,6 +258,25 @@ def grid_domain(domain_id: str, agent_names: Sequence[str], config: GridConfig,
     )
 
 
+@cache
+def _open_cells(config: GridConfig, live: tuple[str, ...]
+                ) -> tuple[frozenset[Cell], dict[Cell, tuple[Cell, ...]]]:
+    """The open cells and every cell's open 4-neighbours while exactly the
+    ``live`` tasks block their cells.  Memoised for the life of the process,
+    one entry per liveness a config's episodes reach, and shared by all its
+    worlds, so nothing may mutate them."""
+    blocked = config.walls | {t.cell for t in config.tasks if t.id in live}
+    cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
+    open_cells = frozenset(x for x in cells if x not in blocked)
+    # neighbour order is sorted(): (r-1, c), (r, c-1), (r, c+1), (r+1, c)
+    neighbors = {
+        (r, c): tuple(x for x in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c))
+                      if x in open_cells)
+        for r, c in cells
+    }
+    return open_cells, neighbors
+
+
 class GridWorld:
     """Mutable episode state: agent positions, task liveness, completion flags."""
 
@@ -264,18 +291,10 @@ class GridWorld:
         self._refresh()
 
     def _refresh(self) -> None:
-        """Rebuild the open-cell set and the neighbour table for the current
+        """Take the open-cell set and the neighbour table for the current
         task liveness, and drop every cached BFS tree."""
-        cfg = self.config
-        blocked = cfg.walls | {t.cell for t in cfg.tasks if self.alive[t.id]}
-        cells = [(r, c) for r in range(cfg.rows) for c in range(cfg.cols)]
-        self._open = frozenset(x for x in cells if x not in blocked)
-        # neighbour order is sorted(): (r-1, c), (r, c-1), (r, c+1), (r+1, c)
-        self._neighbors = {
-            (r, c): tuple(x for x in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c))
-                          if x in self._open)
-            for r, c in cells
-        }
+        live = tuple(t.id for t in self.config.tasks if self.alive[t.id])
+        self._open, self._neighbors = _open_cells(self.config, live)
         self._trees: dict[Cell, dict[Cell, Cell]] = {}
 
     def passable(self, cell: Cell) -> bool:

@@ -1,9 +1,10 @@
 """Query answering over a policy abstraction: "when", "why not", and "what"
 questions, each in a baseline (norf) and a relevancy-filtered (withrf) variant.
 
-The when/why-not answerers partition states into targets and non-targets by
-checking each distinct enabled joint action of the model once against the
-query criterion (through the model's lazily built query index), project both sets
+The when/why-not answerers partition states into targets and non-targets with a
+few int ANDs and ORs over the model's lazily built query index, which keeps one
+bit mask of enabling states per distinct enabled joint action and one bit mask
+of joint actions per (agent, action) requirement.  They then project both sets
 onto Boolean minterms (all agents x all features for norf; relevant agents x
 relevant features for withrf), and hand the resulting on/off-sets to the
 minimizer.  States in both partitions count as targets: explanations describe
@@ -31,7 +32,6 @@ from .domain import (
 )
 from .errors import (
     ContradictionNotice,
-    DomainFormatError,
     PreconditionError,
     TooManyVariablesError,
     UnknownStateError,
@@ -214,15 +214,8 @@ Compiled = tuple[tuple[tuple[int, str], ...], ...]
 def _compile(criterion, domain: DomainDefinition) -> Compiled:
     """A norf set (one alternative) or withrf list of sets (one each)."""
     sets = criterion if isinstance(criterion, (list, tuple)) else (criterion,)
-    position = {a.name: i for i, a in enumerate(domain.agents)}
-    try:
-        return tuple(tuple((position[agent], act) for agent, act in s) for s in sets)
-    except KeyError as exc:
-        raise DomainFormatError(f"unknown agent {exc.args[0]!r}") from None
-
-
-def _satisfies(action: JointAction, compiled: Compiled) -> bool:
-    return any(all(action[i] == act for i, act in alt) for alt in compiled)
+    return tuple(tuple((domain.agent_id(agent).index, act) for agent, act in s)
+                 for s in sets)
 
 
 def compatible(action: JointAction, criterion, domain: DomainDefinition) -> bool:
@@ -232,7 +225,8 @@ def compatible(action: JointAction, criterion, domain: DomainDefinition) -> bool
     contained in the joint action; a list of such sets (withrf) when at least
     one member set is fully contained.
     """
-    return _satisfies(action, _compile(criterion, domain))
+    return any(all(action[i] == act for i, act in alt)
+               for alt in _compile(criterion, domain))
 
 
 def _condition_space(
@@ -288,16 +282,21 @@ def partition(
 ) -> tuple[frozenset[JointState], frozenset[JointState]]:
     """(targets, non-targets) of a compatibility criterion; see when_partition.
 
-    Each distinct enabled joint action of the model is checked once, and its
-    states join the targets or the non-targets as a whole.
+    Bitmask algebra over the model's query index: the joint actions meeting
+    an alternative are the AND of its requirement masks, those satisfying the
+    criterion the OR over its alternatives.  The targets are the OR of the
+    satisfying actions' state masks; the non-targets are the states with an
+    enabled action that are not targets, since their every action fails.
     """
-    compiled = _compile(criterion, domain)
-    targets: set[JointState] = set()
-    nontargets: set[JointState] = set()
-    for action, states in m.enabling_states.items():
-        (targets if _satisfies(action, compiled) else nontargets).update(states)
-    nontargets -= targets
-    return frozenset(targets), frozenset(nontargets)
+    index = m.query_index
+    satisfying = 0
+    for alt in _compile(criterion, domain):
+        actions = index.every_action
+        for i, act in alt:
+            actions &= index.requirement(i, act)
+        satisfying |= actions
+    targets = index.enabled_by(satisfying)
+    return index.states_of(targets), index.states_of(index.enabling & ~targets)
 
 
 def when_partition(

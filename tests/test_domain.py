@@ -130,6 +130,18 @@ class TestRelevanceKnowledge:
             RelevanceKnowledge({}).get("UAV", "rescue_victim")
 
 
+class TestAgentLookup:
+    def test_names_map_to_declared_positions(self, sr3_domain):
+        for i, spec in enumerate(sr3_domain.agents):
+            assert sr3_domain.agent_spec(spec.name) is spec
+            assert sr3_domain.agent_id(spec.name) == sr3_domain.agent_ids[i]
+
+    @pytest.mark.parametrize("lookup", ["agent_spec", "agent_id"])
+    def test_unknown_agent(self, sr3_domain, lookup):
+        with pytest.raises(DomainFormatError, match=r"^unknown agent 'UGV_9'$"):
+            getattr(sr3_domain, lookup)("UGV_9")
+
+
 class TestDomainFiles:
     def test_roundtrip(self, tmp_path, sr3_domain):
         path = tmp_path / "sr3.json"

@@ -12,7 +12,15 @@ import mapex
 from mapex import get_domain, read_trace, simulate, write_trace
 from mapex.domain import domain_to_dict
 from mapex.envs import domain_ids
-from mapex.envs.base import WAIT, GridConfig, GridWorld, TaskSpec, chebyshev, first_move
+from mapex.envs.base import (
+    WAIT,
+    GridConfig,
+    GridWorld,
+    TaskSpec,
+    TraceSample,
+    chebyshev,
+    first_move,
+)
 from mapex.errors import (
     PreconditionError,
     TraceFormatError,
@@ -90,6 +98,35 @@ class TestTraceDigests:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[domain_id]
 
 
+class TestWriteTraceReuse:
+    def test_equal_but_distinct_states_written_in_full(self, tmp_path):
+        # equal records can encode differently (key order, 0 against 0.0), so
+        # only the previous next_state object itself may reuse its text
+        first = ({"pos": [0, 1], "done": {"t": False}},)
+        reordered = ({"done": {"t": False}, "pos": [0, 1]},)
+        as_float = ({"pos": [0.0, 1.0], "done": {"t": False}},)
+        assert first == reordered == as_float
+        samples = [
+            TraceSample(0, 0, first, (WAIT,), first),
+            TraceSample(0, 1, reordered, (WAIT,), reordered),
+            TraceSample(0, 2, reordered, ("move",), as_float),
+            TraceSample(0, 3, first, (WAIT,), first),
+            TraceSample(1, 0, first, (WAIT,), as_float),
+        ]
+        path = tmp_path / "t.jsonl"
+        assert write_trace(path, "hand", 1, samples) == len(samples)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [
+            json.dumps({"episode": s.episode_id, "step": s.step,
+                        "state": list(s.joint_concrete_state),
+                        "action": list(s.joint_action),
+                        "next_state": list(s.next_joint_concrete_state)},
+                       separators=(",", ":"))
+            for s in samples
+        ]
+        assert '"step":3,"state":[{"pos":[0,1],' in lines[4]
+
+
 class TestDomainDigests:
     # SHA-256 of json.dumps(domain_to_dict(get_domain(d))); any change to the
     # alphabets (and their order), phrases, schema or relevance shows here
@@ -153,6 +190,19 @@ class TestBfsTree:
                     assert goal not in tree, (start, goal)
                 else:
                     assert first_move(tree, start, goal) == expected, (start, goal)
+
+    def test_worlds_of_one_config_share_cells_not_liveness(self):
+        config = GridConfig(1, 3, frozenset(), ((0, 0),),
+                            (TaskSpec("t", (0, 1), "do", (("a",),)),))
+        first, second = GridWorld(config, ["a"]), GridWorld(config, ["a"])
+        assert first.neighbors((0, 0)) is second.neighbors((0, 0))
+        assert first.bfs_tree((0, 0)) is not second.bfs_tree((0, 0))
+        first.resolve(["do"])
+        assert first.passable((0, 1)) and not second.passable((0, 1))
+        assert first.neighbors((0, 0)) == ((0, 1),)
+        assert second.neighbors((0, 0)) == ()
+        assert (0, 2) not in second.bfs_tree((0, 0))
+        assert GridWorld(config, ["a"]).neighbors((0, 0)) is second.neighbors((0, 0))
 
     def test_tree_shared_until_completion(self):
         config = GridConfig(1, 3, frozenset(), ((0, 0),),

@@ -407,7 +407,7 @@ class TestQueryValidation:
             raise AssertionError("states were partitioned before the guardrail")
 
         state = sr3_abstraction.states[0]
-        monkeypatch.setattr(PolicyAbstraction, "enabling_states", property(no_scan))
+        monkeypatch.setattr(PolicyAbstraction, "query_index", property(no_scan))
         monkeypatch.setattr(PolicyAbstraction, "enabled_actions", no_scan)
         when = when_query("UAV", RESCUE, "norf")
         whynot = Query(kind="whynot", agents=("UAV",), method="norf",
@@ -542,6 +542,76 @@ class TestIndexedPartition:
         expected = {s for s in m.states
                     if all(s["AB".index(a)] >> b & 1 for a in agents for b in bits)}
         assert answer_what(q, m, domain).satisfying_states == expected
+
+
+@pytest.fixture(scope="module")
+def sr5_model():
+    domain = mapex.get_domain("sr5")
+    return domain, mapex.build_abstraction(mapex.simulate("sr5", episodes=100, seed=42),
+                                           domain.schema)
+
+
+def hand_model(domain):
+    """Three sr3 states: s0 only moves, s1 both rescues (UAV with UGV_2) and
+    moves, s2 is terminal; UGV_1 never waits."""
+    s0, s1, s2 = (0, 0, 0), (1, 0, 0), (2, 0, 0)
+    moves, rescue = ("move",) * 3, (RESCUE, "move", RESCUE)
+    counts = {(s0, moves, s1): 2, (s1, rescue, s2): 1, (s1, moves, s0): 1}
+    return PolicyAbstraction(domain.schema, 3, counts, s0), (s0, s1, s2)
+
+
+class TestMaskIndex:
+    # partition is bitmask algebra over the query index; each case is also
+    # checked against the per-edge oracle
+    def check(self, criterion, m, domain, targets, nontargets):
+        got = partition(criterion, m, domain)
+        assert (set(got[0]), set(got[1])) == (targets, nontargets)
+        assert (targets, nontargets) == oracles.partition(criterion, m, domain)
+
+    def test_every_task_action_on_a_wide_model(self, sr5_model):
+        # more than 64 distinct joint actions: the masks span several words
+        domain, m = sr5_model
+        assert len(m.query_index.actions) > 64
+        pairs = [pair for pair, e in sorted(domain.relevance.entries.items())
+                 if e.features]
+        assert pairs
+        for pair in pairs:
+            for criterion in (frozenset({pair}),
+                              relevancy_filter([pair], domain.relevance)[2]):
+                targets, nontargets = partition(criterion, m, domain)
+                assert targets, pair
+                expected = oracles.partition(criterion, m, domain)
+                assert (set(targets), set(nontargets)) == expected
+
+    def test_empty_alternative_is_vacuous(self, sr3_domain):
+        m, (s0, s1, _) = hand_model(sr3_domain)
+        for criterion in (frozenset(), [frozenset({("UGV_1", "wait")}), frozenset()]):
+            self.check(criterion, m, sr3_domain, {s0, s1}, set())
+
+    def test_unmet_requirement_selects_no_action(self, sr3_domain):
+        m, (s0, s1, _) = hand_model(sr3_domain)
+        assert m.query_index.requirement(1, "wait") == 0
+        for criterion in (frozenset({("UGV_1", "wait")}),
+                          frozenset({("UAV", RESCUE), ("UGV_1", "wait")}), []):
+            self.check(criterion, m, sr3_domain, set(), {s0, s1})
+
+    def test_state_qualifying_both_ways_is_a_target(self, sr3_domain):
+        m, (s0, s1, _) = hand_model(sr3_domain)
+        for criterion in (frozenset({("UAV", RESCUE)}),
+                          [frozenset({("UAV", RESCUE), ("UGV_2", RESCUE)})]):
+            self.check(criterion, m, sr3_domain, {s1}, {s0})
+
+    def test_load_and_summarize_never_build_the_index(self, tmp_path, sr3_domain,
+                                                      sr3_samples):
+        built = mapex.build_abstraction(sr3_samples, sr3_domain.schema)
+        path = tmp_path / "sr3.mmdp"
+        mapex.save_abstraction(built, path)
+        m = mapex.load_abstraction(path, sr3_domain.schema)
+        mapex.summarize(m)
+        for model in (built, m):
+            assert "query_index" not in vars(model)
+        when_partition(when_query("UAV", RESCUE, "withrf"), m, sr3_domain)
+        assert "query_index" in vars(m)
 
 
 class TestSoundnessChecksSurviveOptimize:
