@@ -1,8 +1,9 @@
-"""Use the exact two-level minimizer directly.
+"""Use the two-level minimizer directly.
 
 Ones and zeros are integer minterms; everything else is a don't-care the
-minimizer may absorb.  The result is a minimum-cardinality list of prime
-implicants, deterministic down to clause order.
+minimizer may absorb.  The result is a list of prime implicants, of minimum
+cardinality whenever its ``minimal`` attribute is True (always, on problems
+this small), and deterministic down to clause order.
 """
 
 from mapex.boolmin import minimize

@@ -15,9 +15,9 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import FeatureSchema, JointAction, JointState, encode_joint_state
@@ -139,6 +139,10 @@ class PolicyAbstraction:
                 )
         self.schema = schema
         self.n_agents = n_agents
+        # a goal state has every task-completion bit set in some agent
+        self._goal_mask = 0
+        for pred_id in schema.task_completion_ids:
+            self._goal_mask |= 1 << schema.index_of(pred_id)
         self.normalization = normalization
         self.counts = dict(transition_counts)
         self.initial_state = initial_state
@@ -208,11 +212,7 @@ class PolicyAbstraction:
         return self.query_index.enabled.get(state, ())
 
     def is_goal(self, state: JointState) -> bool:
-        for pred_id in self.schema.task_completion_ids:
-            i = self.schema.index_of(pred_id)
-            if not any(bits >> i & 1 for bits in state):
-                return False
-        return True
+        return reduce(or_, state, 0) & self._goal_mask == self._goal_mask
 
     def goal_states(self) -> tuple[JointState, ...]:
         return tuple(s for s in self.states if self.is_goal(s))

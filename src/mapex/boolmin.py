@@ -1,4 +1,4 @@
-"""Exact two-level Boolean minimization over minterms with implicit don't-cares.
+"""Two-level Boolean minimization over minterms with implicit don't-cares.
 
 ``minimize`` receives the on-set and off-set as integer minterms; every
 assignment in neither set is a don't-care the minimizer may absorb.  Prime
@@ -8,31 +8,31 @@ hitting set excludes every zero and cannot drop a variable, i.e. is prime).
 They are enumerated depth-first over variable bitmasks (MMCS with the
 critical-edge check), all of them with no cap, and each exactly once across
 all ones: a prime is generated only from the first one it covers.
-The essential primes (each the sole cover of some one) are taken first; the
-minimum cover of the remaining ones is then found exactly by depth-first
-branch and bound, falling back to greedy set cover with a logged warning when
-more candidate primes remain than the exact-cover limit.
+
+One search picks every cover (O. Coudert, "Two-level logic minimization: an
+overview", Integration 17(2), 1994): the table of ones by primes is cut to its
+cyclic core by essential primes and row and column dominance, greedy set cover
+gives the first incumbent, and depth-first branch and bound searches the core
+for at most ``COVER_NODE_BUDGET`` nodes; an unproven cover says so.
 """
 
 from __future__ import annotations
 
-import logging
-import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MintermConflictError, MinimizationTimeout, TooManyVariablesError
-
-log = logging.getLogger(__name__)
 
 # Guardrail: problems wider than this are refused outright; the relevancy
 # filter is the intended way to stay under it.
 MAX_VARIABLES = 24
 
-# Above this many candidate primes the exact branch-and-bound cover is
-# replaced by greedy set cover (non-optimality logged).
-EXACT_COVER_LIMIT = 64
+# Branch-and-bound nodes per cover: a count, not a time, so equal inputs give
+# equal covers.  The smallest power of two that proves every benchmark query's
+# and oracle test's cover, but lbf9's (sr5's 100-episode when norf takes 34).
+COVER_NODE_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,15 @@ class Implicant:
 
     def sort_key(self) -> tuple:
         return tuple((v, 0 if pol else 1) for v, pol in self.literals())
+
+
+class Cover(list):
+    """A DNF as the list of its implicants, with ``minimal`` and ``lower_bound``."""
+
+    def __init__(self, implicants: Iterable[Implicant], minimal: bool, lower_bound: int):
+        super().__init__(implicants)
+        self.minimal = minimal
+        self.lower_bound = lower_bound
 
 
 def _check_deadline(deadline: float | None, stage: str, primes_found: int):
@@ -151,75 +160,90 @@ def _prime_implicants(
     return primes
 
 
-def _exact_cover(
-    uncovered: int, candidates: list[tuple[int, Implicant]], deadline: float | None,
-) -> list[Implicant]:
-    """Minimum cover of the ``uncovered`` bitmask by depth-first branch and
-    bound over (coverage mask, prime) ``candidates`` listed in sort-key order.
-
-    Covers rank by (clause count, total literals, sorted candidate positions);
-    the sort keys are distinct, so positions order covers as their sorted
-    literal tuples do.  A node branches on the uncovered one with the fewest
-    open primes, and closes each prime to its siblings once its own branch is
-    searched, so no cover is reached twice.  A node is cut when its lower
-    bound on (clauses, literals) is already worse than the best cover:
-    uncovered ones whose open primes are pairwise disjoint each need a prime
-    of their own.
-    """
-    masks = [mask for mask, _ in candidates]
-    lits = [p.n_literals for _, p in candidates]
-    ones = [1 << j for j in range(uncovered.bit_length()) if uncovered >> j & 1]
-    best: list = [(math.inf,), []]  # [cover key, chosen candidate positions]
-
-    def search(covered: int, chosen: list[int], n_lits: int, closed: int) -> None:
-        _check_deadline(deadline, "cover selection", len(candidates))
-        open_sets = sorted(
-            ([i for i, mask in enumerate(masks) if mask & one and not closed >> i & 1]
-             for one in ones if not covered & one),
-            key=len,
-        )
-        if not open_sets:
-            key = (len(chosen), n_lits, sorted(chosen))
-            if key < best[0]:
-                best[:] = [key, list(chosen)]
-            return
-        if not open_sets[0]:
-            return
-        used, bound = 0, (len(chosen), n_lits)
-        for avail in open_sets:
-            avail_mask = sum(1 << i for i in avail)
-            if not used & avail_mask:
-                used |= avail_mask
-                bound = (bound[0] + 1, bound[1] + min(lits[i] for i in avail))
-        if bound > best[0][:2]:
-            return
-        for i in sorted(open_sets[0], key=lambda i: -(masks[i] & ~covered).bit_count()):
-            chosen.append(i)
-            search(covered | masks[i], chosen, n_lits + lits[i], closed)
-            chosen.pop()
-            closed |= 1 << i
-
-    search(~uncovered, [], 0, 0)  # ones outside ``uncovered`` count as covered
-    return [candidates[i][1] for i in best[1]]
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first, each as a power of two."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
-def _greedy_cover(uncovered: int, candidates: list[tuple[int, Implicant]]) -> list[Implicant]:
-    """Greedy set cover of the ``uncovered`` bitmask by (coverage mask, prime)
-    ``candidates`` listed by (literals, sort key): each pick takes the most
-    uncovered ones, the earliest listed prime among equals."""
-    log.warning(
-        "prime implicant count %d exceeds exact-cover limit %d; "
-        "falling back to greedy set cover (result may be non-minimal)",
-        len(candidates), EXACT_COVER_LIMIT,
-    )
-    chosen: list[Implicant] = []
-    while uncovered:
-        mask, best = max(candidates, key=lambda c: (c[0] & uncovered).bit_count())
-        if not mask & uncovered:
-            raise AssertionError("greedy cover stalled; uncovered ones remain")
-        chosen.append(best)
-        uncovered &= ~mask
-    return chosen
+def _cover(
+    primes: list[Implicant], masks: list[int], keys: list[tuple], deadline: float | None,
+) -> Cover:
+    """The best cover of every one by ``primes``, listed cheapest first by
+    (literals, sort key ``keys[i]``); ``masks[i]`` is the set of ones (bits)
+    ``primes[i]`` covers.  Covers rank by (clauses, literals, sorted sort keys)."""
+    rows: dict[int, int] = {}  # uncovered one (a bit) -> the open primes covering it
+    for i, mask in enumerate(masks):
+        for one in _bits(mask):
+            rows[one] = rows.get(one, 0) | 1 << i
+    essential = sum(a for a in set(rows.values()) if not a & (a - 1))  # lone primes
+    forced = [p.bit_length() - 1 for p in _bits(essential)]
+    rows = {one: avail for one, avail in rows.items() if not avail & essential}
+    # the first incumbent: greedy set cover after the essential primes
+    seed, left = list(forced), sum(rows)
+    while left:
+        seed.append(max(range(len(masks)), key=lambda i: (masks[i] & left).bit_count()))
+        left &= ~masks[seed[-1]]
+    open_primes = (1 << len(masks)) - 1
+    before = None
+    while rows and (len(rows), open_primes) != before:  # cut to the cyclic core
+        before = len(rows), open_primes
+        kept: dict[int, int] = {}  # a one goes if its primes hold a kept one's
+        for one in sorted(rows, key=lambda one: rows[one].bit_count()):
+            if all(a & ~rows[one] for a in kept.values()):
+                kept[one] = rows[one]
+        for one in [one for one, a in kept.items() if not a & (a - 1)]:
+            forced.append(kept.pop(one).bit_length() - 1)  # an essential prime
+        rows, uncovered = kept, sum(kept)
+        for p in _bits(open_primes):  # a prime goes if a cheaper one covers all it does
+            live = list(_bits(masks[p.bit_length() - 1] & uncovered))
+            if reduce(int.__and__, [rows[one] for one in live], open_primes) & (p - 1):
+                open_primes ^= p
+                for one in live:
+                    rows[one] ^= p
+    if not rows:  # an empty core: the forced primes are the one best cover
+        return Cover([primes[i] for i in sorted(forced, key=keys.__getitem__)],
+                     True, len(forced))
+
+    def rank(c: list[int]) -> tuple:
+        return len(c), sum(len(keys[i]) for i in c), sorted(keys[i] for i in c)
+
+    best = [rank(seed), seed]
+    nodes = 0
+
+    def search(rows: list[int], chosen: list[int], n_lits: int) -> int | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > COVER_NODE_BUDGET:
+            return None
+        _check_deadline(deadline, "cover selection", len(masks))
+        rows.sort(key=int.bit_count)
+        # ones with pairwise disjoint open primes each need one, at least the cheapest
+        used, clauses, literals = 0, len(chosen), n_lits
+        for row in rows:
+            if not used & row:
+                used |= row
+                clauses += 1
+                literals += len(keys[(row & -row).bit_length() - 1])
+        if (clauses, literals) > best[0][:2]:
+            return clauses
+        if not rows:
+            best[:] = min(best, [rank(chosen), chosen])
+            return clauses
+        # branch on the fewest open primes, each closed to its later siblings
+        closed = 0
+        for p in sorted(_bits(rows[0]), key=lambda p: -sum(1 for r in rows if r & p)):
+            i = p.bit_length() - 1
+            search([r & ~closed for r in rows if not r & p], chosen + [i],
+                   n_lits + len(keys[i]))
+            closed |= p
+        return clauses
+
+    lower_bound = search(list(rows.values()), forced, sum(len(keys[i]) for i in forced))
+    return Cover([primes[i] for i in sorted(best[1], key=keys.__getitem__)],
+                 nodes <= COVER_NODE_BUDGET, lower_bound)
 
 
 def evaluate_dnf(implicants: Iterable[Implicant], minterm: int) -> bool:
@@ -233,14 +257,14 @@ def minimize(
     *,
     deadline: float | None = None,
     max_vars: int = MAX_VARIABLES,
-) -> list[Implicant]:
+) -> Cover:
     """Minimum-cardinality DNF that is true on ``ones`` and false on ``zeros``.
 
     Assignments in neither set are don't-cares.  Ties are broken by fewest
     total literals, then lexicographically on the sorted implicants' literal
-    tuples; identical inputs always yield the identical implicant list.  The
-    cover is exact unless more than ``EXACT_COVER_LIMIT`` candidate primes
-    remain after the essential ones, when greedy set cover takes over.
+    tuples; identical inputs always yield the identical implicant list.  A cover
+    search cut at ``COVER_NODE_BUDGET`` nodes leaves ``minimal`` False, with
+    ``lower_bound`` clauses needed by every DNF (``mapex explain`` notes both).
 
     Raises MintermConflictError when the sets overlap, TooManyVariablesError
     when ``n_vars`` exceeds ``max_vars``, and MinimizationTimeout when the
@@ -257,40 +281,15 @@ def minimize(
     overlap = set(ones) & set(zeros)
     if overlap:
         raise MintermConflictError(overlap)
-
-    if not ones:
-        return []
-    if not zeros:
-        return [Implicant(0, 0)]
+    if ones and not zeros:  # true everywhere
+        return Cover([Implicant(0, 0)], True, 1)
 
     coverage = _prime_implicants(ones, zeros, deadline)
     keys = {p: p.sort_key() for p in coverage}
-    primes = sorted(coverage, key=keys.__getitem__)
+    primes = sorted(coverage, key=lambda p: (len(keys[p]), keys[p]))
     bit = {m: 1 << i for i, m in enumerate(ones)}
-    masks = [sum(bit[m] for m in coverage[p]) for p in primes]
-
-    # essential primes: the sole prime covering some one
-    once = twice = 0
-    for mask in masks:
-        twice |= once & mask
-        once |= mask
-    sole = once & ~twice
-    chosen: set[Implicant] = set()
-    uncovered = (1 << len(ones)) - 1
-    for p, mask in zip(primes, masks):
-        if mask & sole:
-            chosen.add(p)
-            uncovered &= ~mask
-
-    if uncovered:
-        candidates = [(mask, p) for p, mask in zip(primes, masks) if mask & uncovered]
-        if len(candidates) <= EXACT_COVER_LIMIT:
-            chosen.update(_exact_cover(uncovered, candidates, deadline))
-        else:
-            candidates.sort(key=lambda c: c[1].n_literals)  # stable: sort keys tie-break
-            chosen.update(_greedy_cover(uncovered, candidates))
-
-    result = sorted(chosen, key=keys.__getitem__)
+    result = _cover(primes, [sum(bit[m] for m in coverage[p]) for p in primes],
+                    [keys[p] for p in primes], deadline)
 
     for m in ones:
         if not evaluate_dnf(result, m):

@@ -258,11 +258,18 @@ def _resolve_domain(value: str) -> DomainDefinition:
     return get_domain(value)
 
 
+def _check_agents(what: str, n_agents, domain: DomainDefinition) -> None:
+    if n_agents != domain.n_agents:
+        raise MapexError(f"{what} has {n_agents} agents but domain {domain.id} "
+                         f"has {domain.n_agents}")
+
+
 def _cmd_abstract(opts: _Options) -> int:
     domain = _resolve_domain(str(opts.get("domain", required=True)))
     trace_path = str(opts.get("trace", required=True))
     out = str(opts.get("out", required=True))
-    _, samples = read_trace(trace_path)
+    header, samples = read_trace(trace_path)
+    _check_agents(f"trace {trace_path}", header.get("agents"), domain)
     m = build_abstraction(
         samples,
         domain.schema,
@@ -276,7 +283,9 @@ def _cmd_abstract(opts: _Options) -> int:
 
 def _load_mmdp(opts: _Options) -> tuple[DomainDefinition, Any]:
     domain = _resolve_domain(str(opts.get("domain", required=True)))
-    m = load_abstraction(str(opts.get("mmdp", required=True)), domain.schema)
+    path = str(opts.get("mmdp", required=True))
+    m = load_abstraction(path, domain.schema)
+    _check_agents(f"abstraction {path}", m.n_agents, domain)
     return domain, m
 
 
@@ -350,8 +359,15 @@ def _cmd_explain(opts: _Options) -> int:
     lines = [render(result, phrases)]
     if opts.get_bool("emit_dnf") and query.kind in ("when", "whynot"):
         lines.append("DNF: " + format_dnf(result))
+    if query.kind in ("when", "whynot") and not result.minimal:
+        lines.append(_unproven_note(result.lower_bound))
     _write_output("\n".join(lines), out)
     return EXIT_OK
+
+
+def _unproven_note(lower_bound: int) -> str:
+    return (f"note: may not be the shortest answer; any answer needs at least "
+            f"{lower_bound} clauses")
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +446,7 @@ def _cmd_bench(opts: _Options) -> int:
                     ))
                 else:
                     clauses = str(a.n_clauses)
+                    status = "ok" if a.minimal else "not-minimal"
             except MinimizationTimeout:
                 status = "timeout"
             except TooManyVariablesError:
@@ -500,6 +517,8 @@ def _cmd_boolmin_debug(opts: _Options) -> int:
             lits = [f"{'' if pol else '!'}x{v}" for v, pol in imp.literals()]
             terms.append(" & ".join(lits) if lits else "TRUE")
         print(" | ".join(terms))
+    if not result.minimal:
+        print(_unproven_note(result.lower_bound))
     return EXIT_OK
 
 

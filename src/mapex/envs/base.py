@@ -126,6 +126,8 @@ def read_trace(path) -> tuple[dict[str, Any], list[TraceSample]]:
                 tuple(rec["state"]), tuple(rec["action"]), tuple(rec["next_state"]))
         except (KeyError, TypeError):
             raise TraceFormatError(f"{path}:{lineno}: record missing fields") from None
+        if type(episode) is not int or type(step) is not int:
+            raise TraceFormatError(f"{path}:{lineno}: episode and step must be integers")
         if step != expected.get(episode, 0):
             raise TraceFormatError(
                 f"{path}:{lineno}: episode {episode} step {step}, "

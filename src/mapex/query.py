@@ -150,13 +150,19 @@ class BooleanSpace:
 
 @dataclass(frozen=True)
 class ConditionAnswer:
-    """Result of a when/why-not query: the minimized differentiating DNF."""
+    """Result of a when/why-not query: the minimized differentiating DNF.
+
+    ``minimal`` is False when the minimizer's cover search stopped at its
+    node budget; ``lower_bound`` is then a clause count every answer needs.
+    """
 
     query: Query
     dnf: LiteralDNF
     space: BooleanSpace
     target_states: frozenset[JointState]
     nontarget_states: frozenset[JointState]
+    minimal: bool = True
+    lower_bound: int | None = None
 
     @property
     def n_clauses(self) -> int:
@@ -258,23 +264,22 @@ def _check_width(space: BooleanSpace, max_vars: int) -> None:
         raise TooManyVariablesError(space.n_variables, max_vars)
 
 
-def _minimize_to_dnf(
-    ones: set[int],
-    zeros: set[int],
-    space: BooleanSpace,
-    *,
-    deadline: float | None,
-    max_vars: int,
-) -> LiteralDNF:
-    implicants = boolmin.minimize(
+def _condition_answer(
+    query: Query, space: BooleanSpace, targets: frozenset[JointState],
+    nontargets: frozenset[JointState], ones: set[int], zeros: set[int],
+    *, deadline: float | None, max_vars: int,
+) -> ConditionAnswer:
+    """The answer whose DNF is the minimized split of ``ones`` from ``zeros``."""
+    cover = boolmin.minimize(
         sorted(ones), sorted(zeros - ones), space.n_variables,
         deadline=deadline, max_vars=max_vars,
     )
     clauses = tuple(
         frozenset(space.literal(v, pol) for v, pol in imp.literals())
-        for imp in implicants
+        for imp in cover
     )
-    return LiteralDNF(clauses)
+    return ConditionAnswer(query, LiteralDNF(clauses), space, targets, nontargets,
+                           cover.minimal, cover.lower_bound)
 
 
 def partition(
@@ -330,8 +335,8 @@ def answer_when(
     targets, nontargets = partition(criterion, m, domain)
     ones = {space.minterm(s, m.schema) for s in targets}
     zeros = {space.minterm(s, m.schema) for s in nontargets}
-    dnf = _minimize_to_dnf(ones, zeros, space, deadline=deadline, max_vars=max_vars)
-    return ConditionAnswer(query, dnf, space, targets, nontargets)
+    return _condition_answer(query, space, targets, nontargets, ones, zeros,
+                             deadline=deadline, max_vars=max_vars)
 
 
 def answer_whynot(
@@ -365,8 +370,8 @@ def answer_whynot(
         )
     ones = {space.minterm(s_q, m.schema)}
     zeros = {space.minterm(s, m.schema) for s in nontargets}
-    dnf = _minimize_to_dnf(ones, zeros, space, deadline=deadline, max_vars=max_vars)
-    return ConditionAnswer(query, dnf, space, frozenset({s_q}), nontargets)
+    return _condition_answer(query, space, frozenset({s_q}), nontargets, ones, zeros,
+                             deadline=deadline, max_vars=max_vars)
 
 
 def answer_what(

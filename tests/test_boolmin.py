@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 import mapex
 from mapex import boolmin, build_abstraction, get_domain, simulate
 from mapex.boolmin import (
-    EXACT_COVER_LIMIT,
     Implicant,
     _prime_implicants,
     evaluate_dnf,
@@ -67,10 +66,17 @@ def check_against_oracle(ones, zeros, n_vars):
         assert dnf_truth(dnf, m)
     for z in zeros:
         assert not dnf_truth(dnf, z)
-    # the minimum cover that the documented tie-break singles out
+    # the minimum cover that the documented tie-break singles out, proven so
     cubes = [(imp.care_mask, imp.values) for imp in dnf]
     assert cubes == minimal_cover(ones, zeros, n_vars), (ones, zeros)
+    assert dnf.minimal and dnf.lower_bound <= len(dnf), (ones, zeros)
     return dnf
+
+
+def cover_key(cubes):
+    """(clauses, literals, sorted literal tuples) of (mask, values) cubes."""
+    return (len(cubes), sum(bin(mask).count("1") for mask, _ in cubes),
+            sorted(literal_tuple(c) for c in cubes))
 
 
 class TestSmallFunctions:
@@ -120,6 +126,14 @@ class TestOracle:
             ones = [m for m in range(16) if labels[m] == 1]
             zeros = [m for m in range(16) if labels[m] == 0]
             check_against_oracle(ones, zeros, 4)
+
+    def test_random_v5(self):
+        # five variables give cyclic cores that need branching, and ties that
+        # column dominance must break as the documented tie-break does
+        rng = random.Random(5555)
+        for _ in range(40):
+            ones, zeros = random_problem(rng, 5, rng.randint(6, 12), rng.randint(6, 12))
+            check_against_oracle(ones, zeros, 5)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.data())
@@ -226,9 +240,10 @@ class TestEachPrimeOnce:
 
 
 class TestGreedyCover:
-    def test_matches_reference_greedy(self, caplog):
-        # more candidates than the exact-cover limit, so the greedy fallback
-        # picks them; the reference re-derives every key at every pick
+    def test_never_worse_than_reference_greedy(self):
+        # wide problems whose covers may stay unproven: greedy set cover after
+        # the essential primes seeds the search, so no answer ranks below it;
+        # the reference re-derives every key at every pick
         rng = random.Random(8128)
         for _ in range(20):
             n_vars = rng.choice((8, 9))
@@ -243,24 +258,49 @@ class TestGreedyCover:
                          if not any(cube_covers(c, m) for c in essential)]
             candidates = sorted((c for c, covered in coverage.items()
                                  if not covered.isdisjoint(remaining)), key=literal_tuple)
-            assert len(candidates) > EXACT_COVER_LIMIT
-            want = sorted(essential | set(greedy_cover(remaining, candidates, coverage)),
-                          key=literal_tuple)
-            with caplog.at_level(logging.WARNING, logger="mapex.boolmin"):
-                got = minimize(ones, zeros, n_vars)
-            assert [(p.care_mask, p.values) for p in got] == want, (ones, zeros)
-        assert "greedy" in caplog.text
+            greedy = essential | set(greedy_cover(remaining, candidates, coverage))
+            got = minimize(ones, zeros, n_vars)
+            assert all(dnf_truth(got, m) for m in ones)
+            assert not any(dnf_truth(got, z) for z in zeros)
+            assert cover_key([(p.care_mask, p.values) for p in got]) <= cover_key(greedy)
+            assert got.lower_bound <= len(got), (ones, zeros)
 
 
 class TestExactCoverScale:
-    def test_lbf4_when_norf_within_deadline(self, caplog):
-        # 16 variables and under 64 candidate primes, so the cover is exact;
-        # enumerating every irredundant cover runs far past the deadline here
+    def test_lbf4_when_norf_within_deadline(self):
+        # 16 variables; enumerating every irredundant cover runs far past the
+        # deadline here, while the search proves its cover minimal
         ones, zeros, n_vars = when_norf_problem("lbf4", 20, "F_1", "collect_food_1")
         dnf = minimize(ones, zeros, n_vars, deadline=time.monotonic() + 5)
         assert all(dnf_truth(dnf, o) for o in ones)
         assert not any(dnf_truth(dnf, z) for z in zeros)
-        assert "greedy" not in caplog.text
+        assert dnf.minimal
+
+    def test_sr5_when_norf_is_proven_minimal(self):
+        # 30 variables and 104 primes: the widest cover the budget must prove
+        ones, zeros, n_vars = when_norf_problem("sr5", 100, "UAV", "rescue_victim")
+        dnf = minimize(ones, zeros, n_vars, max_vars=64)
+        assert dnf.minimal and len(dnf) == 10 and dnf.lower_bound <= 10
+
+    def test_lbf9_when_norf_is_bounded(self):
+        # 36 variables, 1,007 primes: greedy cover gives 20 clauses and 92
+        # literals; the budgeted search may not close, and then says so
+        ones, zeros, n_vars = when_norf_problem("lbf9", 50, "F_1", "collect_food_1")
+        dnf = minimize(ones, zeros, n_vars, max_vars=64)
+        assert (len(dnf), sum(p.n_literals for p in dnf)) <= (20, 92)
+        assert dnf.lower_bound <= len(dnf)
+
+    def test_node_budget_marks_unproven_covers(self, monkeypatch):
+        # the cyclic function of ones {0, 1, 2, 5, 6, 7}: no essential prime,
+        # no dominance, so the search must branch to prove its cover
+        ones, zeros = [0, 1, 2, 5, 6, 7], [3, 4]
+        proven = minimize(ones, zeros, 3)
+        assert proven.minimal and len(proven) == proven.lower_bound == 3
+        # one node: the search stops at the root, on the greedy incumbent
+        monkeypatch.setattr(boolmin, "COVER_NODE_BUDGET", 1)
+        cut = minimize(ones, zeros, 3)
+        assert not cut.minimal and cut.lower_bound == 3 and len(cut) == 4
+        assert all(dnf_truth(cut, m) for m in ones)
 
 
 class TestPrimality:

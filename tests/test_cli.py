@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mapex import build_abstraction, get_domain, render_chart, simulate, summarize
+from mapex import boolmin, build_abstraction, get_domain, render_chart, simulate, summarize
 from mapex.cli import main
 from synth import MALFORMED_MMDP, rewrite_mmdp
 
@@ -199,6 +204,166 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: episode 0 step 0: malformed agent record "
                        f"(KeyError: '{field}')"]
+
+
+class TestAgentCount:
+    # sr3 and sr4 share a schema, so only the agent count tells their files apart
+    @pytest.mark.parametrize("argv", [
+        ["summarize"],
+        ["explain", "--type", "when", "--agents", "UGV_3",
+         "--actions", "remove_obstacle", "--method", "norf"],
+        ["explain", "--type", "what", "--agents", "UGV_3",
+         "--predicates", "obstacle_detect"],
+    ], ids=["summarize", "when", "what"])
+    def test_mmdp_of_another_team_exits_2(self, pipeline, capsys, argv):
+        _, _, mmdp = pipeline
+        assert main([argv[0], "--mmdp", str(mmdp), "--domain", "sr4", *argv[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: abstraction {mmdp} has 3 agents but domain sr4 has 4"]
+
+    def test_trace_of_another_team_exits_2(self, pipeline, tmp_path, capsys):
+        _, trace, _ = pipeline
+        out = tmp_path / "m.mmdp"
+        assert main(["abstract", "--trace", str(trace), "--domain", "sr5",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: trace {trace} has 3 agents but domain sr5 has 5"]
+        assert not out.exists()
+
+
+class TestTraceRecordTypes:
+    @pytest.mark.parametrize("field,value", [
+        ("episode", [{}]), ("episode", {}), ("step", [0]), ("step", "0"),
+        ("episode", True),
+    ])
+    def test_non_integer_episode_or_step_exits_2(self, pipeline, tmp_path, capsys,
+                                                  field, value):
+        _, trace, _ = pipeline
+        header, first, *rest = trace.read_text().splitlines()
+        rec = json.loads(first)
+        rec[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n")
+        assert main(["abstract", "--trace", str(bad), "--domain", "sr3",
+                     "--out", str(tmp_path / "m.mmdp")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}:2: episode and step must be integers"]
+
+
+class TestUnprovenCovers:
+    """A cover the search could not prove minimal is marked on every surface
+    that prints one; ``minimize`` is wrapped to mark every cover so."""
+
+    @pytest.fixture
+    def unproven(self, monkeypatch):
+        minimize = boolmin.minimize
+
+        def marked(*args, **kwargs):
+            cover = minimize(*args, **kwargs)
+            return boolmin.Cover(cover, False, 7)
+
+        monkeypatch.setattr(boolmin, "minimize", marked)
+
+    NOTE = "note: may not be the shortest answer; any answer needs at least 7 clauses"
+
+    def test_explain_prints_a_note(self, pipeline, capsys, unproven):
+        _, _, mmdp = pipeline
+        assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3",
+                     "--type", "when", "--agents", "UAV",
+                     "--actions", "rescue_victim", "--emit-dnf"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and lines[1].startswith("DNF: ")
+        assert lines[2] == self.NOTE
+
+    def test_explain_without_a_note_when_proven(self, pipeline, capsys):
+        _, _, mmdp = pipeline
+        assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3",
+                     "--type", "when", "--agents", "UAV",
+                     "--actions", "rescue_victim"]) == 0
+        assert "note:" not in capsys.readouterr().out
+
+    def test_bench_status(self, tmp_path, capsys, unproven):
+        csv_path = tmp_path / "bench.csv"
+        assert main(["bench", "--domain", "sr3", "--episodes", "20",
+                     "--csv", str(csv_path)]) == 0
+        table = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert len(table) == len(rows) == 6
+        for cells, row in zip(table, rows):
+            want = "ok" if row[6] == "what" else "not-minimal"
+            assert cells[:2] == row[6:8] and cells[-1] == row[10] == want, (cells, row)
+
+    def test_boolmin_debug_prints_a_note(self, tmp_path, capsys, unproven):
+        table = tmp_path / "tt.txt"
+        table.write_text("2\n11 1\n00 0\n01 0\n10 0\n")
+        assert main(["boolmin-debug", "--table", str(table)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["x0 & x1", self.NOTE]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("ab0,:", max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text("ab", max_size=2),
+                                                                 inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A 4-episode sr3 trace and its abstraction, small enough to fuzz."""
+    root = tmp_path_factory.mktemp("fuzz")
+    trace, mmdp = root / "sr3.jsonl", root / "sr3.mmdp"
+    assert main(["simulate", "--domain", "sr3", "--episodes", "4", "--seed", "3",
+                 "--out", str(trace)]) == 0
+    assert main(["abstract", "--trace", str(trace), "--domain", "sr3",
+                 "--out", str(mmdp)]) == 0
+    return trace, mmdp
+
+
+class TestCliFuzz:
+    """Mutated inputs end in an answer, a one-line error (exit 2) or a
+    resource-limit exit (3), never a traceback."""
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), domain=st.sampled_from(["sr3", "sr4", "sr5", "lbf2"]))
+    def test_mutated_inputs(self, small_pipeline, data, domain):
+        trace, mmdp = small_pipeline
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if data.draw(st.booleans(), label="mutate the trace"):
+                lines = trace.read_text().splitlines()
+                k = data.draw(st.integers(0, min(len(lines), 8) - 1), label="line")
+                rec = json.loads(lines[k])
+                field = data.draw(st.sampled_from(sorted(rec) + ["extra"]), label="field")
+                rec[field] = data.draw(_JSON_VALUES, label="value")
+                lines[k] = json.dumps(rec)
+                bad = tmp / "bad.jsonl"
+                bad.write_text("\n".join(lines) + "\n")
+                argv = ["abstract", "--trace", str(bad), "--out", str(tmp / "m.mmdp")]
+            else:
+                def edit(lines):
+                    k = data.draw(st.integers(0, len(lines) - 1), label="line")
+                    words = lines[k].split(" ")
+                    w = data.draw(st.integers(0, len(words)), label="word")
+                    text = data.draw(st.text("01239,:-x ", max_size=4), label="text")
+                    lines[k] = " ".join(words[:w] + [text] + words[w + 1:])
+
+                bad = rewrite_mmdp(mmdp, tmp / "bad.mmdp", edit)
+                argv = data.draw(st.sampled_from([
+                    ["summarize"],
+                    ["explain", "--type", "when", "--agents", "UAV",
+                     "--actions", "rescue_victim", "--method", "norf"],
+                    ["explain", "--type", "what", "--agents", "UAV",
+                     "--predicates", "victim_detect"],
+                ]), label="command")
+                argv = [argv[0], "--mmdp", str(bad), *argv[1:]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--domain", domain])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 2:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 class TestMaxVars:
