@@ -1,13 +1,11 @@
 """Two-level Boolean minimization over minterms with implicit don't-cares.
 
 ``minimize`` receives the on-set and off-set as integer minterms; every
-assignment in neither set is a don't-care the minimizer may absorb.  Prime
-implicants are generated per on-set minterm as the minimal hitting sets of its
-difference sets against the off-set (a cube keeping exactly the variables in a
-hitting set excludes every zero and cannot drop a variable, i.e. is prime).
-They are enumerated depth-first over variable bitmasks (MMCS with the
-critical-edge check), all of them with no cap, and each exactly once across
-all ones: a prime is generated only from the first one it covers.
+assignment in neither set is a don't-care the minimizer may absorb.  A one's
+primes are the minimal hitting sets of its differences with the zeros.  As a
+set hits a family exactly when it hits the family's inclusion-minimal members,
+only those enter the depth-first search (MMCS), which yields every prime, with
+no cap, once: from the first one it covers.
 
 One search picks every cover (O. Coudert, "Two-level logic minimization: an
 overview", Integration 17(2), 1994): the table of ones by primes is cut to its
@@ -21,8 +19,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from heapq import heapify, heappop, heappush
+from operator import and_, or_
+from typing import Iterable, Sequence
 
+from .abstraction import _select
 from .errors import MintermConflictError, MinimizationTimeout, TooManyVariablesError
 
 # Guardrail: problems wider than this are refused outright; the relevancy
@@ -55,11 +56,12 @@ class Implicant:
 
     def literals(self) -> tuple[tuple[int, bool], ...]:
         """(variable index, polarity) pairs in ascending variable order."""
-        return tuple(
-            (v, bool(self.values >> v & 1))
-            for v in range(self.care_mask.bit_length())
-            if self.care_mask >> v & 1
-        )
+        found, rest = [], self.care_mask
+        while rest:
+            low = rest & -rest
+            found.append((low.bit_length() - 1, bool(self.values & low)))
+            rest ^= low
+        return tuple(found)
 
     def sort_key(self) -> tuple:
         return tuple((v, 0 if pol else 1) for v, pol in self.literals())
@@ -79,57 +81,60 @@ def _check_deadline(deadline: float | None, stage: str, primes_found: int):
         raise MinimizationTimeout(stage, primes_found)
 
 
+def _minimal_sets(family: Iterable[int]) -> list[int]:
+    """The inclusion-minimal members of ``family`` (bitmasks), each once,
+    fewest bits first: a member goes when a kept one lies inside it."""
+    kept: list[int] = []
+    for s in sorted(family, key=int.bit_count):
+        for k in kept:
+            if k | s == s:
+                break
+        else:
+            kept.append(s)
+    return kept
+
+
 def _minimal_transversals(
-    edges: set[int], apart: Sequence[int], earlier: int,
+    edges: list[int], earlier: list[int], n_vars: int,
     deadline: float | None, primes_so_far: int,
 ) -> list[int]:
-    """The minimal hitting sets of ``edges`` (variable bitmasks) that also
-    hit every earlier difference, as bitmasks.
-
-    ``apart[v]`` is the set (a bitmask over their positions) of the earlier
-    ones that differ from this one in variable ``v``, and ``earlier`` is the
-    set of all of them; a set of variables hits every earlier difference when
-    the ``apart`` sets of its variables together make up ``earlier``.
-
-    Depth-first MMCS (Murakami & Uno, Discrete Applied Mathematics, 2014): a
-    node branches on the uncovered edge with the fewest candidate variables
-    and withholds each variable it has tried from its later siblings, so every
-    minimal set is reached once.  A branch is cut as soon as some chosen
-    variable is the only chosen one in no edge (has no critical edge): adding
-    variables never gives it one back, so no minimal set lies below.  It is
-    also cut when its chosen and candidate variables together miss some
-    earlier difference, since every set below lies inside them.
+    """The minimal hitting sets of ``edges`` (variable bitmasks) that also hit
+    every set in ``earlier``, by depth-first MMCS (Murakami & Uno, Discrete
+    Applied Mathematics, 2014): a node branches on the uncovered edge with the
+    fewest candidate variables and withholds each variable it has tried from
+    its later siblings, so every minimal set is reached once.  A branch is cut
+    when a chosen variable has no critical edge (none where it is the only
+    chosen one; more variables never give it one back), or when its chosen and
+    candidate variables together miss a set in ``earlier``.
     """
     found: list[int] = []
+    # per variable, the edges holding it as bits by position; uncov and crit alike
+    in_edges = [0] * n_vars
+    for e, f in enumerate(edges):
+        while f:
+            in_edges[(f & -f).bit_length() - 1] |= 1 << e
+            f &= f - 1
 
-    def hits_all_earlier(variables: int) -> bool:
-        reached = 0
-        while variables and reached != earlier:
-            low = variables & -variables
-            reached |= apart[low.bit_length() - 1]
-            variables ^= low
-        return reached == earlier
-
-    def search(chosen: int, cand: int, uncov: list[int], crit: list[list[int]]):
+    def search(chosen: int, cand: int, uncov: int, crit: list[int]):
         _check_deadline(deadline, "prime generation", primes_so_far)
         if not uncov:
-            if hits_all_earlier(chosen):
+            if all(d & chosen for d in earlier):
                 found.append(chosen)
             return
-        if not hits_all_earlier(chosen | cand):
+        if not all(d & (chosen | cand) for d in earlier):
             return
-        branch = cand & min(uncov, key=lambda f: (f & cand).bit_count())
+        branch = cand & min(_select(edges, uncov), key=lambda f: (f & cand).bit_count())
         cand &= ~branch
         while branch:
             bit = branch & -branch
             branch ^= bit
-            kept = [[f for f in fs if not f & bit] for fs in crit]
+            holding = in_edges[bit.bit_length() - 1]
+            kept = [c & ~holding for c in crit]
             if all(kept):
-                hit = [f for f in uncov if f & bit]
-                search(chosen | bit, cand | branch,
-                       [f for f in uncov if not f & bit], kept + [hit])
+                search(chosen | bit, cand | branch, uncov & ~holding,
+                       kept + [uncov & holding])
 
-    search(0, (1 << len(apart)) - 1, list(edges), [])  # every variable a candidate
+    search(0, (1 << n_vars) - 1, (1 << len(edges)) - 1, [])  # every variable a candidate
     return found
 
 
@@ -140,32 +145,19 @@ def _prime_implicants(
 
     Each prime is generated once, from the first one it covers: the k-th one
     keeps only the care masks that hit its difference with every earlier one,
-    so it covers none of them and only later ones need checking.
+    so it covers none of them and only later ones need checking.  Both
+    difference families enter the search as their inclusion-minimal members.
     """
     primes: dict[Implicant, set[int]] = {}
     n_vars = max([*ones, *zeros], default=0).bit_length()
-    set_by = [0] * n_vars  # set_by[v]: earlier ones (bits by position) with v set
     for k, m in enumerate(ones):
-        earlier = (1 << k) - 1
-        apart = [earlier & ~s if m >> v & 1 else s for v, s in enumerate(set_by)]
         later = ones[k:]
-        for care in _minimal_transversals(
-            {m ^ z for z in zeros}, apart, earlier, deadline, len(primes)
-        ):
+        edges = _minimal_sets([m ^ z for z in zeros])
+        earlier = _minimal_sets([m ^ o for o in ones[:k]])
+        for care in _minimal_transversals(edges, earlier, n_vars, deadline, len(primes)):
             values = m & care
             primes[Implicant(care, values)] = {o for o in later if o & care == values}
-        for v in range(n_vars):
-            if m >> v & 1:
-                set_by[v] |= 1 << k
     return primes
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, lowest first, each as a power of two."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def _cover(
@@ -174,36 +166,45 @@ def _cover(
     """The best cover of every one by ``primes``, listed cheapest first by
     (literals, sort key ``keys[i]``); ``masks[i]`` is the set of ones (bits)
     ``primes[i]`` covers.  Covers rank by (clauses, literals, sorted sort keys)."""
-    rows: dict[int, int] = {}  # uncovered one (a bit) -> the open primes covering it
-    for i, mask in enumerate(masks):
-        for one in _bits(mask):
-            rows[one] = rows.get(one, 0) | 1 << i
-    essential = sum(a for a in set(rows.values()) if not a & (a - 1))  # lone primes
-    forced = [p.bit_length() - 1 for p in _bits(essential)]
-    rows = {one: avail for one, avail in rows.items() if not avail & essential}
-    # the first incumbent: greedy set cover after the essential primes
-    seed, left = list(forced), sum(rows)
+    # rows[j]: the primes covering one j, each a column of the masks' binary digits
+    width = reduce(or_, masks, 0).bit_length()
+    digits = "".join([bin(mask | 1 << width)[3:] for mask in reversed(masks)])
+    rows = [int(digits[c::width], 2) for c in reversed(range(width))]
+    essential = reduce(or_, [a for a in rows if not a & (a - 1)], 0)  # lone primes
+    forced = list(_select(range(len(masks)), essential))
+    # the uncovered ones, in the order their first primes come
+    live = sorted((j for j, a in enumerate(rows) if not a & essential),
+                  key=lambda j: rows[j] & -rows[j])
+    # the first incumbent: after the essential primes, greedy set cover picks the
+    # first prime covering most; a gain on the heap is never below the gain now
+    seed, left = list(forced), sum(1 << j for j in live)
+    heap = [(-(mask & left).bit_count(), i) for i, mask in enumerate(masks) if mask & left]
+    heapify(heap)
     while left:
-        seed.append(max(range(len(masks)), key=lambda i: (masks[i] & left).bit_count()))
-        left &= ~masks[seed[-1]]
-    open_primes = (1 << len(masks)) - 1
-    before = None
-    while rows and (len(rows), open_primes) != before:  # cut to the cyclic core
-        before = len(rows), open_primes
-        kept: dict[int, int] = {}  # a one goes if its primes hold a kept one's
-        for one in sorted(rows, key=lambda one: rows[one].bit_count()):
-            if all(a & ~rows[one] for a in kept.values()):
-                kept[one] = rows[one]
-        for one in [one for one, a in kept.items() if not a & (a - 1)]:
-            forced.append(kept.pop(one).bit_length() - 1)  # an essential prime
-        rows, uncovered = kept, sum(kept)
-        for p in _bits(open_primes):  # a prime goes if a cheaper one covers all it does
-            live = list(_bits(masks[p.bit_length() - 1] & uncovered))
-            if reduce(int.__and__, [rows[one] for one in live], open_primes) & (p - 1):
-                open_primes ^= p
-                for one in live:
-                    rows[one] ^= p
-    if not rows:  # an empty core: the forced primes are the one best cover
+        gain, i = heappop(heap)
+        now = (masks[i] & left).bit_count()
+        if now == -gain:
+            seed.append(i)
+            left &= ~masks[i]
+        elif now:
+            heappush(heap, (-now, i))
+    open_primes, before = (1 << len(masks)) - 1, None
+    while live and (len(live), open_primes) != before:  # cut to the cyclic core
+        before = len(live), open_primes
+        # a one goes if its primes hold a kept one's; a lone prime is essential
+        first = {rows[j]: j for j in reversed(live)}
+        kept = [first[a] for a in _minimal_sets([rows[j] for j in live])]
+        forced += [rows[j].bit_length() - 1 for j in kept if not rows[j] & (rows[j] - 1)]
+        live = [j for j in kept if rows[j] & (rows[j] - 1)]
+        uncovered = sum(1 << j for j in live)
+        seen = set()  # a prime goes if a cheaper open one covers all it does
+        for i in _select(range(len(masks)), open_primes):
+            hit = masks[i] & uncovered
+            if hit in seen or reduce(and_, _select(rows, hit), open_primes) & ((1 << i) - 1):
+                open_primes ^= 1 << i
+            seen.add(hit)
+        rows = [a & open_primes for a in rows]
+    if not live:  # an empty core: the forced primes are the one best cover
         return Cover([primes[i] for i in sorted(forced, key=keys.__getitem__)],
                      True, len(forced))
 
@@ -234,14 +235,14 @@ def _cover(
             return clauses
         # branch on the fewest open primes, each closed to its later siblings
         closed = 0
-        for p in sorted(_bits(rows[0]), key=lambda p: -sum(1 for r in rows if r & p)):
-            i = p.bit_length() - 1
-            search([r & ~closed for r in rows if not r & p], chosen + [i],
+        for i in sorted(_select(range(len(masks)), rows[0]),
+                        key=lambda i: -sum(1 for r in rows if r >> i & 1)):
+            search([r & ~closed for r in rows if not r >> i & 1], chosen + [i],
                    n_lits + len(keys[i]))
-            closed |= p
+            closed |= 1 << i
         return clauses
 
-    lower_bound = search(list(rows.values()), forced, sum(len(keys[i]) for i in forced))
+    lower_bound = search([rows[j] for j in live], forced, sum(len(keys[i]) for i in forced))
     return Cover([primes[i] for i in sorted(best[1], key=keys.__getitem__)],
                  nodes <= COVER_NODE_BUDGET, lower_bound)
 
@@ -270,8 +271,7 @@ def minimize(
     when ``n_vars`` exceeds ``max_vars``, and MinimizationTimeout when the
     cooperative ``deadline`` (a ``time.monotonic()`` instant) passes.
     """
-    ones = sorted(set(ones))
-    zeros = sorted(set(zeros))
+    ones, zeros = sorted(set(ones)), sorted(set(zeros))
     if n_vars > max_vars:
         raise TooManyVariablesError(n_vars, max_vars)
     limit = 1 << n_vars
@@ -288,7 +288,7 @@ def minimize(
     keys = {p: p.sort_key() for p in coverage}
     primes = sorted(coverage, key=lambda p: (len(keys[p]), keys[p]))
     bit = {m: 1 << i for i, m in enumerate(ones)}
-    result = _cover(primes, [sum(bit[m] for m in coverage[p]) for p in primes],
+    result = _cover(primes, [sum(map(bit.__getitem__, coverage[p])) for p in primes],
                     [keys[p] for p in primes], deadline)
 
     for m in ones:

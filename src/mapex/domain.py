@@ -328,6 +328,13 @@ def _require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str]
         raise DomainFormatError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _require_list(obj: Any, where: str) -> list:
+    # a string would pass for a list of one-letter items
+    if not isinstance(obj, list):
+        raise DomainFormatError(f"{where}: expected a list")
+    return obj
+
+
 def domain_to_dict(domain: DomainDefinition) -> dict[str, Any]:
     """Serializable form of a domain definition (predicates lose evaluators)."""
     return {
@@ -382,12 +389,13 @@ def domain_from_dict(data: Mapping[str, Any]) -> DomainDefinition:
         raise DomainFormatError(f"unsupported domain version {data['version']!r}")
 
     agents = []
-    for i, a in enumerate(data["agents"]):
+    for i, a in enumerate(_require_list(data["agents"], "agents")):
         _require_keys(a, {"name", "actions"}, set(), f"agents[{i}]")
-        agents.append(AgentSpec(str(a["name"]), tuple(str(x) for x in a["actions"])))
+        actions = _require_list(a["actions"], f"agents[{i}].actions")
+        agents.append(AgentSpec(str(a["name"]), tuple(str(x) for x in actions)))
 
     predicates = []
-    for i, f in enumerate(data["features"]):
+    for i, f in enumerate(_require_list(data["features"], "features")):
         _require_keys(
             f,
             {"id", "positive", "negative", "positive_plural", "negative_plural"},
@@ -404,15 +412,18 @@ def domain_from_dict(data: Mapping[str, Any]) -> DomainDefinition:
                 label=str(f.get("label", f["id"])),
             )
         )
-    schema = FeatureSchema(tuple(predicates), tuple(data["task_features"]))
+    task_features = _require_list(data["task_features"], "task_features")
+    schema = FeatureSchema(tuple(predicates), tuple(task_features))
 
+    if not isinstance(data["action_phrases"], Mapping):
+        raise DomainFormatError("action_phrases: expected an object")
     phrases = {}
     for action, ph in data["action_phrases"].items():
         _require_keys(ph, {"base", "third"}, set(), f"action_phrases[{action}]")
         phrases[str(action)] = ActionPhrases(str(ph["base"]), str(ph["third"]))
 
     entries: dict[AgentAction, RelevanceEntry] = {}
-    for i, r in enumerate(data["relevance"]):
+    for i, r in enumerate(_require_list(data["relevance"], "relevance")):
         _require_keys(
             r, {"agent", "action", "agents", "features", "action_sets"},
             set(), f"relevance[{i}]"
@@ -421,12 +432,17 @@ def domain_from_dict(data: Mapping[str, Any]) -> DomainDefinition:
         if key in entries:
             raise DomainFormatError(f"duplicate relevance entry for {key}")
         sets = []
-        for s in r["action_sets"]:
-            pairs = frozenset((str(p[0]), str(p[1])) for p in s)
-            sets.append(pairs)
+        for j, s in enumerate(_require_list(r["action_sets"], f"relevance[{i}].action_sets")):
+            where = f"relevance[{i}].action_sets[{j}]"
+            pairs = [_require_list(p, where) for p in _require_list(s, where)]
+            if any(len(p) != 2 for p in pairs):
+                raise DomainFormatError(f"{where}: expected [agent, action] pairs")
+            sets.append(frozenset((str(agent), str(action)) for agent, action in pairs))
         entries[key] = RelevanceEntry(
-            agents=frozenset(str(x) for x in r["agents"]),
-            features=frozenset(str(x) for x in r["features"]),
+            agents=frozenset(
+                str(x) for x in _require_list(r["agents"], f"relevance[{i}].agents")),
+            features=frozenset(
+                str(x) for x in _require_list(r["features"], f"relevance[{i}].features")),
             action_sets=tuple(sets),
         )
 

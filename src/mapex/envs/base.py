@@ -128,6 +128,12 @@ def read_trace(path) -> tuple[dict[str, Any], list[TraceSample]]:
             raise TraceFormatError(f"{path}:{lineno}: record missing fields") from None
         if type(episode) is not int or type(step) is not int:
             raise TraceFormatError(f"{path}:{lineno}: episode and step must be integers")
+        # action ids are words: a model file writes a joint action comma-joined
+        if type(rec["action"]) is not list or not all(
+            type(a) is str and a.split() == [a] and "," not in a for a in action
+        ):
+            raise TraceFormatError(
+                f"{path}:{lineno}: action must be a list of strings without commas or spaces")
         if step != expected.get(episode, 0):
             raise TraceFormatError(
                 f"{path}:{lineno}: episode {episode} step {step}, "

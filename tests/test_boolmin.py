@@ -1,4 +1,3 @@
-import logging
 import os
 import random
 import subprocess
@@ -15,6 +14,7 @@ import mapex
 from mapex import boolmin, build_abstraction, get_domain, simulate
 from mapex.boolmin import (
     Implicant,
+    _minimal_sets,
     _prime_implicants,
     evaluate_dnf,
     minimize,
@@ -162,15 +162,39 @@ class TestPrimeImplicants:
                     for c in prime_cubes(ones, zeros, n_vars)}
             assert got == want, (n_vars, ones, zeros)
 
-    def test_every_prime_of_a_wide_problem(self, caplog):
+    def test_every_prime_of_a_wide_problem(self):
         # 13 disjoint difference pairs: one literal from each pair makes a
-        # prime, 2**13 of them, all kept and none dropped with a warning
+        # prime, 2**13 of them, all kept; each covers the only one, so the
+        # answer is one of them, proven minimal: one clause of 13 literals
         zeros = [3 << 2 * i for i in range(13)]
-        with caplog.at_level(logging.WARNING, logger="mapex.boolmin"):
-            assert len(_prime_implicants([0], zeros, None)) == 2 ** 13
-            dnf = minimize([0], zeros, 26, max_vars=26)
-        assert not any("capped" in r.getMessage() for r in caplog.records)
+        assert len(_prime_implicants([0], zeros, None)) == 2 ** 13
+        dnf = minimize([0], zeros, 26, max_vars=26)
+        assert dnf.minimal and len(dnf) == 1 and dnf[0].n_literals == 13
         assert dnf_truth(dnf, 0) and not any(dnf_truth(dnf, z) for z in zeros)
+
+
+class TestLiterals:
+    def test_set_bits_in_ascending_order(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            care = rng.getrandbits(rng.randint(0, 70))
+            values = care & rng.getrandbits(70)
+            imp = Implicant(care, values)
+            want = tuple((v, bool(values >> v & 1))
+                         for v in range(care.bit_length()) if care >> v & 1)
+            assert imp.literals() == want
+            assert imp.sort_key() == tuple((v, 0 if pol else 1) for v, pol in want)
+
+
+class TestMinimalSets:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 63), max_size=12))
+    def test_matches_brute_force(self, family):
+        # the members no other member lies strictly inside, each once
+        want = {s for s in family if not any(t != s and t | s == s for t in family)}
+        got = _minimal_sets(family)
+        assert len(got) == len(set(got)) and set(got) == want
+        assert [s.bit_count() for s in got] == sorted(s.bit_count() for s in got)
 
 
 class TestEachPrimeOnce:
@@ -240,10 +264,11 @@ class TestEachPrimeOnce:
 
 
 class TestGreedyCover:
-    def test_never_worse_than_reference_greedy(self):
-        # wide problems whose covers may stay unproven: greedy set cover after
-        # the essential primes seeds the search, so no answer ranks below it;
-        # the reference re-derives every key at every pick
+    @staticmethod
+    def problems():
+        """Wide problems whose covers may stay unproven, each with the
+        essential primes plus the reference greedy cover of the rest (the
+        reference re-derives every key at every pick)."""
         rng = random.Random(8128)
         for _ in range(20):
             n_vars = rng.choice((8, 9))
@@ -259,11 +284,28 @@ class TestGreedyCover:
             candidates = sorted((c for c, covered in coverage.items()
                                  if not covered.isdisjoint(remaining)), key=literal_tuple)
             greedy = essential | set(greedy_cover(remaining, candidates, coverage))
+            yield ones, zeros, n_vars, greedy
+
+    def test_never_worse_than_reference_greedy(self):
+        # greedy set cover after the essential primes seeds the search, so no
+        # answer ranks below it
+        for ones, zeros, n_vars, greedy in self.problems():
             got = minimize(ones, zeros, n_vars)
             assert all(dnf_truth(got, m) for m in ones)
             assert not any(dnf_truth(got, z) for z in zeros)
             assert cover_key([(p.care_mask, p.values) for p in got]) <= cover_key(greedy)
             assert got.lower_bound <= len(got), (ones, zeros)
+
+    def test_incumbent_is_the_reference_greedy(self, monkeypatch):
+        # one node: the search stops at its root, and each of these tables
+        # has a cyclic core, so the answer is the incumbent itself: exactly
+        # the essential primes plus the reference greedy picks
+        monkeypatch.setattr(boolmin, "COVER_NODE_BUDGET", 1)
+        for ones, zeros, n_vars, greedy in self.problems():
+            got = minimize(ones, zeros, n_vars)
+            assert not got.minimal, (ones, zeros)
+            assert (sorted(((p.care_mask, p.values) for p in got), key=literal_tuple)
+                    == sorted(greedy, key=literal_tuple)), (ones, zeros)
 
 
 class TestExactCoverScale:

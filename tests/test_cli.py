@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mapex import boolmin, build_abstraction, get_domain, render_chart, simulate, summarize
 from mapex.cli import main
+from mapex.domain import domain_to_dict
 from synth import MALFORMED_MMDP, rewrite_mmdp
 
 
@@ -232,22 +233,44 @@ class TestAgentCount:
 
 
 class TestTraceRecordTypes:
-    @pytest.mark.parametrize("field,value", [
-        ("episode", [{}]), ("episode", {}), ("step", [0]), ("step", "0"),
-        ("episode", True),
-    ])
-    def test_non_integer_episode_or_step_exits_2(self, pipeline, tmp_path, capsys,
-                                                  field, value):
+    @staticmethod
+    def abstract_with(pipeline, tmp_path, field, value):
+        """Exit code of ``abstract`` on the trace with ``field`` of its first
+        record set to ``value``, and the path of that trace."""
         _, trace, _ = pipeline
         header, first, *rest = trace.read_text().splitlines()
         rec = json.loads(first)
         rec[field] = value
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n")
-        assert main(["abstract", "--trace", str(bad), "--domain", "sr3",
-                     "--out", str(tmp_path / "m.mmdp")]) == 2
+        return main(["abstract", "--trace", str(bad), "--domain", "sr3",
+                     "--out", str(tmp_path / "m.mmdp")]), bad
+
+    @pytest.mark.parametrize("field,value", [
+        ("episode", [{}]), ("episode", {}), ("step", [0]), ("step", "0"),
+        ("episode", True),
+    ])
+    def test_non_integer_episode_or_step_exits_2(self, pipeline, tmp_path, capsys,
+                                                  field, value):
+        code, bad = self.abstract_with(pipeline, tmp_path, field, value)
+        assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {bad}:2: episode and step must be integers"]
+
+    # a list or an int among the actions raised TypeError; a comma, a space or
+    # an empty id wrote a model file that could not be read back; a string in
+    # place of the list was split into one-letter actions
+    @pytest.mark.parametrize("value", [
+        ["rescue_victim", ["idle"], "idle"], ["rescue_victim", 1, "idle"],
+        ["a,b", "idle", "idle"], ["a b", "idle", "idle"], ["a\tb", "idle", "idle"],
+        ["", "idle", "idle"], "abc", {"a": 1, "b": 2, "c": 3},
+    ])
+    def test_malformed_action_ids_exit_2(self, pipeline, tmp_path, capsys, value):
+        code, bad = self.abstract_with(pipeline, tmp_path, "action", value)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}:2: action must be a list of strings "
+                       "without commas or spaces"]
 
 
 class TestUnprovenCovers:
@@ -308,6 +331,18 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _json_paths(value, path=()) -> list[tuple]:
+    """The key paths of every node below the root of a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [p for key, child in items
+            for p in [(*path, key), *_json_paths(child, (*path, key))]]
+
+
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
     """A 4-episode sr3 trace and its abstraction, small enough to fuzz."""
@@ -324,14 +359,23 @@ class TestCliFuzz:
     """Mutated inputs end in an answer, a one-line error (exit 2) or a
     resource-limit exit (3), never a traceback."""
 
+    COMMANDS = [
+        ["summarize"],
+        ["explain", "--type", "when", "--agents", "UAV",
+         "--actions", "rescue_victim", "--method", "norf"],
+        ["explain", "--type", "what", "--agents", "UAV",
+         "--predicates", "victim_detect"],
+    ]
+
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), domain=st.sampled_from(["sr3", "sr4", "sr5", "lbf2"]))
-    def test_mutated_inputs(self, small_pipeline, data, domain):
+    @given(data=st.data(), domain=st.sampled_from(["sr3", "sr4", "sr5", "lbf2"]),
+           target=st.sampled_from(["trace", "mmdp", "domain file"]))
+    def test_mutated_inputs(self, small_pipeline, data, domain, target):
         trace, mmdp = small_pipeline
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            if data.draw(st.booleans(), label="mutate the trace"):
+            if target == "trace":
                 lines = trace.read_text().splitlines()
                 k = data.draw(st.integers(0, min(len(lines), 8) - 1), label="line")
                 rec = json.loads(lines[k])
@@ -341,7 +385,7 @@ class TestCliFuzz:
                 bad = tmp / "bad.jsonl"
                 bad.write_text("\n".join(lines) + "\n")
                 argv = ["abstract", "--trace", str(bad), "--out", str(tmp / "m.mmdp")]
-            else:
+            elif target == "mmdp":
                 def edit(lines):
                     k = data.draw(st.integers(0, len(lines) - 1), label="line")
                     words = lines[k].split(" ")
@@ -350,17 +394,23 @@ class TestCliFuzz:
                     lines[k] = " ".join(words[:w] + [text] + words[w + 1:])
 
                 bad = rewrite_mmdp(mmdp, tmp / "bad.mmdp", edit)
-                argv = data.draw(st.sampled_from([
-                    ["summarize"],
-                    ["explain", "--type", "when", "--agents", "UAV",
-                     "--actions", "rescue_victim", "--method", "norf"],
-                    ["explain", "--type", "what", "--agents", "UAV",
-                     "--predicates", "victim_detect"],
-                ]), label="command")
+                argv = data.draw(st.sampled_from(self.COMMANDS), label="command")
                 argv = [argv[0], "--mmdp", str(bad), *argv[1:]]
+            else:
+                # one node of the model's domain, saved as a file, replaced
+                spec = domain_to_dict(get_domain("sr3"))
+                path = data.draw(st.sampled_from(_json_paths(spec)), label="node")
+                node = spec
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = data.draw(_JSON_VALUES, label="value")
+                domain = tmp / "sr3.json"
+                domain.write_text(json.dumps(spec))
+                argv = data.draw(st.sampled_from(self.COMMANDS), label="command")
+                argv = [argv[0], "--mmdp", str(mmdp), *argv[1:]]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*argv, "--domain", domain])
+                code = main([*argv, "--domain", str(domain)])
         assert code in (0, 2, 3), err.getvalue()
         if code == 2:
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -167,6 +169,34 @@ class TestDomainFiles:
         data = domain_to_dict(sr3_domain)
         del data["relevance"]
         with pytest.raises(DomainFormatError):
+            domain_from_dict(data)
+
+    # a pair given as an object, an action set as an int and a pair as a
+    # one-letter string raised KeyError, TypeError and IndexError; a list of
+    # lists raised AttributeError; a string where a list belongs was read as
+    # the list of its letters
+    @pytest.mark.parametrize("path,value,where", [
+        (("relevance", 0, "action_sets", 0, 0), {"0": "UAV"}, "relevance[0].action_sets[0]"),
+        (("relevance", 0, "action_sets", 0), 1, "relevance[0].action_sets[0]"),
+        (("relevance", 0, "action_sets", 0, 0), "a", "relevance[0].action_sets[0]"),
+        (("relevance", 0, "action_sets", 0, 0), ["UAV"], "relevance[0].action_sets[0]"),
+        (("relevance", 0, "action_sets"), "ab", "relevance[0].action_sets"),
+        (("relevance", 0, "agents"), "UAV", "relevance[0].agents"),
+        (("relevance", 0, "features"), "ab", "relevance[0].features"),
+        (("agents",), "ab", "agents"),
+        (("agents", 0, "actions"), "idle", "agents[0].actions"),
+        (("features",), "ab", "features"),
+        (("task_features",), "ab", "task_features"),
+        (("relevance",), "ab", "relevance"),
+        (("action_phrases",), [["idle"]], "action_phrases"),
+    ])
+    def test_malformed_shape_rejected(self, sr3_domain, path, value, where):
+        data = domain_to_dict(sr3_domain)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(DomainFormatError, match=rf"^{re.escape(where)}: expected "):
             domain_from_dict(data)
 
     def test_task_subset_validated(self):
