@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, groupby
 from operator import attrgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,7 +35,7 @@ _PROB_TOLERANCE = 1e-9
 NORMALIZATIONS = ("state", "state-action")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transition:
     source: JointState
     action: JointAction
@@ -130,13 +130,6 @@ class PolicyAbstraction:
             raise PreconditionError(f"unknown normalization {normalization!r}")
         if not transition_counts:
             raise PreconditionError("abstraction needs at least one transition")
-        for (s, a, t), c in transition_counts.items():
-            if c < 1:
-                raise PreconditionError(f"transition count {c} < 1 for {(s, a, t)}")
-            if len(s) != n_agents or len(t) != n_agents or len(a) != n_agents:
-                raise SchemaMismatchError(
-                    f"transition arity mismatch for {(s, a, t)}; expected {n_agents}"
-                )
         self.schema = schema
         self.n_agents = n_agents
         # a goal state has every task-completion bit set in some agent
@@ -147,47 +140,48 @@ class PolicyAbstraction:
         self.counts = dict(transition_counts)
         self.initial_state = initial_state
         self.initial_counts = dict(initial_counts or {initial_state: 1})
+        if initial_state not in self.initial_counts:
+            raise PreconditionError(f"initial state {initial_state} has no initial count")
+        for s, c in self.initial_counts.items():
+            if c < 1:
+                raise PreconditionError(f"initial count {c} < 1 for {s}")
 
-        state_set = {initial_state}
-        for s, _, t in self.counts:
-            state_set.add(s)
-            state_set.add(t)
-        state_set.update(self.initial_counts)
+        # one pass over the ((source, action, target), count) items in canonical
+        # order, grouped by probability denominator: the source state, or the
+        # source state and action.  Soundness checks are explicit raises, so
+        # they also run under python -O
+        edges: dict[JointState, list[Transition]] = {}
+        state_set = set(self.initial_counts)
+        denominator = ((lambda item: item[0][0]) if normalization == "state"
+                       else (lambda item: item[0][:2]))
+        for key, group in groupby(sorted(self.counts.items()), denominator):
+            group = list(group)
+            total = 0
+            for (s, a, t), c in group:
+                if c < 1:
+                    raise PreconditionError(f"transition count {c} < 1 for {(s, a, t)}")
+                if len(s) != n_agents or len(t) != n_agents or len(a) != n_agents:
+                    raise SchemaMismatchError(f"transition arity mismatch for "
+                                              f"{(s, a, t)}; expected {n_agents}")
+                state_set.add(t)
+                total += c
+            out = edges.setdefault(s, [])
+            mass = 0.0
+            for (s, a, t), c in group:
+                out.append(edge := Transition(s, a, t, c, c / total))
+                mass += edge.probability
+            if not math.isclose(mass, 1.0, abs_tol=_PROB_TOLERANCE):
+                raise AssertionError(f"outgoing probability mass {mass} != 1 for {key}")
+
         # canonical ordering: sorted by agent-major bit values
-        self.states: tuple[JointState, ...] = tuple(sorted(state_set))
-        self.state_index: dict[JointState, int] = {
-            s: i for i, s in enumerate(self.states)
-        }
-
-        # a probability divides by the count out of its source state, or out
-        # of its source state and action
-        by_state = normalization == "state"
-        totals: Counter = Counter()
-        for (s, a, _), c in self.counts.items():
-            totals[s if by_state else (s, a)] += c
-        edges: dict[JointState, list[Transition]] = {s: [] for s in self.states}
-        for (s, a, t), c in sorted(self.counts.items()):
-            total = totals[s if by_state else (s, a)]
-            edges[s].append(Transition(s, a, t, c, c / total))
-        self.out_edges: dict[JointState, tuple[Transition, ...]] = {
-            s: tuple(es) for s, es in edges.items()
-        }
-
-        # soundness checks: explicit raises, so they also run under python -O
+        self.states: tuple[JointState, ...] = tuple(sorted(state_set.union(edges)))
         max_states = (1 << schema.n_features) ** n_agents
         if len(self.states) > max_states:
-            raise AssertionError(
-                f"state count {len(self.states)} exceeds the 2^|F|^N bound {max_states}"
-            )
-        mass: Counter = Counter()
-        for s, es in self.out_edges.items():
-            for e in es:
-                mass[s if by_state else (s, e.action)] += e.probability
-        for key, total in mass.items():
-            if not math.isclose(total, 1.0, abs_tol=_PROB_TOLERANCE):
-                raise AssertionError(
-                    f"outgoing probability mass {total} != 1 for {key}"
-                )
+            raise AssertionError(f"state count {len(self.states)} exceeds the "
+                                 f"2^|F|^N bound {max_states}")
+        self.state_index: dict[JointState, int] = {s: i for i, s in enumerate(self.states)}
+        self.out_edges: dict[JointState, tuple[Transition, ...]] = {
+            s: tuple(edges.get(s, ())) for s in self.states}
 
     @property
     def n_states(self) -> int:
@@ -357,76 +351,80 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
     if header[1] != str(_MMDP_VERSION):
         fail(f"unsupported version {header[1]}")
 
-    idx = 1
-    try:
-        fields = {}
-        for key in ("schema", "agents", "features", "normalization", "initial",
-                    "init-counts", "states"):
-            parts = lines[idx].split(" ", 1)
-            if parts[0] != key:
-                fail(f"expected {key!r} on line {idx + 1}")
-            fields[key] = parts[1] if len(parts) > 1 else ""
-            idx += 1
+    idx = 0  # the index of the line being read; the file is read once, forward
 
-        if fields["schema"] != schema.schema_hash():
+    def take(key: str) -> str:
+        """The value of the next line, which must start with ``key``."""
+        nonlocal idx
+        idx += 1
+        name, _, value = lines[idx].partition(" ")
+        if name != key:
+            fail(f"expected {key!r} on line {idx + 1}")
+        return value
+
+    def ordered(previous, key, rows: str):
+        """``key``; it sorts strictly after the previous row's, as saved."""
+        if key <= previous:
+            fail(f"duplicate {rows} at line {idx + 1}" if key == previous
+                 else f"{rows} out of order at line {idx + 1}")
+        return key
+
+    try:
+        schema_hash = take("schema")
+        if schema_hash != schema.schema_hash():
             raise SchemaMismatchError(
-                f"{path}: abstraction was built against schema {fields['schema']}, "
+                f"{path}: abstraction was built against schema {schema_hash}, "
                 f"not the supplied schema {schema.schema_hash()}"
             )
-        n_agents = int(fields["agents"])
-        if int(fields["features"]) != schema.n_features:
+        n_agents = int(take("agents"))
+        if int(take("features")) != schema.n_features:
             fail("feature count disagrees with the supplied schema")
+        normalization = take("normalization")
+        initial = take("initial")
+        init_counts = []
+        index = -1
+        for part in take("init-counts").split(","):
+            s_i, c = part.split(":")
+            index = ordered(index, int(s_i), "init-counts entries")
+            init_counts.append((s_i, int(c)))
 
-        n_states = int(fields["states"])
+        # every agent value is a bit set over the schema's features
+        limit = 1 << schema.n_features
         states: list[JointState] = []
-        for k in range(n_states):
-            num, bits = lines[idx].split(" ", 1)
-            if int(num) != k:
-                fail(f"state table out of order at line {idx + 1}")
-            states.append(tuple(int(b) for b in bits.split(",")))
+        row = ()
+        for k in range(int(take("states"))):
             idx += 1
-
+            num, bits = lines[idx].split(" ", 1)
+            values = tuple(map(int, bits.split(",")))
+            if int(num) != k:
+                fail(f"state rows out of order at line {idx + 1}")
+            if min(values) < 0 or max(values) >= limit:
+                fail(f"state {k} on line {idx + 1} has an agent value outside [0, {limit})")
+            states.append(row := ordered(row, values, "state rows"))
         by_index = {str(i): s for i, s in enumerate(states)}
 
-        def state(text: str) -> JointState:
-            if text not in by_index:
-                fail(f"state index {text} on line {idx + 1} is outside the state table")
-            return by_index[text]
-
-        head = lines[idx].split()
-        if head[0] != "transitions":
-            fail("missing transitions header")
-        n_transitions = int(head[1])
-        idx += 1
         counts = {}
-        for _ in range(n_transitions):
+        key = ()
+        for _ in range(int(take("transitions"))):
+            idx += 1
             s_i, action, t_i, count, _prob = lines[idx].split(" ")
             if s_i not in by_index or t_i not in by_index:
                 fail(f"transition {s_i} -> {t_i} on line {idx + 1} names a state "
                      f"index outside the state table")
-            key = (by_index[s_i], tuple(action.split(",")), by_index[t_i])
+            key = ordered(key, (by_index[s_i], tuple(action.split(",")), by_index[t_i]),
+                          "transition lines")
             counts[key] = int(count)
-            idx += 1
-        if len(counts) < n_transitions:
-            fail("duplicate transition lines")
-        if idx != len(lines) - 1:
-            fail(f"unexpected line {idx + 1} after the transition table")
-
-        idx = 5  # back to the header's initial and init-counts lines
-        initial = state(fields["initial"])
-        idx = 6
-        initial_counts = {}
-        for part in fields["init-counts"].split(","):
-            s_i, c = part.split(":")
-            initial_counts[state(s_i)] = int(c)
+        if idx != len(lines) - 2:
+            fail(f"unexpected line {idx + 2} after the transition table")
     except (ValueError, IndexError) as exc:
         fail(f"malformed line {idx + 1} ({type(exc).__name__}: {exc})")
 
-    return PolicyAbstraction(
-        schema,
-        n_agents,
-        counts,
-        initial,
-        normalization=fields["normalization"],
-        initial_counts=initial_counts,
-    )
+    def state(text: str, line: int) -> JointState:
+        if text not in by_index:
+            fail(f"state index {text} on line {line} is outside the state table")
+        return by_index[text]
+
+    # the header's state indices (lines 6 and 7), now that the state table is read
+    return PolicyAbstraction(schema, n_agents, counts, state(initial, 6),
+                             normalization=normalization,
+                             initial_counts={state(s_i, 7): c for s_i, c in init_counts})

@@ -44,8 +44,6 @@ class MostProbablePath:
 
 def most_probable_path(m: PolicyAbstraction) -> MostProbablePath:
     """Highest-probability action-labeled path from the initial state to a goal."""
-    if m.initial_state not in m.state_index:
-        raise PreconditionError("abstraction has no initial state")
     goals = set(m.goal_states())
     if not goals:
         raise UnreachableGoalError(0)
@@ -77,8 +75,6 @@ def most_probable_path(m: PolicyAbstraction) -> MostProbablePath:
             goal = min([u, *near], key=m.state_index.__getitem__)
             break
         for e in m.out_edges.get(u, ()):
-            if e.probability <= 0.0:
-                continue
             nd = d - math.log(e.probability)
             v = e.target
             if v in settled:

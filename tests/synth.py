@@ -98,22 +98,22 @@ def rewrite_mmdp(path, out, edit):
     return out
 
 
-def _first_transition(lines):
-    return next(i for i, ln in enumerate(lines) if ln.startswith("transitions ")) + 1
+def _first_row(lines, table):
+    return next(i for i, ln in enumerate(lines) if ln.startswith(f"{table} ")) + 1
 
 
 def _set_count(lines):
-    lines[_first_transition(lines) - 1] = "transitions x"
+    lines[_first_row(lines, "transitions") - 1] = "transitions x"
 
 
 def _set_target(lines):
-    i = _first_transition(lines)
+    i = _first_row(lines, "transitions")
     s_i, action, _, count, prob = lines[i].split(" ")
     lines[i] = " ".join([s_i, action, "9999", count, prob])
 
 
 def _duplicate(lines):
-    i = _first_transition(lines)
+    i = _first_row(lines, "transitions")
     lines.insert(i, lines[i])
     lines[i - 1] = f"transitions {int(lines[i - 1].split()[1]) + 1}"
 
@@ -122,9 +122,35 @@ def _append(lines):
     lines.append(lines[-1])
 
 
+def _swap_transitions(lines):
+    i = _first_row(lines, "transitions")
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+
+
+def _swap_states(lines):
+    # the row numbers stay in place; only the states behind them trade places
+    i = _first_row(lines, "states")
+    (n0, bits0), (n1, bits1) = (ln.split(" ") for ln in lines[i:i + 2])
+    lines[i], lines[i + 1] = f"{n0} {bits1}", f"{n1} {bits0}"
+
+
+def _repeat_init_count(lines):
+    lines[_first_row(lines, "init-counts") - 1] = "init-counts 0:1,0:2"
+
+
+def _bits_out_of_range(lines):
+    i = _first_row(lines, "states")
+    n_agents = len(lines[i].split(" ")[1].split(","))
+    lines[i] = "0 " + ",".join(["999"] * n_agents)
+
+
 MALFORMED_MMDP = {
     "non-numeric-count": (_set_count, "malformed line"),
     "target-out-of-range": (_set_target, "transition 0 -> 9999 on line"),
     "duplicate-transition": (_duplicate, "duplicate transition lines"),
     "trailing-line": (_append, "unexpected line"),
+    "swapped-transitions": (_swap_transitions, "transition lines out of order"),
+    "swapped-states": (_swap_states, "state rows out of order"),
+    "repeated-init-count": (_repeat_init_count, "duplicate init-counts entries"),
+    "bits-out-of-range": (_bits_out_of_range, "state 0 on line 9 has an agent value outside"),
 }

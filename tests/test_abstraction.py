@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -137,6 +138,16 @@ class TestInvariants:
         with pytest.raises(PreconditionError):
             PolicyAbstraction(tiny_schema, 1, {}, (0,))
 
+    @pytest.mark.parametrize("initial_counts,message", [
+        ({(0,): 1, (1,): 0}, r"initial count 0 < 1 for \(1,\)"),
+        ({(0,): -1, (1,): 1}, r"initial count -1 < 1 for \(0,\)"),
+        ({(1,): 1}, r"initial state \(0,\) has no initial count"),
+    ], ids=["zero", "negative", "missing-initial"])
+    def test_bad_initial_counts_rejected(self, tiny_schema, initial_counts, message):
+        with pytest.raises(PreconditionError, match=message):
+            PolicyAbstraction(tiny_schema, 1, {((0,), ("a",), (1,)): 1}, (0,),
+                              initial_counts=initial_counts)
+
 
 class TestFiles:
     def test_roundtrip(self, tmp_path, sr3_domain, sr3_abstraction):
@@ -203,6 +214,33 @@ class TestMalformedFiles:
         bad = rewrite_mmdp(path, tmp_path / "bad.mmdp", edit)
         with pytest.raises(AbstractionFormatError, match=message):
             load_abstraction(bad, sr3_domain.schema)
+
+
+class TestMmdpDigests:
+    # SHA-256 of the .mmdp that save_abstraction writes for
+    # build_abstraction(simulate(d, episodes=30, seed=42)); any change to the
+    # counts, the canonical order or the number formatting shows here
+    DIGESTS = {
+        "sr3": "965c24d6319de70f0f9e7f01caa1eaa4ba23c8fa29a3da943894ee827edf083a",
+        "sr4": "43d438f4508a931b8c09a7094792a57b0e03cf3c3e0aaf8546b9145d70de0706",
+        "sr5": "62dc013a62eab8870813d6daec13868a92d4c474031dcda0b5b3aa1dbe5c0e83",
+        "rware2": "65a1684a3c0e41bc293b1209d721fbdbf5059d01fed9f665a9e3a227f54365d8",
+        "rware4": "e27e093480ff8f9f1b3ad60ae3ae28cb28c41750bccbfa9f4e570cce68ef8e27",
+        "rware19": "21fb68b009a7b4c90ee64b525389f82084eb7ee8e7034473bd4ce664ec06a8e4",
+        "lbf2": "a97c84020f5b34b80bc17be3523cb5b7e9972f38964719d4d528df1acf2f8cd2",
+        "lbf4": "dc40c9db2b63db5c934fdd585f85ba8f66e1d5e7d4ff5f9893d04aee83042386",
+        "lbf9": "c9b978c9e46ef44abb2e2b35956bb1c7f5f6dac567644c118e22bcc8bf7420ae",
+    }
+
+    @pytest.mark.parametrize("domain_id", sorted(DIGESTS))
+    def test_mmdp_bytes_pinned(self, domain_id, tmp_path):
+        domain = mapex.get_domain(domain_id)
+        m = build_abstraction(mapex.simulate(domain_id, episodes=30, seed=42),
+                              domain.schema)
+        path = tmp_path / f"{domain_id}.mmdp"
+        save_abstraction(m, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[domain_id]
+        assert load_abstraction(path, domain.schema) == m
 
 
 class TestSoundnessChecksSurviveOptimize:

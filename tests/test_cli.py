@@ -191,6 +191,20 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
 
+    @pytest.mark.parametrize("entries,count", [("0:1,1:0", 0), ("0:-1,1:1", -1)],
+                             ids=["zero", "negative"])
+    def test_initial_count_below_one_exits_2(self, pipeline, tmp_path, capsys,
+                                             entries, count):
+        _, _, mmdp = pipeline
+
+        def edit(lines):
+            lines[5:7] = ["initial 0", f"init-counts {entries}"]
+
+        bad = rewrite_mmdp(mmdp, tmp_path / "bad.mmdp", edit)
+        assert main(["summarize", "--mmdp", str(bad), "--domain", "sr3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: initial count {count} < 1 for ")
+
     @pytest.mark.parametrize("field", ["tasks", "done", "pos"])
     def test_agent_record_missing_field_exits_2(self, pipeline, tmp_path, capsys,
                                                  field):
