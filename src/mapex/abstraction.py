@@ -67,12 +67,12 @@ class QueryIndex:
     requirement, derived the first time a query asks for it and then
     memoised, and ``every_action`` selects all.  ``enabled_by`` turns a
     selection into the mask of the states enabling any of it; ``enabling``
-    masks the states with any enabled action.
+    masks the states with any enabled action.  Minterms and what answers
+    come from the model's per-(agent, feature) ``state_mask`` instead.
     """
 
     def __init__(self, states: tuple[JointState, ...],
                  out_edges: Mapping[JointState, tuple[Transition, ...]]):
-        self.states = states
         enabled: dict[JointState, tuple[JointAction, ...]] = {}
         masks: dict[JointAction, int] = {}
         enabling = 0
@@ -104,9 +104,6 @@ class QueryIndex:
         for mask in _select(self.state_masks, actions):
             states |= mask
         return states
-
-    def states_of(self, mask: int) -> frozenset[JointState]:
-        return frozenset(_select(self.states, mask))
 
 
 class PolicyAbstraction:
@@ -182,6 +179,7 @@ class PolicyAbstraction:
         self.state_index: dict[JointState, int] = {s: i for i, s in enumerate(self.states)}
         self.out_edges: dict[JointState, tuple[Transition, ...]] = {
             s: tuple(edges.get(s, ())) for s in self.states}
+        self._state_masks: dict[tuple[int, int], int] = {}
 
     @property
     def n_states(self) -> int:
@@ -200,6 +198,18 @@ class PolicyAbstraction:
         """The model's query index, built on first use, so building, loading
         and summarizing a model never pay for it."""
         return QueryIndex(self.states, self.out_edges)
+
+    def state_mask(self, agent: int, feature: int) -> int:
+        """Positions of the states in which agent ``agent`` has the one-bit
+        schema mask ``feature``; derived on first use, then memoised."""
+        mask = self._state_masks.get((agent, feature))
+        if mask is None:
+            mask = self._state_masks[(agent, feature)] = sum(
+                1 << j for j, s in enumerate(self.states) if s[agent] & feature)
+        return mask
+
+    def states_of(self, mask: int) -> frozenset[JointState]:
+        return frozenset(_select(self.states, mask))
 
     def enabled_actions(self, state: JointState) -> tuple[JointAction, ...]:
         """The state's distinct enabled joint actions, in first-seen order."""

@@ -140,23 +140,32 @@ def _minimal_transversals(
 
 def _prime_implicants(
     ones: Sequence[int], zeros: Sequence[int], deadline: float | None
-) -> dict[Implicant, set[int]]:
-    """All prime implicants touching the on-set, mapped to the ones they cover.
+) -> dict[Implicant, int]:
+    """All prime implicants touching the on-set, each mapped to the mask of the
+    positions in ``ones`` it covers: the AND, over its literals, of the ones
+    agreeing with the literal.
 
     Each prime is generated once, from the first one it covers: the k-th one
     keeps only the care masks that hit its difference with every earlier one,
-    so it covers none of them and only later ones need checking.  Both
-    difference families enter the search as their inclusion-minimal members.
+    so it covers none of them.  Both difference families enter the search as
+    their inclusion-minimal members.
     """
-    primes: dict[Implicant, set[int]] = {}
+    primes: dict[Implicant, int] = {}
     n_vars = max([*ones, *zeros], default=0).bit_length()
+    everyone = (1 << len(ones)) - 1
+    holding = [0] * n_vars  # per variable, the ones holding it, as bits by position
+    for j, o in enumerate(ones):
+        while o:
+            holding[(o & -o).bit_length() - 1] |= 1 << j
+            o &= o - 1
     for k, m in enumerate(ones):
-        later = ones[k:]
         edges = _minimal_sets([m ^ z for z in zeros])
         earlier = _minimal_sets([m ^ o for o in ones[:k]])
         for care in _minimal_transversals(edges, earlier, n_vars, deadline, len(primes)):
-            values = m & care
-            primes[Implicant(care, values)] = {o for o in later if o & care == values}
+            prime, covered = Implicant(care, m & care), everyone
+            for v, held in prime.literals():
+                covered &= holding[v] if held else everyone ^ holding[v]
+            primes[prime] = covered
     return primes
 
 
@@ -287,9 +296,8 @@ def minimize(
     coverage = _prime_implicants(ones, zeros, deadline)
     keys = {p: p.sort_key() for p in coverage}
     primes = sorted(coverage, key=lambda p: (len(keys[p]), keys[p]))
-    bit = {m: 1 << i for i, m in enumerate(ones)}
-    result = _cover(primes, [sum(map(bit.__getitem__, coverage[p])) for p in primes],
-                    [keys[p] for p in primes], deadline)
+    result = _cover(primes, [coverage[p] for p in primes], [keys[p] for p in primes],
+                    deadline)
 
     for m in ones:
         if not evaluate_dnf(result, m):

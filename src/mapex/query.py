@@ -4,13 +4,14 @@ questions, each in a baseline (norf) and a relevancy-filtered (withrf) variant.
 The when/why-not answerers partition states into targets and non-targets with a
 few int ANDs and ORs over the model's lazily built query index, which keeps one
 bit mask of enabling states per distinct enabled joint action and one bit mask
-of joint actions per (agent, action) requirement.  They then project both sets
-onto Boolean minterms (all agents x all features for norf; relevant agents x
-relevant features for withrf), and hand the resulting on/off-sets to the
-minimizer.  States in both partitions count as targets: explanations describe
-the target states, and the minimizer needs disjoint sets; the same rule is
-applied again after projection, where distinct states may collapse onto one
-minterm.
+of joint actions per (agent, action) requirement.  They then split both state
+masks on the model's per-(agent, feature) state masks into Boolean minterms
+(all agents x all features for norf; relevant agents x relevant features for
+withrf), and hand the resulting on/off-sets to the minimizer.  States in both
+partitions count as targets: explanations describe the target states, and the
+minimizer needs disjoint sets; the same rule is applied again after projection,
+where distinct states may collapse onto one minterm.  A what answer's states
+are the AND of the queried agents' predicate masks.
 """
 
 from __future__ import annotations
@@ -142,6 +143,21 @@ class BooleanSpace:
                 bits |= var_bit
         return bits
 
+    def minterms(self, states: int, m: PolicyAbstraction) -> set[int]:
+        """The distinct minterms of the states in the state mask ``states``:
+        the non-empty parts left by splitting it on every variable's mask."""
+        parts = [(0, states)] if states else []
+        for i, schema_bit, var_bit in self._projection(m.schema):
+            mask, split = m.state_mask(i, schema_bit), []
+            for bits, part in parts:
+                on = part & mask
+                if on:
+                    split.append((bits | var_bit, on))
+                if on != part:
+                    split.append((bits, part ^ on))
+            parts = split
+        return {bits for bits, _ in parts}
+
     def literal(self, var: int, polarity: bool) -> Literal:
         agent = self.agent_order[var // len(self.feature_order)]
         pred = self.feature_order[var % len(self.feature_order)]
@@ -265,27 +281,28 @@ def _check_width(space: BooleanSpace, max_vars: int) -> None:
 
 
 def _condition_answer(
-    query: Query, space: BooleanSpace, targets: frozenset[JointState],
-    nontargets: frozenset[JointState], ones: set[int], zeros: set[int],
+    query: Query, space: BooleanSpace, m: PolicyAbstraction,
+    targets: frozenset[JointState], ones: set[int], nontargets: int,
     *, deadline: float | None, max_vars: int,
 ) -> ConditionAnswer:
-    """The answer whose DNF is the minimized split of ``ones`` from ``zeros``."""
+    """The answer whose DNF is the minimized split of ``ones`` from the
+    minterms of the ``nontargets`` state mask."""
     cover = boolmin.minimize(
-        sorted(ones), sorted(zeros - ones), space.n_variables,
+        sorted(ones), sorted(space.minterms(nontargets, m) - ones), space.n_variables,
         deadline=deadline, max_vars=max_vars,
     )
     clauses = tuple(
         frozenset(space.literal(v, pol) for v, pol in imp.literals())
         for imp in cover
     )
-    return ConditionAnswer(query, LiteralDNF(clauses), space, targets, nontargets,
-                           cover.minimal, cover.lower_bound)
+    return ConditionAnswer(query, LiteralDNF(clauses), space, targets,
+                           m.states_of(nontargets), cover.minimal, cover.lower_bound)
 
 
-def partition(
+def _partition_masks(
     criterion, m: PolicyAbstraction, domain: DomainDefinition
-) -> tuple[frozenset[JointState], frozenset[JointState]]:
-    """(targets, non-targets) of a compatibility criterion; see when_partition.
+) -> tuple[int, int]:
+    """State masks of ``partition``'s (targets, non-targets).
 
     Bitmask algebra over the model's query index: the joint actions meeting
     an alternative are the AND of its requirement masks, those satisfying the
@@ -301,7 +318,15 @@ def partition(
             actions &= index.requirement(i, act)
         satisfying |= actions
     targets = index.enabled_by(satisfying)
-    return index.states_of(targets), index.states_of(index.enabling & ~targets)
+    return targets, index.enabling & ~targets
+
+
+def partition(
+    criterion, m: PolicyAbstraction, domain: DomainDefinition
+) -> tuple[frozenset[JointState], frozenset[JointState]]:
+    """(targets, non-targets) of a compatibility criterion; see when_partition."""
+    targets, nontargets = _partition_masks(criterion, m, domain)
+    return m.states_of(targets), m.states_of(nontargets)
 
 
 def when_partition(
@@ -332,10 +357,9 @@ def answer_when(
     """
     space, criterion = _condition_space(query, domain, "when")
     _check_width(space, max_vars)
-    targets, nontargets = partition(criterion, m, domain)
-    ones = {space.minterm(s, m.schema) for s in targets}
-    zeros = {space.minterm(s, m.schema) for s in nontargets}
-    return _condition_answer(query, space, targets, nontargets, ones, zeros,
+    targets, nontargets = _partition_masks(criterion, m, domain)
+    return _condition_answer(query, space, m, m.states_of(targets),
+                             space.minterms(targets, m), nontargets,
                              deadline=deadline, max_vars=max_vars)
 
 
@@ -360,17 +384,16 @@ def answer_whynot(
     if s_q not in m.state_index:
         raise UnknownStateError(f"queried state {s_q} is not in the abstraction")
     # the states taking the action are the non-targets of the answer
-    nontargets, _ = partition(criterion, m, domain)
-    if s_q in nontargets:
+    nontargets, _ = _partition_masks(criterion, m, domain)
+    if nontargets >> m.state_index[s_q] & 1:
         enabled = m.enabled_actions(s_q)
         action = next(a for a in enabled if compatible(a, criterion, domain))
         raise ContradictionNotice(
             "the agents DO take this action here: the queried state has a "
             f"compatible enabled action {action}"
         )
-    ones = {space.minterm(s_q, m.schema)}
-    zeros = {space.minterm(s, m.schema) for s in nontargets}
-    return _condition_answer(query, space, frozenset({s_q}), nontargets, ones, zeros,
+    return _condition_answer(query, space, m, frozenset({s_q}),
+                             {space.minterm(s_q, m.schema)}, nontargets,
                              deadline=deadline, max_vars=max_vars)
 
 
@@ -381,13 +404,12 @@ def answer_what(
     query.validate(domain)
     if query.kind != "what":
         raise PreconditionError(f"answer_what got a {query.kind!r} query")
-    mask = 0
-    for p in query.predicates:
-        mask |= 1 << m.schema.index_of(p)
     indices = {name: domain.agent_id(name).index for name in query.agents}
-    satisfying = list(m.states)
+    mask = (1 << m.n_states) - 1
     for i in indices.values():
-        satisfying = [s for s in satisfying if s[i] & mask == mask]
+        for p in query.predicates:
+            mask &= m.state_mask(i, 1 << m.schema.index_of(p))
+    satisfying = m.states_of(mask)
     if not satisfying:
         return WhatAnswer(query, {}, frozenset())
 
@@ -398,7 +420,7 @@ def answer_what(
             listed[name] = tuple(
                 a for a in domain.agent_spec(name).actions if a in observed
             )
-        return WhatAnswer(query, listed, frozenset(satisfying))
+        return WhatAnswer(query, listed, satisfying)
 
     # withrf: invert the relevance map (predicates -> actions), then take the
     # transition-count-weighted most frequent relevant action per agent
@@ -413,7 +435,7 @@ def answer_what(
                 if e.action[i] in relevant:
                     weights[e.action[i]] += e.count
         best[name] = min(weights, key=lambda a: (-weights[a], a)) if weights else None
-    return WhatAnswer(query, best, frozenset(satisfying))
+    return WhatAnswer(query, best, satisfying)
 
 
 def answer(

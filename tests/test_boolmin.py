@@ -44,6 +44,12 @@ def partitions(n_vars):
         yield ones, zeros
 
 
+def coverage_sets(ones, zeros):
+    """_prime_implicants as (care mask, values) -> the set of ones covered."""
+    return {(p.care_mask, p.values): {m for j, m in enumerate(ones) if covered >> j & 1}
+            for p, covered in _prime_implicants(ones, zeros, None).items()}
+
+
 def random_problem(rng, n_vars, n_ones, n_zeros):
     space = rng.sample(range(1 << n_vars), n_ones + n_zeros)
     return sorted(space[:n_ones]), sorted(space[n_ones:])
@@ -156,8 +162,7 @@ class TestPrimeImplicants:
             labels = [rng.choice((0, 1, None)) for _ in range(1 << n_vars)]
             ones = [m for m in range(1 << n_vars) if labels[m] == 1]
             zeros = [m for m in range(1 << n_vars) if labels[m] == 0]
-            got = {(p.care_mask, p.values): covered
-                   for p, covered in _prime_implicants(ones, zeros, None).items()}
+            got = coverage_sets(ones, zeros)
             want = {c: {m for m in ones if cube_covers(c, m)}
                     for c in prime_cubes(ones, zeros, n_vars)}
             assert got == want, (n_vars, ones, zeros)
@@ -274,8 +279,7 @@ class TestGreedyCover:
             n_vars = rng.choice((8, 9))
             ones, zeros = random_problem(rng, n_vars, rng.randint(60, 110),
                                          rng.randint(30, 70))
-            coverage = {(p.care_mask, p.values): covered
-                        for p, covered in _prime_implicants(ones, zeros, None).items()}
+            coverage = coverage_sets(ones, zeros)
             n_covering = Counter(m for covered in coverage.values() for m in covered)
             essential = {c for c, covered in coverage.items()
                          if any(n_covering[m] == 1 for m in covered)}
@@ -411,7 +415,7 @@ class TestGuardrails:
         code = (
             "from mapex import boolmin\n"
             "boolmin._prime_implicants = lambda ones, zeros, deadline: "
-            "{boolmin.Implicant(0, 0): set(ones)}\n"
+            "{boolmin.Implicant(0, 0): (1 << len(ones)) - 1}\n"
             "try:\n"
             "    boolmin.minimize([0], [1], 1)\n"
             "except AssertionError as exc:\n"

@@ -608,10 +608,47 @@ class TestMaskIndex:
         mapex.save_abstraction(built, path)
         m = mapex.load_abstraction(path, sr3_domain.schema)
         mapex.summarize(m)
+        # a withrf what answer reads the state masks and edges only
+        what = Query(kind="what", agents=("UAV",), predicates=("victim_detect",))
+        assert answer_what(what, m, sr3_domain).satisfying_states
         for model in (built, m):
             assert "query_index" not in vars(model)
         when_partition(when_query("UAV", RESCUE, "withrf"), m, sr3_domain)
         assert "query_index" in vars(m)
+
+
+class TestMaskProjection:
+    # BooleanSpace.minterms projects a state mask at once; BooleanSpace.minterm,
+    # one state at a time, is the reference
+    @staticmethod
+    def check(m, domain, pairs, masks):
+        agents = tuple(dict.fromkeys(agent for agent, _ in pairs))
+        for method in ("norf", "withrf"):
+            q = Query(kind="when", agents=agents, method=method, actions=tuple(pairs))
+            space = when_partition(q, m, domain)[0]
+            for mask in (0, *masks):
+                expected = {space.minterm(s, m.schema) for s in m.states_of(mask)}
+                assert space.minterms(mask, m) == expected, (method, mask)
+
+    @given(st.integers(0, 10_000), synth_domains(),
+           st.lists(st.sampled_from(PAIRS), min_size=1, max_size=2,
+                    unique_by=lambda p: p[0]),
+           st.integers(0, 1 << 64))
+    @settings(max_examples=150, deadline=None)
+    def test_synth_models(self, seed, domain, pairs, bits):
+        m = synth_model(seed)
+        every_state = (1 << m.n_states) - 1
+        self.check(m, domain, pairs, (bits & every_state, every_state))
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_wide_model(self, sr5_model, data):
+        # 290 states: every state mask spans several machine words
+        domain, m = sr5_model
+        pairs = [pair for pair, e in sorted(domain.relevance.entries.items())
+                 if e.features]
+        pair = data.draw(st.sampled_from(pairs))
+        self.check(m, domain, [pair], (data.draw(st.integers(0, (1 << m.n_states) - 1)),))
 
 
 class TestSoundnessChecksSurviveOptimize:
