@@ -3,10 +3,14 @@
     simulate -> abstract -> summarize / explain, plus a bench harness that
     times every query type and method on one domain.
 
-Flag precedence: explicit command line > MAPEX_* environment variables >
---config JSON file > built-in defaults.  Exit codes: 0 success, 2 usage or
-precondition errors, 3 when an explanation hit the timeout or the minimizer's
-variable guardrail.
+Each flag is declared once in ``_FLAGS`` (converter, default, help), and
+``_COMMANDS`` lists the flags each command takes.  A flag's value comes from
+the command line, else MAPEX_<FLAG>, else the --config JSON file, else its
+default, and one converter checks it whatever its source: a bad value is the
+same one ``error:`` line and exit 2 from any of them.  simulate and abstract
+write files, so they need a real --out path.  Exit codes: 0 success, 2 usage
+or precondition errors, 3 when explain or boolmin-debug hit the timeout or the
+minimizer's variable guardrail (--max-vars).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import os
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import boolmin
 from .abstraction import build_abstraction, load_abstraction, save_abstraction
@@ -38,6 +42,90 @@ EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_TIMEOUT = 3
 
+# A converter takes a value from any source (a command-line or MAPEX_* string,
+# a --config JSON value) and returns it checked, or raises ValueError saying
+# what the flag must be.
+
+
+def _text(v: Any) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"a string, got {v!r}")
+    return v
+
+
+def _number(kind: type, what: str, positive: bool = False) -> Callable[[Any], Any]:
+    """A converter to int or float from a JSON number or a string of one,
+    never from a boolean (nor, for int, from a float)."""
+    def convert(v: Any):
+        try:
+            if isinstance(v, bool) or not isinstance(v, (str, int, kind)):
+                raise ValueError
+            n = kind(v)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{what}, got {v!r}") from None
+        if positive and not n > 0:  # NaN is not > 0 either
+            raise ValueError(f"{what}, got {n}")
+        return n
+    return convert
+
+
+def _switch(v: Any) -> bool:
+    word = str(v).lower() if isinstance(v, (bool, str)) else None
+    if word in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        return word in ("1", "true", "yes", "on")
+    raise ValueError(f"one of 1/true/yes/on/0/false/no/off, got {v!r}")
+
+
+class _Flag(NamedTuple):
+    convert: Callable[[Any], Any]
+    default: Any  # None: may stay unset; _REQUIRED: unset is an error
+    help: str
+    metavar: str | None = None
+
+
+_REQUIRED = object()
+_integer = _number(int, "an integer")
+
+
+def _choice(default: Any, help: str, *options: str) -> _Flag:
+    def convert(v: Any) -> str:
+        if v not in options:
+            raise ValueError(f"one of {', '.join(options)}, got {v!r}")
+        return v
+    return _Flag(convert, default, help, "{" + ",".join(options) + "}")
+
+
+# Every flag but --config (a config key may spell '_' as '-')
+_FLAGS = {
+    "domain": _Flag(_text, _REQUIRED, "built-in domain id (e.g. sr3) or a "
+                    "domain definition file (simulate and bench: ids only)"),
+    "episodes": _Flag(_integer, 100, "episodes to simulate"),
+    "max_steps": _Flag(_integer, DEFAULT_MAX_STEPS, "step limit per episode"),
+    "seed": _Flag(_integer, 42, "random seed"),
+    "trace": _Flag(_text, _REQUIRED, "trace file path"),
+    "mmdp": _Flag(_text, _REQUIRED, "abstraction file path"),
+    "out": _Flag(_text, "-", "output path; '-' is stdout, which simulate and "
+                 "abstract refuse"),
+    "normalize": _choice("state", "count normalization", "state", "state-action"),
+    "virtual_init": _Flag(_switch, False, "allow several initial abstract states"),
+    "format": _choice("chart", "chart layout", "chart", "csv"),
+    "type": _choice(_REQUIRED, "query type", "when", "whynot", "what"),
+    "agents": _Flag(_text, _REQUIRED, "comma-separated agent names"),
+    "actions": _Flag(_text, None, "comma-separated action ids (when/whynot)"),
+    "state": _Flag(_text, None, "state index or inline per-agent bits (whynot)"),
+    "predicates": _Flag(_text, None, "comma-separated predicate ids (what)"),
+    "method": _choice("withrf", "query method", "norf", "withrf"),
+    # 0 or less would mean "no timeout" / "refuse every problem": refused
+    "timeout": _Flag(_number(float, "a positive number of seconds", positive=True),
+                     3600.0, "seconds before aborting minimization"),
+    "max_vars": _Flag(_number(int, "a positive integer", positive=True),
+                      boolmin.MAX_VARIABLES, "minimizer variable guardrail"),
+    "emit_dnf": _Flag(_switch, False, "also print the raw DNF"),
+    "csv": _Flag(_text, None, "also write rows to this CSV file"),
+    "table": _Flag(_text, _REQUIRED, "truth table file: first line V, then "
+                   "'<bits> 0|1'"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,80 +133,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Abstract multi-agent policy traces and explain them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, help, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON file supplying defaults for any flag")
-
-    p = sub.add_parser("simulate", help="run a scripted domain policy to a trace file")
-    add_common(p)
-    p.add_argument("--domain", help="domain id, e.g. sr3")
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="trace file path")
-
-    p = sub.add_parser("abstract", help="build an abstraction from a trace file")
-    add_common(p)
-    p.add_argument("--trace", help="trace file path")
-    p.add_argument("--domain")
-    p.add_argument("--out", help="abstraction file path")
-    p.add_argument("--normalize", choices=["state", "state-action"])
-    p.add_argument("--virtual-init", action="store_true", default=None,
-                   help="allow several initial abstract states")
-
-    p = sub.add_parser("summarize", help="most-probable-path task chart")
-    add_common(p)
-    p.add_argument("--mmdp", help="abstraction file path")
-    p.add_argument("--domain")
-    p.add_argument("--format", choices=["chart", "csv"])
-    p.add_argument("--out", help="output path or '-' for stdout")
-
-    p = sub.add_parser("explain", help="answer a when / whynot / what query")
-    add_common(p)
-    p.add_argument("--mmdp")
-    p.add_argument("--domain")
-    p.add_argument("--type", dest="kind", choices=["when", "whynot", "what"])
-    p.add_argument("--agents", help="comma-separated agent names")
-    p.add_argument("--actions", help="comma-separated action ids (when/whynot)")
-    p.add_argument("--state", help="state index or inline per-agent bits (whynot)")
-    p.add_argument("--predicates", help="comma-separated predicate ids (what)")
-    p.add_argument("--method", choices=["norf", "withrf"])
-    p.add_argument("--timeout", type=float,
-                   help="seconds before aborting minimization (must be > 0)")
-    p.add_argument("--max-vars", type=int, help="minimizer variable guardrail")
-    p.add_argument("--emit-dnf", action="store_true", default=None,
-                   help="also print the raw DNF")
-    p.add_argument("--out", help="output path or '-' for stdout")
-
-    p = sub.add_parser("bench", help="per-query timing table for one domain")
-    add_common(p)
-    p.add_argument("--domain")
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--timeout", type=float, help="seconds per query (must be > 0)")
-    p.add_argument("--max-vars", type=int)
-    p.add_argument("--csv", help="also write rows to this CSV file")
-
-    p = sub.add_parser("boolmin-debug", help=argparse.SUPPRESS)
-    add_common(p)
-    p.add_argument("--table", help="truth table file: first line V, then '<bits> 0|1'")
+        for name in names:
+            flag = _FLAGS[name]
+            option = "--" + name.replace("_", "-")
+            if flag.convert is _switch:
+                p.add_argument(option, action="store_true", default=None, help=flag.help)
+            else:
+                p.add_argument(option, metavar=flag.metavar, help=flag.help)
     return parser
-
-
-_DEFAULTS = {
-    "episodes": 100,
-    "max_steps": DEFAULT_MAX_STEPS,
-    "seed": 42,
-    "format": "chart",
-    "method": "withrf",
-    "normalize": "state",
-    "timeout": 3600.0,
-    "max_vars": boolmin.MAX_VARIABLES,
-    "out": "-",
-    "virtual_init": False,
-    "emit_dnf": False,
-}
 
 
 def _load_config(path: str | None) -> dict[str, Any]:
@@ -134,81 +159,29 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return {str(k).replace("-", "_"): v for k, v in data.items()}
 
 
-# argparse dest -> flag name, where they differ
-_FLAG_ALIASES = {"kind": "type"}
-
-
-class _Options:
-    """Post-parse flag resolution: CLI > environment > config > defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _load_config(getattr(args, "config", None))
-
-    def get(self, name: str, required: bool = False):
-        value = getattr(self.args, name, None)
-        names = [name]
-        if name in _FLAG_ALIASES:
-            names.append(_FLAG_ALIASES[name])
-        if value is None:
-            for key in names:
-                env = os.environ.get(ENV_PREFIX + key.upper())
-                if env is not None:
-                    value = env
-                    break
-        if value is None:
-            for key in names:
-                if key in self.config:
-                    value = self.config[key]
-                    break
-        if value is None:
-            value = _DEFAULTS.get(name)
-        if value is None and required:
-            flag = _FLAG_ALIASES.get(name, name).replace("_", "-")
-            raise MapexError(f"missing required option --{flag}")
-        return value
-
-    def get_int(self, name: str, required: bool = False):
-        return self._convert(name, required, int, "an integer")
-
-    def get_float(self, name: str, required: bool = False):
-        return self._convert(name, required, float, "a number")
-
-    def _convert(self, name: str, required: bool, kind, what: str):
-        v = self.get(name, required)
-        try:
-            return None if v is None else kind(v)
-        except (TypeError, ValueError):
-            flag = _FLAG_ALIASES.get(name, name).replace("_", "-")
-            raise MapexError(f"--{flag} must be {what}, got {v!r}") from None
-
-    def get_timeout(self) -> float:
-        """--timeout in seconds; 0, negative and NaN are rejected, not
-        read as "no timeout"."""
-        v = self.get_float("timeout")
-        if not v > 0:
-            raise MapexError(f"--timeout must be a positive number of seconds, got {v}")
-        return v
-
-    def get_max_vars(self) -> int:
-        """--max-vars, the minimizer's variable guardrail; below 1 it would
-        refuse every problem, so it is rejected instead."""
-        v = self.get_int("max_vars")
-        if v < 1:
-            raise MapexError(f"--max-vars must be a positive integer, got {v}")
-        return v
-
-    def get_bool(self, name: str) -> bool:
-        v = self.get(name)
-        if isinstance(v, str):
-            return v.lower() in ("1", "true", "yes", "on")
-        return bool(v)
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's flags, each from its first source and converted."""
+    config = _load_config(args.config)
+    resolved = argparse.Namespace(command=args.command)
+    for name in _COMMANDS[args.command][2]:
+        flag = _FLAGS[name]
+        sources = (getattr(args, name), os.environ.get(ENV_PREFIX + name.upper()),
+                   config.get(name), flag.default)
+        value = next((v for v in sources if v is not None), None)
+        option = "--" + name.replace("_", "-")
+        if value is _REQUIRED:
+            raise MapexError(f"missing required option {option}")
+        if value is not None:
+            try:
+                value = flag.convert(value)
+            except ValueError as exc:
+                raise MapexError(f"{option} must be {exc}") from None
+        setattr(resolved, name, value)
+    return resolved
 
 
 def _csv_list(text: str | None) -> list[str]:
-    if not text:
-        return []
-    return [part.strip() for part in text.split(",") if part.strip()]
+    return [part.strip() for part in (text or "").split(",") if part.strip()]
 
 
 def _write_output(text: str, out: str) -> None:
@@ -234,19 +207,18 @@ def _parse_state(text: str, m) -> JointState:
     return m.states[index]
 
 
-def _cmd_simulate(opts: _Options) -> int:
-    domain_id = str(opts.get("domain", required=True))
-    out = str(opts.get("out", required=True))
-    if out == "-":
-        raise MapexError("simulate needs --out <path>")
-    domain = get_domain(domain_id)
-    samples = simulate(
-        domain_id,
-        episodes=opts.get_int("episodes"),
-        max_steps=opts.get_int("max_steps"),
-        seed=opts.get_int("seed"),
-    )
-    n = write_trace(out, domain_id, domain.n_agents, samples)
+def _file_out(o: argparse.Namespace) -> str:
+    """--out of a command that writes a file, which stdout cannot stand in for."""
+    if o.out == "-":
+        raise MapexError(f"{o.command} needs --out <path>")
+    return o.out
+
+
+def _cmd_simulate(o: argparse.Namespace) -> int:
+    out = _file_out(o)
+    domain = get_domain(o.domain)
+    samples = simulate(o.domain, episodes=o.episodes, max_steps=o.max_steps, seed=o.seed)
+    n = write_trace(out, o.domain, domain.n_agents, samples)
     print(f"wrote {n} samples to {out}")
     return EXIT_OK
 
@@ -264,47 +236,38 @@ def _check_agents(what: str, n_agents, domain: DomainDefinition) -> None:
                          f"has {domain.n_agents}")
 
 
-def _cmd_abstract(opts: _Options) -> int:
-    domain = _resolve_domain(str(opts.get("domain", required=True)))
-    trace_path = str(opts.get("trace", required=True))
-    out = str(opts.get("out", required=True))
-    header, samples = read_trace(trace_path)
-    _check_agents(f"trace {trace_path}", header.get("agents"), domain)
+def _cmd_abstract(o: argparse.Namespace) -> int:
+    out = _file_out(o)
+    domain = _resolve_domain(o.domain)
+    header, samples = read_trace(o.trace)
+    _check_agents(f"trace {o.trace}", header.get("agents"), domain)
     m = build_abstraction(
-        samples,
-        domain.schema,
-        normalization=str(opts.get("normalize")),
-        virtual_init=opts.get_bool("virtual_init"),
+        samples, domain.schema, normalization=o.normalize, virtual_init=o.virtual_init
     )
     save_abstraction(m, out)
     print(f"abstraction: {m.n_states} states, {m.n_transitions} transitions -> {out}")
     return EXIT_OK
 
 
-def _load_mmdp(opts: _Options) -> tuple[DomainDefinition, Any]:
-    domain = _resolve_domain(str(opts.get("domain", required=True)))
-    path = str(opts.get("mmdp", required=True))
-    m = load_abstraction(path, domain.schema)
-    _check_agents(f"abstraction {path}", m.n_agents, domain)
+def _load_mmdp(o: argparse.Namespace) -> tuple[DomainDefinition, Any]:
+    domain = _resolve_domain(o.domain)
+    m = load_abstraction(o.mmdp, domain.schema)
+    _check_agents(f"abstraction {o.mmdp}", m.n_agents, domain)
     return domain, m
 
 
-def _cmd_summarize(opts: _Options) -> int:
-    domain, m = _load_mmdp(opts)
+def _cmd_summarize(o: argparse.Namespace) -> int:
+    domain, m = _load_mmdp(o)
     chart = summarize(m)
-    text = render_chart(
-        chart, str(opts.get("format")), tuple(a.name for a in domain.agents)
-    )
-    _write_output(text, str(opts.get("out")))
+    text = render_chart(chart, o.format, tuple(a.name for a in domain.agents))
+    _write_output(text, o.out)
     return EXIT_OK
 
 
-def _build_query(opts: _Options, domain: DomainDefinition, m) -> Query:
-    kind = str(opts.get("kind", required=True))
-    method = str(opts.get("method"))
-    agents = _csv_list(str(opts.get("agents", required=True)))
-    actions = _csv_list(opts.get("actions") or "")
-    if kind in ("when", "whynot"):
+def _build_query(o: argparse.Namespace, m) -> Query:
+    agents = _csv_list(o.agents)
+    actions = _csv_list(o.actions)
+    if o.type in ("when", "whynot"):
         if len(actions) == 1 and len(agents) > 1:
             actions = actions * len(agents)
         if len(actions) != len(agents):
@@ -316,52 +279,36 @@ def _build_query(opts: _Options, domain: DomainDefinition, m) -> Query:
     else:
         pairs = ()
     state = None
-    if kind == "whynot":
-        state_text = opts.get("state", required=True)
-        state = _parse_state(str(state_text), m)
-    predicates = tuple(_csv_list(opts.get("predicates") or ""))
+    if o.type == "whynot":
+        if o.state is None:
+            raise MapexError("missing required option --state")
+        state = _parse_state(o.state, m)
     return Query(
-        kind=kind,
+        kind=o.type,
         agents=tuple(agents),
-        method=method,
+        method=o.method,
         actions=pairs,
         state=state,
-        predicates=predicates,
+        predicates=tuple(_csv_list(o.predicates)),
     )
 
 
-def _cmd_explain(opts: _Options) -> int:
-    domain, m = _load_mmdp(opts)
-    query = _build_query(opts, domain, m)
+def _cmd_explain(o: argparse.Namespace) -> int:
+    domain, m = _load_mmdp(o)
+    query = _build_query(o, m)
     phrases = PhraseMap.from_domain(domain)
-    deadline = time.monotonic() + opts.get_timeout()
-    max_vars = opts.get_max_vars()
-    out = str(opts.get("out"))
+    deadline = time.monotonic() + o.timeout
     try:
-        result = answer(query, m, domain, deadline=deadline, max_vars=max_vars)
+        result = answer(query, m, domain, deadline=deadline, max_vars=o.max_vars)
     except ContradictionNotice as exc:
-        _write_output(f"notice: {exc}", out)
+        _write_output(f"notice: {exc}", o.out)
         return EXIT_OK
-    except TooManyVariablesError as exc:
-        print(
-            f"could not explain within resource limits: {exc}\n"
-            f"partial progress: 0 prime implicants "
-            f"({exc.n_vars} variables > guardrail {exc.limit})",
-            file=sys.stderr,
-        )
-        return EXIT_TIMEOUT
-    except MinimizationTimeout as exc:
-        print(
-            f"could not explain within resource limits: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_TIMEOUT
     lines = [render(result, phrases)]
-    if opts.get_bool("emit_dnf") and query.kind in ("when", "whynot"):
+    if o.emit_dnf and query.kind in ("when", "whynot"):
         lines.append("DNF: " + format_dnf(result))
     if query.kind in ("when", "whynot") and not result.minimal:
         lines.append(_unproven_note(result.lower_bound))
-    _write_output("\n".join(lines), out)
+    _write_output("\n".join(lines), o.out)
     return EXIT_OK
 
 
@@ -405,17 +352,9 @@ def _incompatible_state(m, domain: DomainDefinition, actions) -> JointState:
     return min(never, default=m.initial_state)  # m.states is sorted
 
 
-def _cmd_bench(opts: _Options) -> int:
-    domain_id = str(opts.get("domain", required=True))
-    domain = get_domain(domain_id)
-    episodes = opts.get_int("episodes")
-    seed = opts.get_int("seed")
-    timeout = opts.get_timeout()
-    max_vars = opts.get_max_vars()
-
-    samples = simulate(
-        domain_id, episodes=episodes, max_steps=opts.get_int("max_steps"), seed=seed
-    )
+def _cmd_bench(o: argparse.Namespace) -> int:
+    domain = get_domain(o.domain)
+    samples = simulate(o.domain, episodes=o.episodes, max_steps=o.max_steps, seed=o.seed)
     m = build_abstraction(samples, domain.schema)
     path = most_probable_path(m)
     chart = summarize(m, path=path)
@@ -434,11 +373,11 @@ def _cmd_bench(opts: _Options) -> int:
                 state=whynot_state if kind == "whynot" else None,
                 predicates=spec[kind].get("predicates", ()),
             )
-            deadline = time.monotonic() + timeout
+            deadline = time.monotonic() + o.timeout
             start = time.perf_counter()
             status, clauses = "ok", ""
             try:
-                a = answer(q, m, domain, deadline=deadline, max_vars=max_vars)
+                a = answer(q, m, domain, deadline=deadline, max_vars=o.max_vars)
                 if kind == "what":
                     clauses = str(sum(
                         len(v) if isinstance(v, tuple) else (0 if v is None else 1)
@@ -455,7 +394,7 @@ def _cmd_bench(opts: _Options) -> int:
                 status = "contradiction"
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             rows.append({
-                "domain": domain_id,
+                "domain": o.domain,
                 "agents": domain.n_agents,
                 "states": m.n_states,
                 "transitions": m.n_transitions,
@@ -470,7 +409,7 @@ def _cmd_bench(opts: _Options) -> int:
 
     header = ["query", "method", "|E|", "time_ms", "status"]
     print(
-        f"domain={domain_id} N={domain.n_agents} |S|={m.n_states} "
+        f"domain={o.domain} N={domain.n_agents} |S|={m.n_states} "
         f"|T|={m.n_transitions} |rho|={len(path)} |Z|={chart_size}"
     )
     table = [header] + [
@@ -481,19 +420,18 @@ def _cmd_bench(opts: _Options) -> int:
     for row in table:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
-    csv_path = opts.get("csv")
-    if csv_path:
+    if o.csv:
         cols = ["domain", "agents", "states", "transitions", "path_len",
                 "chart", "query", "method", "clauses", "time_ms", "status"]
-        with open(str(csv_path), "w", encoding="utf-8") as fh:
+        with open(o.csv, "w", encoding="utf-8") as fh:
             fh.write(",".join(cols) + "\n")
             for r in rows:
                 fh.write(",".join(str(r[c]) for c in cols) + "\n")
     return EXIT_OK
 
 
-def _cmd_boolmin_debug(opts: _Options) -> int:
-    path = str(opts.get("table", required=True))
+def _cmd_boolmin_debug(o: argparse.Namespace) -> int:
+    path = o.table
     with open(path, "r", encoding="utf-8") as fh:
         rows = [ln.split() for ln in fh if ln.strip()]
     if not rows or len(rows[0]) != 1 or not rows[0][0].isdecimal():
@@ -508,7 +446,7 @@ def _cmd_boolmin_debug(opts: _Options) -> int:
                 f"'<bits> 0|1' over {n_vars} variables"
             )
         (ones if row[1] == "1" else zeros).append(int(row[0], 2))
-    result = boolmin.minimize(ones, zeros, n_vars, max_vars=opts.get_max_vars())
+    result = boolmin.minimize(ones, zeros, n_vars, max_vars=o.max_vars)
     if not result:
         print("FALSE")
     else:
@@ -522,29 +460,39 @@ def _cmd_boolmin_debug(opts: _Options) -> int:
     return EXIT_OK
 
 
+# command -> (function, help, the flags it takes)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "abstract": _cmd_abstract,
-    "summarize": _cmd_summarize,
-    "explain": _cmd_explain,
-    "bench": _cmd_bench,
-    "boolmin-debug": _cmd_boolmin_debug,
+    "simulate": (_cmd_simulate, "run a scripted domain policy to a trace file",
+                 ("domain", "episodes", "max_steps", "seed", "out")),
+    "abstract": (_cmd_abstract, "build an abstraction from a trace file",
+                 ("trace", "domain", "out", "normalize", "virtual_init")),
+    "summarize": (_cmd_summarize, "most-probable-path task chart",
+                  ("mmdp", "domain", "format", "out")),
+    "explain": (_cmd_explain, "answer a when / whynot / what query",
+                ("mmdp", "domain", "type", "agents", "actions", "state", "predicates",
+                 "method", "timeout", "max_vars", "emit_dnf", "out")),
+    "bench": (_cmd_bench, "per-query timing table for one domain",
+              ("domain", "episodes", "max_steps", "seed", "timeout", "max_vars", "csv")),
+    "boolmin-debug": (_cmd_boolmin_debug, argparse.SUPPRESS, ("table", "max_vars")),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        opts = _Options(args)
-        return _COMMANDS[args.command](opts)
-    except MinimizationTimeout as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
+        return _COMMANDS[args.command][0](_resolve(args))
+    except TooManyVariablesError as exc:
+        print(
+            f"could not explain within resource limits: {exc}\n"
+            f"partial progress: 0 prime implicants "
+            f"({exc.n_vars} variables > guardrail {exc.limit})",
+            file=sys.stderr,
+        )
         return EXIT_TIMEOUT
-    except MapexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except MinimizationTimeout as exc:
+        print(f"could not explain within resource limits: {exc}", file=sys.stderr)
+        return EXIT_TIMEOUT
+    except (MapexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except UnicodeDecodeError as exc:

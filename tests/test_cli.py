@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mapex import boolmin, build_abstraction, get_domain, render_chart, simulate, summarize
+from mapex import cli
 from mapex.cli import main
 from mapex.domain import domain_to_dict
 from synth import MALFORMED_MMDP, rewrite_mmdp
@@ -506,6 +507,113 @@ class TestConfigAndEnv:
         assert err == ["error: --episodes must be an integer, got 'abc'"]
 
 
+class TestOneCheckPerValue:
+    """A flag's value is checked by one converter whatever its source: a bad
+    value gives the same one ``error:`` line and exit 2 from a flag, a
+    MAPEX_* variable or --config."""
+
+    @staticmethod
+    def argv(flag, pipeline, tmp_path):
+        _, trace, mmdp = pipeline
+        if flag in ("episodes", "seed"):
+            return ["simulate", "--domain", "sr3", "--out", str(tmp_path / "t.jsonl")]
+        if flag == "normalize":
+            return ["abstract", "--trace", str(trace), "--domain", "sr3",
+                    "--out", str(tmp_path / "m.mmdp")]
+        if flag == "format":
+            return ["summarize", "--mmdp", str(mmdp), "--domain", "sr3"]
+        return ["explain", "--mmdp", str(mmdp), "--domain", "sr3", "--agents", "UAV",
+                "--actions", "rescue_victim", *([] if flag == "type" else ["--type", "when"])]
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("flag,value,what", [
+        ("episodes", "abc", "an integer"),
+        ("seed", "1.5", "an integer"),
+        ("type", "bogus", "one of when, whynot, what"),
+        ("method", "x", "one of norf, withrf"),
+        ("format", "x", "one of chart, csv"),
+        ("normalize", "x", "one of state, state-action"),
+        ("timeout", "abc", "a positive number of seconds"),
+    ])
+    def test_bad_value_is_one_line(self, pipeline, tmp_path, capsys, monkeypatch,
+                                   source, flag, value, what):
+        argv = self.argv(flag, pipeline, tmp_path)
+        if source == "flag":
+            argv += [f"--{flag}", value]
+        elif source == "env":
+            monkeypatch.setenv(f"MAPEX_{flag.upper()}", value)
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({flag: value}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --{flag} must be {what}, got {value!r}"]
+
+    CHOICES = {"type": "{when,whynot,what}", "method": "{norf,withrf}",
+               "format": "{chart,csv}", "normalize": "{state,state-action}"}
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_names_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in cli._COMMANDS[command][2]:
+            flag = "--" + name.replace("_", "-")
+            assert flag in out
+            if name in self.CHOICES:
+                assert f"{flag} {self.CHOICES[name]}" in out
+
+    @pytest.mark.parametrize("config,env,line", [
+        ({"episodes": 2.7}, {}, "--episodes must be an integer, got 2.7"),
+        ({"episodes": True}, {}, "--episodes must be an integer, got True"),
+        ({"timeout": False}, {}, "--timeout must be a positive number of seconds, "
+                                 "got False"),
+        ({"agents": ["UAV"]}, {}, "--agents must be a string, got ['UAV']"),
+        ({"emit-dnf": 1}, {}, "--emit-dnf must be one of 1/true/yes/on/0/false/no/off, "
+                              "got 1"),
+        ({}, {"MAPEX_EMIT_DNF": "maybe"},
+         "--emit-dnf must be one of 1/true/yes/on/0/false/no/off, got 'maybe'"),
+    ])
+    def test_wrong_types_are_refused(self, pipeline, tmp_path, capsys, monkeypatch,
+                                     config, env, line):
+        _, _, mmdp = pipeline
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mmdp": str(mmdp), "domain": "sr3", "type": "when",
+                                    "agents": "UAV", "actions": "rescue_victim",
+                                    "out": str(tmp_path / "t.jsonl"), **config}))
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        command = "simulate" if "episodes" in config else "explain"
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+    @pytest.mark.parametrize("value,dnf", [("YES", True), ("on", True), ("0", False),
+                                           (True, True), (False, False)])
+    def test_switch_values(self, pipeline, tmp_path, capsys, value, dnf):
+        _, _, mmdp = pipeline
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"emit_dnf": value}))
+        assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3",
+                     "--type", "when", "--agents", "UAV", "--actions", "rescue_victim",
+                     "--config", str(config)]) == 0
+        assert ("DNF: " in capsys.readouterr().out) is dnf
+
+    @pytest.mark.parametrize("command", ["simulate", "abstract"])
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["no-out", "dash"])
+    def test_file_writers_need_a_path(self, pipeline, tmp_path, capsys, monkeypatch,
+                                      command, out):
+        _, trace, _ = pipeline
+        monkeypatch.chdir(tmp_path)
+        argv = {"simulate": ["simulate", "--domain", "sr3", "--episodes", "2"],
+                "abstract": ["abstract", "--trace", str(trace), "--domain", "sr3"]}
+        assert main(argv[command] + out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {command} needs --out <path>"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBench:
     def test_table_and_csv_agree(self, tmp_path, capsys):
         csv_path = tmp_path / "bench.csv"
@@ -644,3 +752,23 @@ class TestBoolminDebug:
         assert main(["boolmin-debug", "--table", str(table)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: truth table {table}")
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_guardrail_exits_3_like_explain(self, tmp_path, capsys, monkeypatch, source):
+        table = tmp_path / "tt.txt"
+        table.write_text("2\n11 1\n00 0\n")
+        argv = ["boolmin-debug", "--table", str(table)]
+        if source == "flag":
+            argv += ["--max-vars", "1"]
+        elif source == "env":
+            monkeypatch.setenv("MAPEX_MAX_VARS", "1")
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"max-vars": 1}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("could not explain within resource limits: "
+                                 "minimization over 2 variables exceeds the guardrail of 1")
+        assert err[1] == "partial progress: 0 prime implicants (2 variables > guardrail 1)"
