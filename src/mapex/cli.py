@@ -7,10 +7,11 @@ Each flag is declared once in ``_FLAGS`` (converter, default, help), and
 ``_COMMANDS`` lists the flags each command takes.  A flag's value comes from
 the command line, else MAPEX_<FLAG>, else the --config JSON file, else its
 default, and one converter checks it whatever its source: a bad value is the
-same one ``error:`` line and exit 2 from any of them.  simulate and abstract
-write files, so they need a real --out path.  Exit codes: 0 success, 2 usage
-or precondition errors, 3 when explain or boolmin-debug hit the timeout or the
-minimizer's variable guardrail (--max-vars).
+same one ``error:`` line and exit 2 from any of them.  A --config key must
+name some command's flag.  simulate and abstract write files, so they need a
+real --out path.  Exit codes: 0 success, 2 usage or precondition errors, 3
+when explain or boolmin-debug hit the timeout or the minimizer's variable
+guardrail (--max-vars).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import boolmin
-from .abstraction import build_abstraction, load_abstraction, save_abstraction
+from .abstraction import NORMALIZATIONS, build_abstraction, load_abstraction, save_abstraction
 from .domain import DomainDefinition, JointState, load_domain_file
 from .envs import DEFAULT_MAX_STEPS, get_domain, read_trace, simulate, write_trace
 from .errors import (
@@ -33,8 +34,8 @@ from .errors import (
     TooManyVariablesError,
 )
 from .nlg import PhraseMap, format_dnf, render
-from .query import Query, answer, partition, relevancy_filter
-from .summarize import most_probable_path, render_chart, summarize
+from .query import KINDS, METHODS, Query, answer, partition, relevancy_filter
+from .summarize import CHART_FORMATS, most_probable_path, render_chart, summarize
 
 ENV_PREFIX = "MAPEX_"
 
@@ -106,15 +107,15 @@ _FLAGS = {
     "mmdp": _Flag(_text, _REQUIRED, "abstraction file path"),
     "out": _Flag(_text, "-", "output path; '-' is stdout, which simulate and "
                  "abstract refuse"),
-    "normalize": _choice("state", "count normalization", "state", "state-action"),
+    "normalize": _choice("state", "count normalization", *NORMALIZATIONS),
     "virtual_init": _Flag(_switch, False, "allow several initial abstract states"),
-    "format": _choice("chart", "chart layout", "chart", "csv"),
-    "type": _choice(_REQUIRED, "query type", "when", "whynot", "what"),
+    "format": _choice("chart", "chart layout", *CHART_FORMATS),
+    "type": _choice(_REQUIRED, "query type", *KINDS),
     "agents": _Flag(_text, _REQUIRED, "comma-separated agent names"),
     "actions": _Flag(_text, None, "comma-separated action ids (when/whynot)"),
     "state": _Flag(_text, None, "state index or inline per-agent bits (whynot)"),
     "predicates": _Flag(_text, None, "comma-separated predicate ids (what)"),
-    "method": _choice("withrf", "query method", "norf", "withrf"),
+    "method": _choice("withrf", "query method", *METHODS),
     # 0 or less would mean "no timeout" / "refuse every problem": refused
     "timeout": _Flag(_number(float, "a positive number of seconds", positive=True),
                      3600.0, "seconds before aborting minimization"),
@@ -132,9 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mapex",
         description="Abstract multi-agent policy traces and explain them.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    visible = ",".join(c for c, (_, help, _) in _COMMANDS.items() if help)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{visible}}}")
     for command, (_, help, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help)
+        p = sub.add_parser(command, help=help) if help else sub.add_parser(command)
         p.add_argument("--config", help="JSON file supplying defaults for any flag")
         for name in names:
             flag = _FLAGS[name]
@@ -156,7 +158,11 @@ def _load_config(path: str | None) -> dict[str, Any]:
             raise MapexError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MapexError(f"config file {path} must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in data.items()}
+    # another command's flag is allowed, so one file can serve several commands
+    unknown = [k for k in data if k.replace("-", "_") not in _FLAGS]
+    if unknown:
+        raise MapexError(f"config file {path} names no flag: {', '.join(unknown)}")
+    return {k.replace("-", "_"): v for k, v in data.items()}
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
@@ -363,8 +369,8 @@ def _cmd_bench(o: argparse.Namespace) -> int:
     spec = _bench_queries(domain)
     whynot_state = _incompatible_state(m, domain, spec["whynot"]["actions"])
     rows = []
-    for kind in ("when", "whynot", "what"):
-        for method in ("norf", "withrf"):
+    for kind in KINDS:
+        for method in METHODS:
             q = Query(
                 kind=kind,
                 agents=spec[kind]["agents"],
@@ -460,7 +466,7 @@ def _cmd_boolmin_debug(o: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# command -> (function, help, the flags it takes)
+# command -> (function, help or None to leave it out of --help, the flags it takes)
 _COMMANDS = {
     "simulate": (_cmd_simulate, "run a scripted domain policy to a trace file",
                  ("domain", "episodes", "max_steps", "seed", "out")),
@@ -473,7 +479,7 @@ _COMMANDS = {
                  "method", "timeout", "max_vars", "emit_dnf", "out")),
     "bench": (_cmd_bench, "per-query timing table for one domain",
               ("domain", "episodes", "max_steps", "seed", "timeout", "max_vars", "csv")),
-    "boolmin-debug": (_cmd_boolmin_debug, argparse.SUPPRESS, ("table", "max_vars")),
+    "boolmin-debug": (_cmd_boolmin_debug, None, ("table", "max_vars")),
 }
 
 

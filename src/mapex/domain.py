@@ -335,6 +335,13 @@ def _require_list(obj: Any, where: str) -> list:
     return obj
 
 
+def _require_text(obj: Any, where: str) -> str:
+    # str() would turn null into the text "None" and a list into its repr
+    if not isinstance(obj, str):
+        raise DomainFormatError(f"{where}: expected a string")
+    return obj
+
+
 def domain_to_dict(domain: DomainDefinition) -> dict[str, Any]:
     """Serializable form of a domain definition (predicates lose evaluators)."""
     return {
@@ -385,33 +392,30 @@ def domain_from_dict(data: Mapping[str, Any]) -> DomainDefinition:
     )
     if data["format"] != _DOMAIN_FORMAT:
         raise DomainFormatError(f"not a domain definition: format={data['format']!r}")
-    if data["version"] != _DOMAIN_VERSION:
+    # True == 1, so the type is checked too
+    if type(data["version"]) is not int or data["version"] != _DOMAIN_VERSION:
         raise DomainFormatError(f"unsupported domain version {data['version']!r}")
 
     agents = []
     for i, a in enumerate(_require_list(data["agents"], "agents")):
-        _require_keys(a, {"name", "actions"}, set(), f"agents[{i}]")
-        actions = _require_list(a["actions"], f"agents[{i}].actions")
-        agents.append(AgentSpec(str(a["name"]), tuple(str(x) for x in actions)))
+        where = f"agents[{i}]"
+        _require_keys(a, {"name", "actions"}, set(), where)
+        actions = _require_list(a["actions"], f"{where}.actions")
+        agents.append(AgentSpec(_require_text(a["name"], f"{where}.name"), tuple(
+            _require_text(x, f"{where}.actions") for x in actions)))
 
     predicates = []
     for i, f in enumerate(_require_list(data["features"], "features")):
+        where = f"features[{i}]"
         _require_keys(
             f,
             {"id", "positive", "negative", "positive_plural", "negative_plural"},
             {"label"},
-            f"features[{i}]",
+            where,
         )
-        predicates.append(
-            PredicateSpec(
-                id=str(f["id"]),
-                positive=str(f["positive"]),
-                negative=str(f["negative"]),
-                positive_plural=str(f["positive_plural"]),
-                negative_plural=str(f["negative_plural"]),
-                label=str(f.get("label", f["id"])),
-            )
-        )
+        fields = {**f, "label": f.get("label", f["id"])}
+        predicates.append(PredicateSpec(
+            **{k: _require_text(v, f"{where}.{k}") for k, v in fields.items()}))
     task_features = _require_list(data["task_features"], "task_features")
     schema = FeatureSchema(tuple(predicates), tuple(task_features))
 
@@ -419,35 +423,41 @@ def domain_from_dict(data: Mapping[str, Any]) -> DomainDefinition:
         raise DomainFormatError("action_phrases: expected an object")
     phrases = {}
     for action, ph in data["action_phrases"].items():
-        _require_keys(ph, {"base", "third"}, set(), f"action_phrases[{action}]")
-        phrases[str(action)] = ActionPhrases(str(ph["base"]), str(ph["third"]))
+        where = f"action_phrases[{action}]"
+        _require_keys(ph, {"base", "third"}, set(), where)
+        phrases[_require_text(action, where)] = ActionPhrases(
+            _require_text(ph["base"], f"{where}.base"),
+            _require_text(ph["third"], f"{where}.third"))
 
     entries: dict[AgentAction, RelevanceEntry] = {}
     for i, r in enumerate(_require_list(data["relevance"], "relevance")):
+        where = f"relevance[{i}]"
         _require_keys(
-            r, {"agent", "action", "agents", "features", "action_sets"},
-            set(), f"relevance[{i}]"
+            r, {"agent", "action", "agents", "features", "action_sets"}, set(), where
         )
-        key = (str(r["agent"]), str(r["action"]))
+        key = (_require_text(r["agent"], f"{where}.agent"),
+               _require_text(r["action"], f"{where}.action"))
         if key in entries:
             raise DomainFormatError(f"duplicate relevance entry for {key}")
         sets = []
-        for j, s in enumerate(_require_list(r["action_sets"], f"relevance[{i}].action_sets")):
-            where = f"relevance[{i}].action_sets[{j}]"
-            pairs = [_require_list(p, where) for p in _require_list(s, where)]
+        for j, s in enumerate(_require_list(r["action_sets"], f"{where}.action_sets")):
+            at = f"{where}.action_sets[{j}]"
+            pairs = [_require_list(p, at) for p in _require_list(s, at)]
             if any(len(p) != 2 for p in pairs):
-                raise DomainFormatError(f"{where}: expected [agent, action] pairs")
-            sets.append(frozenset((str(agent), str(action)) for agent, action in pairs))
+                raise DomainFormatError(f"{at}: expected [agent, action] pairs")
+            sets.append(frozenset(
+                (_require_text(agent, at), _require_text(action, at))
+                for agent, action in pairs))
         entries[key] = RelevanceEntry(
-            agents=frozenset(
-                str(x) for x in _require_list(r["agents"], f"relevance[{i}].agents")),
-            features=frozenset(
-                str(x) for x in _require_list(r["features"], f"relevance[{i}].features")),
+            agents=frozenset(_require_text(x, f"{where}.agents")
+                             for x in _require_list(r["agents"], f"{where}.agents")),
+            features=frozenset(_require_text(x, f"{where}.features")
+                               for x in _require_list(r["features"], f"{where}.features")),
             action_sets=tuple(sets),
         )
 
     return DomainDefinition(
-        id=str(data["id"]),
+        id=_require_text(data["id"], "id"),
         agents=tuple(agents),
         schema=schema,
         action_phrases=phrases,

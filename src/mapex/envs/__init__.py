@@ -1,35 +1,43 @@
 """Built-in domains and their scripted stand-in policies.
 
 Registered domain ids: sr3, sr4, sr5 (search and rescue), rware2, rware4,
-rware19 (warehouse), lbf2, lbf4, lbf9 (level-based foraging).  ``simulate``
-streams trajectory samples episode by episode; identical (domain, seed,
-episodes, max_steps) always yields an identical stream.
+rware19 (warehouse), lbf2, lbf4, lbf9 (level-based foraging).  A family
+module is data: its ``TASK_PHRASING``, its ``VERB_PHRASES`` and
+``grid(n_agents)`` -> (agent names, ``GridConfig``).  ``simulate`` streams
+trajectory samples episode by episode; identical (domain, seed, episodes,
+max_steps) always yields an identical stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from types import ModuleType
+from typing import Iterator
 
 from ..domain import DomainDefinition
 from ..errors import UnknownDomainError
-from .base import TraceSample, read_trace, write_trace
-from .foraging import lbf_domain, run_lbf_episodes
-from .search_rescue import run_sr_episodes, sr_domain
-from .warehouse import run_rware_episodes, rware_domain
+from . import foraging, search_rescue, warehouse
+from .base import (
+    GenericScriptedPolicy,
+    TraceSample,
+    grid_domain,
+    read_trace,
+    run_episodes,
+    write_trace,
+)
 
 DEFAULT_MAX_STEPS = 50
 
-# domain id -> (family's domain builder, its episode runner, agent count)
-_REGISTRY: dict[str, tuple[Callable[[int], DomainDefinition], Callable, int]] = {
-    "sr3": (sr_domain, run_sr_episodes, 3),
-    "sr4": (sr_domain, run_sr_episodes, 4),
-    "sr5": (sr_domain, run_sr_episodes, 5),
-    "rware2": (rware_domain, run_rware_episodes, 2),
-    "rware4": (rware_domain, run_rware_episodes, 4),
-    "rware19": (rware_domain, run_rware_episodes, 19),
-    "lbf2": (lbf_domain, run_lbf_episodes, 2),
-    "lbf4": (lbf_domain, run_lbf_episodes, 4),
-    "lbf9": (lbf_domain, run_lbf_episodes, 9),
+# domain id -> (family module, agent count): the one list of supported ids
+_REGISTRY: dict[str, tuple[ModuleType, int]] = {
+    "sr3": (search_rescue, 3),
+    "sr4": (search_rescue, 4),
+    "sr5": (search_rescue, 5),
+    "rware2": (warehouse, 2),
+    "rware4": (warehouse, 4),
+    "rware19": (warehouse, 19),
+    "lbf2": (foraging, 2),
+    "lbf4": (foraging, 4),
+    "lbf9": (foraging, 9),
 }
 
 
@@ -37,7 +45,7 @@ def domain_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _lookup(domain_id: str) -> tuple:
+def _lookup(domain_id: str) -> tuple[ModuleType, int]:
     try:
         return _REGISTRY[domain_id]
     except KeyError:
@@ -47,15 +55,20 @@ def _lookup(domain_id: str) -> tuple:
 
 
 def get_domain(domain_id: str) -> DomainDefinition:
-    build, _, n_agents = _lookup(domain_id)
-    return build(n_agents)
+    family, n_agents = _lookup(domain_id)
+    return grid_domain(domain_id, *family.grid(n_agents),
+                       family.TASK_PHRASING, family.VERB_PHRASES)
 
 
 def simulate(domain_id: str, *, episodes: int, max_steps: int = DEFAULT_MAX_STEPS,
              seed: int = 42) -> Iterator[TraceSample]:
-    """Stream of TraceSamples from the domain's scripted policy."""
-    _, run, n_agents = _lookup(domain_id)
-    return run(n_agents, episodes, max_steps, seed)
+    """Stream of TraceSamples from the domain's scripted policy: the
+    hand-written script for sr3, the generic policy everywhere else."""
+    family, n_agents = _lookup(domain_id)
+    names, config = family.grid(n_agents)
+    policy = (search_rescue.Sr3Script() if domain_id == "sr3"
+              else GenericScriptedPolicy(config, names))
+    return run_episodes(policy, episodes, max_steps, seed)
 
 
 __all__ = [
@@ -65,8 +78,5 @@ __all__ = [
     "get_domain",
     "read_trace",
     "simulate",
-    "sr_domain",
-    "rware_domain",
-    "lbf_domain",
     "write_trace",
 ]

@@ -10,11 +10,14 @@ of one of its declared combos to be adjacent and to take the task's action at
 the same step; completion flags are set only for that combo's members and,
 once set, never fall within an episode.
 
-A family states each task's combos once, in its ``GridConfig``: the world
-enforces them, and ``grid_domain`` reads the alphabets and the relevance
-knowledge off them.  ``run_episodes`` runs every policy: one with a
-``config``, ``agent_names``, ``assign(rng)`` (once per episode) and
-``step(world, assigned, rng)`` -> (joint action, each agent's next cell).
+A family module is data: ``TASK_PHRASING``, ``VERB_PHRASES`` and
+``grid(n_agents)`` -> (agent names, ``GridConfig``).  It states each task's
+combos once, in that ``GridConfig``: the world enforces them, and
+``grid_domain`` reads the alphabets and the relevance knowledge off them.
+``envs.get_domain`` and ``envs.simulate`` build and run every family through
+``grid_domain`` and ``run_episodes``.  ``run_episodes`` runs every policy:
+one with a ``config``, ``agent_names``, ``assign(rng)`` (once per episode)
+and ``step(world, assigned, rng)`` -> (joint action, each agent's next cell).
 
 Routing: ``GridWorld`` takes the open cells and a per-cell neighbour table for
 the current task liveness from a memo shared by every world of its config, and
@@ -107,8 +110,12 @@ def read_trace(path) -> tuple[dict[str, Any], list[TraceSample]]:
         raise TraceFormatError(f"{path}: bad header: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != _TRACE_FORMAT:
         raise TraceFormatError(f"{path}: missing mapex-trace header")
-    if header.get("version") != _TRACE_VERSION:
-        raise TraceFormatError(f"{path}: unsupported version {header.get('version')!r}")
+    # True == 1 and 3.0 == 3, so the types are checked too
+    version, agents = header.get("version"), header.get("agents")
+    if type(version) is not int or version != _TRACE_VERSION:
+        raise TraceFormatError(f"{path}: unsupported version {version!r}")
+    if type(agents) is not int:
+        raise TraceFormatError(f"{path}: agents must be an integer, got {agents!r}")
 
     samples: list[TraceSample] = []
     expected: dict[int, int] = {}

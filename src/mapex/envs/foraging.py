@@ -6,18 +6,8 @@ minimal qualifying groups and double as the cooperation knowledge.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from ..domain import ActionPhrases, DomainDefinition
-from ..errors import PreconditionError
-from .base import (
-    GenericScriptedPolicy,
-    GridConfig,
-    TaskSpec,
-    TraceSample,
-    grid_domain,
-    run_episodes,
-)
+from ..domain import ActionPhrases
+from .base import GridConfig, TaskSpec
 
 COLLECT_1 = "collect_food_1"
 COLLECT_2 = "collect_food_2"
@@ -43,33 +33,21 @@ _SETUPS = {
 }
 
 
-_TASK_PHRASING = (
+TASK_PHRASING = (
     ("food_1", "food 1", "collected food 1"),
     ("food_2", "food 2", "collected food 2"),
 )
 
-_VERB_PHRASES = {
+VERB_PHRASES = {
     COLLECT_1: ActionPhrases("collect food 1", "collects food 1"),
     COLLECT_2: ActionPhrases("collect food 2", "collects food 2"),
 }
 
 
-def _names(n: int) -> list[str]:
-    return [f"F_{i}" for i in range(1, n + 1)]
-
-
-def lbf_domain(n_agents: int) -> DomainDefinition:
-    if n_agents not in _SETUPS:
-        raise PreconditionError(
-            f"supported foraging agent counts are {sorted(_SETUPS)}; got {n_agents}"
-        )
-    return grid_domain(f"lbf{n_agents}", _names(n_agents), lbf_grid_config(n_agents),
-                       _TASK_PHRASING, _VERB_PHRASES)
-
-
-def lbf_grid_config(n_agents: int) -> GridConfig:
+def grid(n_agents: int) -> tuple[tuple[str, ...], GridConfig]:
     setup = _SETUPS[n_agents]
-    return GridConfig(
+    names = tuple(f"F_{i}" for i in range(1, n_agents + 1))
+    return names, GridConfig(
         rows=6,
         cols=6,
         walls=frozenset(),
@@ -79,9 +57,3 @@ def lbf_grid_config(n_agents: int) -> GridConfig:
             TaskSpec("food_2", (3, 4), COLLECT_2, setup["food_2"]),
         ),
     )
-
-
-def run_lbf_episodes(n_agents: int, episodes: int, max_steps: int,
-                     seed: int) -> Iterator[TraceSample]:
-    policy = GenericScriptedPolicy(lbf_grid_config(n_agents), _names(n_agents))
-    return run_episodes(policy, episodes, max_steps, seed)

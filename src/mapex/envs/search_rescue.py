@@ -2,14 +2,15 @@
 
 The rescue needs the UAV plus one UGV, removing the obstacle needs two UGVs,
 and any single agent can fight the fire, which sits behind the wall/obstacle
-barrier.  These combos, declared once in ``sr_grid_config``, are also the
-cooperation knowledge of ``sr_domain``.
+barrier.  These combos, declared once in ``grid``, are also the domain's
+cooperation knowledge.
 
-The 3-agent variant runs on the fixed 3x6 map with a hand-scripted policy:
-three seeded branches vary which UGV joins the UAV for the rescue and which
-team member arrives first, giving the abstraction nondegenerate transition
-probabilities while keeping every branch auditable by hand.  The script is a
-policy of the shared episode loop, under the same completion rules.
+The 3-agent variant runs on the fixed 3x6 map with a hand-scripted policy,
+``Sr3Script``: three seeded branches vary which UGV joins the UAV for the
+rescue and which team member arrives first, giving the abstraction
+nondegenerate transition probabilities while keeping every branch auditable
+by hand.  The script is a policy of the shared episode loop, under the same
+completion rules.
 
 The 4- and 5-agent variants scale the same tasks onto a 6x6 map and use the
 generic scripted policy; their layouts are artifact choices.
@@ -18,60 +19,36 @@ generic scripted policy; their layouts are artifact choices.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
-from ..domain import ActionPhrases, DomainDefinition
-from ..errors import PreconditionError
-from .base import (
-    MOVE,
-    WAIT,
-    GenericScriptedPolicy,
-    GridConfig,
-    TaskSpec,
-    TraceSample,
-    chebyshev,
-    grid_domain,
-    run_episodes,
-)
+from ..domain import ActionPhrases
+from .base import MOVE, WAIT, GridConfig, TaskSpec, chebyshev
 
 RESCUE = "rescue_victim"
 REMOVE = "remove_obstacle"
 FIGHT = "fight_fire"
 
-_SR_TASK_PHRASING = (
+TASK_PHRASING = (
     ("victim", "the victim", "rescued the victim"),
     ("fire", "the fire", "extinguished the fire"),
     ("obstacle", "the obstacle", "removed the obstacle"),
 )
 
 # also the order of a UGV's task actions
-_SR_VERB_PHRASES = {
+VERB_PHRASES = {
     RESCUE: ActionPhrases("rescue the victim", "rescues the victim"),
     REMOVE: ActionPhrases("remove the obstacle", "removes the obstacle"),
     FIGHT: ActionPhrases("fight the fire", "fights the fire"),
 }
 
 
-def _sr_names(n_agents: int) -> tuple[str, ...]:
-    return ("UAV", *(f"UGV_{i}" for i in range(1, n_agents)))
-
-
-def sr_domain(n_agents: int) -> DomainDefinition:
-    """SR domain definition for 3, 4, or 5 agents (1 UAV + UGVs)."""
-    if n_agents not in (3, 4, 5):
-        raise PreconditionError(f"supported SR agent counts are 3, 4, 5; got {n_agents}")
-    return grid_domain(f"sr{n_agents}", _sr_names(n_agents), sr_grid_config(n_agents),
-                       _SR_TASK_PHRASING, _SR_VERB_PHRASES)
-
-
-def sr_grid_config(n_agents: int) -> GridConfig:
-    names = _sr_names(n_agents)
+def grid(n_agents: int) -> tuple[tuple[str, ...], GridConfig]:
+    names = ("UAV", *(f"UGV_{i}" for i in range(1, n_agents)))
     ugvs = names[1:]
     if n_agents == 3:
         rows, walls, obstacle = 3, {(0, 4), (1, 4)}, (2, 4)
     else:
         rows, walls, obstacle = 6, {(0, 4), (1, 4), (2, 4), (4, 4), (5, 4)}, (3, 4)
-    return GridConfig(
+    return names, GridConfig(
         rows=rows,
         cols=6,
         walls=frozenset(walls),
@@ -159,12 +136,11 @@ def _pick_branch(rng: random.Random) -> str:
     return _SR3_BRANCHES[-1][0]
 
 
-class _Sr3Script:
+class Sr3Script:
     """The scripted 3-agent policy: ``assign`` draws a branch, and ``step``
     replays the branch's next step once it is legal in the world."""
 
-    agent_names = _sr_names(3)
-    config = sr_grid_config(3)
+    agent_names, config = grid(3)
 
     def assign(self, rng: random.Random):
         plans = _SR3_PLANS[_pick_branch(rng)]
@@ -196,12 +172,3 @@ class _Sr3Script:
             actions.append(action)
             targets.append(next_cell)
         return actions, targets
-
-
-def run_sr_episodes(n_agents: int, episodes: int, max_steps: int,
-                    seed: int) -> Iterator[TraceSample]:
-    if n_agents == 3:
-        policy = _Sr3Script()
-    else:
-        policy = GenericScriptedPolicy(sr_grid_config(n_agents), _sr_names(n_agents))
-    return run_episodes(policy, episodes, max_steps, seed)

@@ -5,18 +5,8 @@ with 2, 4, and 19 robots; non-designated robots take a seeded random walk.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from ..domain import ActionPhrases, DomainDefinition
-from ..errors import PreconditionError
-from .base import (
-    GenericScriptedPolicy,
-    GridConfig,
-    TaskSpec,
-    TraceSample,
-    grid_domain,
-    run_episodes,
-)
+from ..domain import ActionPhrases
+from .base import GridConfig, TaskSpec
 
 DELIVER_A = "deliver_item_a"
 DELIVER_B = "deliver_item_b"
@@ -28,33 +18,21 @@ _PAIRS = {
 }
 
 
-_TASK_PHRASING = (
+TASK_PHRASING = (
     ("item_a", "shelf A", "delivered item A"),
     ("item_b", "shelf B", "delivered item B"),
 )
 
-_VERB_PHRASES = {
+VERB_PHRASES = {
     DELIVER_A: ActionPhrases("deliver item A", "delivers item A"),
     DELIVER_B: ActionPhrases("deliver item B", "delivers item B"),
 }
 
 
-def _names(n: int) -> list[str]:
-    return [f"R_{i}" for i in range(1, n + 1)]
-
-
-def rware_domain(n_agents: int) -> DomainDefinition:
-    if n_agents not in _PAIRS:
-        raise PreconditionError(
-            f"supported warehouse agent counts are {sorted(_PAIRS)}; got {n_agents}"
-        )
-    return grid_domain(f"rware{n_agents}", _names(n_agents), rware_grid_config(n_agents),
-                       _TASK_PHRASING, _VERB_PHRASES)
-
-
-def rware_grid_config(n_agents: int) -> GridConfig:
+def grid(n_agents: int) -> tuple[tuple[str, ...], GridConfig]:
     pairs = _PAIRS[n_agents]
-    return GridConfig(
+    names = tuple(f"R_{i}" for i in range(1, n_agents + 1))
+    return names, GridConfig(
         rows=6,
         cols=6,
         walls=frozenset(),
@@ -64,9 +42,3 @@ def rware_grid_config(n_agents: int) -> GridConfig:
             TaskSpec("item_b", (3, 4), DELIVER_B, (pairs["item_b"],)),
         ),
     )
-
-
-def run_rware_episodes(n_agents: int, episodes: int, max_steps: int,
-                       seed: int) -> Iterator[TraceSample]:
-    policy = GenericScriptedPolicy(rware_grid_config(n_agents), _names(n_agents))
-    return run_episodes(policy, episodes, max_steps, seed)

@@ -25,6 +25,8 @@ from .errors import PreconditionError, UnreachableGoalError
 
 TIE_TOLERANCE = 1e-9
 
+CHART_FORMATS = ("chart", "csv")
+
 
 @dataclass(frozen=True)
 class MostProbablePath:
@@ -159,7 +161,7 @@ def summarize(m: PolicyAbstraction, path: MostProbablePath | None = None) -> Sum
 def render_chart(chart: SummaryChart, fmt: str = "chart",
                  agent_names: tuple[str, ...] | None = None) -> str:
     """Deterministic text grid (rows = agents, columns = T1..Tk) or its CSV twin."""
-    if fmt not in ("chart", "csv"):
+    if fmt not in CHART_FORMATS:
         raise PreconditionError(f"unknown chart format {fmt!r}")
     if agent_names is None:
         agent_names = tuple(f"agent_{i}" for i in range(chart.n_agents))

@@ -247,6 +247,49 @@ class TestAgentCount:
         assert not out.exists()
 
 
+class TestJsonTypes:
+    """A JSON value of the wrong type is refused where the field is read:
+    ``True == 1`` and ``3.0 == 3``, and ``str()`` turns null into "None"."""
+
+    @pytest.mark.parametrize("key,value,line", [
+        ("version", True, "unsupported version True"),
+        ("version", 1.0, "unsupported version 1.0"),
+        ("agents", 3.0, "agents must be an integer, got 3.0"),
+        ("agents", True, "agents must be an integer, got True"),
+    ])
+    def test_trace_header(self, pipeline, tmp_path, capsys, key, value, line):
+        _, trace, _ = pipeline
+        header, *rest = trace.read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps({**json.loads(header), key: value}),
+                                  *rest]) + "\n")
+        assert main(["abstract", "--trace", str(bad), "--domain", "sr3",
+                     "--out", str(tmp_path / "m.mmdp")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {line}"]
+
+    @pytest.mark.parametrize("path,value,line", [
+        (("features", 0, "label"), None, "features[0].label: expected a string"),
+        (("features", 0, "positive"), ["x"], "features[0].positive: expected a string"),
+        (("action_phrases", "rescue_victim", "base"), None,
+         "action_phrases[rescue_victim].base: expected a string"),
+        (("id",), None, "id: expected a string"),
+        (("version",), True, "unsupported domain version True"),
+        (("version",), 1.0, "unsupported domain version 1.0"),
+    ], ids=["label-null", "positive-list", "base-null", "id-null", "version-true",
+            "version-float"])
+    def test_domain_file(self, pipeline, tmp_path, capsys, path, value, line):
+        _, _, mmdp = pipeline
+        data = domain_to_dict(get_domain("sr3"))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "sr3.json"
+        bad.write_text(json.dumps(data))
+        assert main(["summarize", "--mmdp", str(mmdp), "--domain", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+
 class TestTraceRecordTypes:
     @staticmethod
     def abstract_with(pipeline, tmp_path, field, value):
@@ -499,6 +542,25 @@ class TestConfigAndEnv:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: config file {config} ")
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"episode": 3, "sed": 7, "max-steps": 5}))
+        out = tmp_path / "t.jsonl"
+        assert main(["simulate", "--domain", "sr3", "--out", str(out),
+                     "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config file {config} names no flag: episode, sed"]
+        assert not out.exists()
+
+    def test_config_may_hold_other_commands_flags(self, tmp_path, capsys):
+        # one file can serve several commands
+        config = tmp_path / "shared.json"
+        config.write_text(json.dumps({"episodes": 1, "max-vars": 3, "mmdp": "m.mmdp",
+                                      "emit_dnf": True}))
+        assert main(["simulate", "--domain", "sr3", "--out", str(tmp_path / "t.jsonl"),
+                     "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("wrote ")
+
     def test_non_integer_env_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MAPEX_EPISODES", "abc")
         assert main(["simulate", "--domain", "sr3",
@@ -730,6 +792,14 @@ class TestExternalDomainFiles:
 
 
 class TestBoolminDebug:
+    def test_hidden_from_top_level_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "==SUPPRESS==" not in out and "boolmin-debug" not in out
+        assert "{simulate,abstract,summarize,explain,bench}" in out
+
     def test_truth_table_file(self, tmp_path, capsys):
         table = tmp_path / "tt.txt"
         table.write_text("2\n11 1\n00 0\n01 0\n10 0\n")

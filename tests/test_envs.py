@@ -51,9 +51,8 @@ class TestSimulatePreconditions:
             get_domain("nope")
 
     def test_unsupported_sr_agent_count(self):
-        from mapex.envs.search_rescue import sr_domain
-        with pytest.raises(PreconditionError):
-            sr_domain(6)
+        with pytest.raises(UnknownDomainError):
+            get_domain("sr6")
 
 
 class TestDeterminism:
@@ -267,10 +266,10 @@ class TestScriptedSr3:
         # a script inconsistent with the map must stop the run even with
         # assert statements compiled out; seed 42 episode 0 runs this branch
         code = (
-            "from mapex.envs import search_rescue as sr\n"
+            "from mapex.envs import search_rescue as sr, simulate\n"
             f"sr._SR3_PLANS['uav_first_ugv2']['UAV'][{step}] = {entry!r}\n"
             "try:\n"
-            "    list(sr.run_sr_episodes(3, 1, 50, 42))\n"
+            "    list(simulate('sr3', episodes=1, max_steps=50, seed=42))\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n"
         )
