@@ -4,23 +4,27 @@
     times every query type and method on one domain.
 
 Each flag is declared once in ``_FLAGS`` (converter, default, help), and
-``_COMMANDS`` lists the flags each command takes.  A flag's value comes from
-the command line, else MAPEX_<FLAG>, else the --config JSON file, else its
-default, and one converter checks it whatever its source: a bad value is the
-same one ``error:`` line and exit 2 from any of them.  A --config key must
-name some command's flag.  simulate and abstract write files, so they need a
-real --out path.  Exit codes: 0 success, 2 usage or precondition errors, 3
-when explain or boolmin-debug hit the timeout or the minimizer's variable
+``_COMMANDS`` lists the flags each command takes.  argv is read from these
+tables alone: the command, then ``--name value``, ``--name=value`` or a bare
+switch, each name exactly --config or one of the command's flags (``-`` read
+as ``_``), and -h/--help prints help built from them.  A flag's value comes
+from the command line, else MAPEX_<FLAG>, else the --config JSON file, else
+its default, and one converter checks it whatever its source.  A bad value,
+command or flag is one ``error:`` line and exit 2.  A --config key must name
+some command's flag.  simulate and abstract write files, so they need a real
+--out path.  Exit codes: 0 success, 2 usage or precondition errors, 3 when
+explain or boolmin-debug hit the timeout or the minimizer's variable
 guardrail (--max-vars).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import boolmin
@@ -35,7 +39,7 @@ from .errors import (
 )
 from .nlg import PhraseMap, format_dnf, render
 from .query import KINDS, METHODS, Query, answer, partition, relevancy_filter
-from .summarize import CHART_FORMATS, most_probable_path, render_chart, summarize
+from .summarize import CHART_FORMATS, most_probable_path, render_chart, summarize, text_grid
 
 ENV_PREFIX = "MAPEX_"
 
@@ -128,26 +132,6 @@ _FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mapex",
-        description="Abstract multi-agent policy traces and explain them.",
-    )
-    visible = ",".join(c for c, (_, help, _) in _COMMANDS.items() if help)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{visible}}}")
-    for command, (_, help, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help) if help else sub.add_parser(command)
-        p.add_argument("--config", help="JSON file supplying defaults for any flag")
-        for name in names:
-            flag = _FLAGS[name]
-            option = "--" + name.replace("_", "-")
-            if flag.convert is _switch:
-                p.add_argument(option, action="store_true", default=None, help=flag.help)
-            else:
-                p.add_argument(option, metavar=flag.metavar, help=flag.help)
-    return parser
-
-
 def _load_config(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
@@ -165,13 +149,55 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return {k.replace("-", "_"): v for k, v in data.items()}
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """The command's flags, each from its first source and converted."""
-    config = _load_config(args.config)
-    resolved = argparse.Namespace(command=args.command)
-    for name in _COMMANDS[args.command][2]:
+def _read_argv(argv: Sequence[str]) -> tuple[str | None, dict[str, Any] | None]:
+    """The command and its command-line flags by name; -h/--help gives None
+    for the flags, and for the command too when it comes first."""
+    command, *tokens = argv or [""]
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in _COMMANDS:
+        raise MapexError(f"the command must be one of {', '.join(_VISIBLE)}, "
+                         f"got {repr(command) if command else 'none'}")
+    given, tokens = {}, iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        option, eq, value = token.partition("=")
+        name = option[2:].replace("-", "_")
+        if not option.startswith("--") or name not in ("config", *_COMMANDS[command][2]):
+            raise MapexError(f"unrecognized argument {token!r} (see mapex {command} --help)")
+        if not eq and name != "config" and _FLAGS[name].convert is _switch:
+            value = True
+        elif not eq and (value := next(tokens, "--")).startswith("--"):
+            raise MapexError(f"{token} needs a value")
+        given[name] = value
+    return command, given
+
+
+def _help(command: str | None) -> str:
+    """--help from the tables: the visible commands, or one command's flags.
+    Each grid row starts with an empty column, so the two-space gap indents it."""
+    if command is None:
+        return (f"usage: mapex {{{','.join(_VISIBLE)}}} [--flag value ...]\n\n"
+                "Abstract multi-agent policy traces and explain them.\n\n"
+                + text_grid([["", *item] for item in _VISIBLE.items()]))
+    rows = [["", "--config CONFIG", "JSON file supplying defaults for any flag"]]
+    for name in _COMMANDS[command][2]:
         flag = _FLAGS[name]
-        sources = (getattr(args, name), os.environ.get(ENV_PREFIX + name.upper()),
+        metavar = "" if flag.convert is _switch else f" {flag.metavar or name.upper()}"
+        rows.append(["", f"--{name.replace('_', '-')}{metavar}", flag.help])
+    about = _COMMANDS[command][1]
+    return (f"usage: mapex {command} [--flag value ...]\n\n"
+            + (f"{about}\n\n" if about else "") + text_grid(rows))
+
+
+def _resolve(command: str, given: dict[str, Any]) -> SimpleNamespace:
+    """The command's flags, each from its first source and converted."""
+    config = _load_config(given.get("config"))
+    resolved = SimpleNamespace(command=command)
+    for name in _COMMANDS[command][2]:
+        flag = _FLAGS[name]
+        sources = (given.get(name), os.environ.get(ENV_PREFIX + name.upper()),
                    config.get(name), flag.default)
         value = next((v for v in sources if v is not None), None)
         option = "--" + name.replace("_", "-")
@@ -213,14 +239,14 @@ def _parse_state(text: str, m) -> JointState:
     return m.states[index]
 
 
-def _file_out(o: argparse.Namespace) -> str:
+def _file_out(o: SimpleNamespace) -> str:
     """--out of a command that writes a file, which stdout cannot stand in for."""
     if o.out == "-":
         raise MapexError(f"{o.command} needs --out <path>")
     return o.out
 
 
-def _cmd_simulate(o: argparse.Namespace) -> int:
+def _cmd_simulate(o: SimpleNamespace) -> int:
     out = _file_out(o)
     domain = get_domain(o.domain)
     samples = simulate(o.domain, episodes=o.episodes, max_steps=o.max_steps, seed=o.seed)
@@ -242,7 +268,7 @@ def _check_agents(what: str, n_agents, domain: DomainDefinition) -> None:
                          f"has {domain.n_agents}")
 
 
-def _cmd_abstract(o: argparse.Namespace) -> int:
+def _cmd_abstract(o: SimpleNamespace) -> int:
     out = _file_out(o)
     domain = _resolve_domain(o.domain)
     header, samples = read_trace(o.trace)
@@ -255,14 +281,14 @@ def _cmd_abstract(o: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_mmdp(o: argparse.Namespace) -> tuple[DomainDefinition, Any]:
+def _load_mmdp(o: SimpleNamespace) -> tuple[DomainDefinition, Any]:
     domain = _resolve_domain(o.domain)
     m = load_abstraction(o.mmdp, domain.schema)
     _check_agents(f"abstraction {o.mmdp}", m.n_agents, domain)
     return domain, m
 
 
-def _cmd_summarize(o: argparse.Namespace) -> int:
+def _cmd_summarize(o: SimpleNamespace) -> int:
     domain, m = _load_mmdp(o)
     chart = summarize(m)
     text = render_chart(chart, o.format, tuple(a.name for a in domain.agents))
@@ -270,36 +296,23 @@ def _cmd_summarize(o: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_query(o: argparse.Namespace, m) -> Query:
+def _build_query(o: SimpleNamespace, m) -> Query:
     agents = _csv_list(o.agents)
     actions = _csv_list(o.actions)
-    if o.type in ("when", "whynot"):
-        if len(actions) == 1 and len(agents) > 1:
-            actions = actions * len(agents)
-        if len(actions) != len(agents):
-            raise MapexError(
-                "--actions must name one action per agent (or a single action "
-                "shared by all queried agents)"
-            )
-        pairs = tuple(zip(agents, actions))
-    else:
-        pairs = ()
-    state = None
-    if o.type == "whynot":
-        if o.state is None:
-            raise MapexError("missing required option --state")
-        state = _parse_state(o.state, m)
-    return Query(
-        kind=o.type,
-        agents=tuple(agents),
-        method=o.method,
-        actions=pairs,
-        state=state,
-        predicates=tuple(_csv_list(o.predicates)),
-    )
+    if len(actions) == 1 and len(agents) > 1:
+        actions = actions * len(agents)
+    if o.type != "what" and len(actions) != len(agents):
+        raise MapexError("--actions must name one action per agent (or a single action "
+                         "shared by all queried agents)")
+    if o.type == "whynot" and o.state is None:
+        raise MapexError("missing required option --state")
+    return Query(o.type, tuple(agents), o.method,
+                 actions=tuple(zip(agents, actions)) if o.type != "what" else (),
+                 state=_parse_state(o.state, m) if o.type == "whynot" else None,
+                 predicates=tuple(_csv_list(o.predicates)))
 
 
-def _cmd_explain(o: argparse.Namespace) -> int:
+def _cmd_explain(o: SimpleNamespace) -> int:
     domain, m = _load_mmdp(o)
     query = _build_query(o, m)
     phrases = PhraseMap.from_domain(domain)
@@ -327,116 +340,76 @@ def _unproven_note(lower_bound: int) -> str:
 # bench: per-domain table mirroring the usual scalability report layout
 # ---------------------------------------------------------------------------
 
-def _bench_queries(domain: DomainDefinition) -> dict[str, dict[str, Any]]:
-    """Default query set per domain: the first cooperative task's action."""
+def _bench_queries(domain: DomainDefinition, m) -> list[Query]:
+    """The six default queries in table order (KINDS x METHODS), all on the
+    first cooperative task's action.  The why-not asks about the first state
+    (canonical order) with enabled actions, none compatible with the queried
+    actions under either method."""
     tasks = [(k, e) for k, e in sorted(domain.relevance.entries.items()) if e.features]
     if not tasks:
         raise MapexError(f"domain {domain.id} has no task actions to bench")
     (agent, action), entry = next((t for t in tasks if len(t[1].agents) > 1), tasks[0])
-    partners = sorted(entry.agents)
+    partners = tuple(sorted(entry.agents))
     # prefer a condition-style feature (detect) over a completion flag
     completion = set(domain.schema.task_completion_ids)
     candidates = sorted(entry.features - completion) or sorted(entry.features)
     detect = candidates[0] if candidates else None
-    return {
-        "when": {"agents": (agent,), "actions": ((agent, action),)},
-        "whynot": {
-            "agents": tuple(partners),
-            "actions": tuple((p, action) for p in partners
-                             if action in domain.agent_spec(p).actions),
-        },
-        "what": {"agents": (agent,), "predicates": (detect,)},
-    }
+    pairs = tuple((p, action) for p in partners if action in domain.agent_spec(p).actions)
+    _, _, withrf_criterion = relevancy_filter(pairs, domain.relevance)
+    _, never = partition([frozenset(pairs), *withrf_criterion], m, domain)
+    state = min(never, default=m.initial_state)  # m.states is sorted
+    queries = (Query("when", (agent,), actions=((agent, action),)),
+               Query("whynot", partners, actions=pairs, state=state),
+               Query("what", (agent,), predicates=(detect,)))
+    return [replace(query, method=method) for query in queries for method in METHODS]
 
 
-def _incompatible_state(m, domain: DomainDefinition, actions) -> JointState:
-    """First state (canonical order) with enabled actions, none compatible with
-    the queried actions under either method, so the default why-not query has
-    something to ask about."""
-    _, _, withrf_criterion = relevancy_filter(actions, domain.relevance)
-    _, never = partition([frozenset(actions), *withrf_criterion], m, domain)
-    return min(never, default=m.initial_state)  # m.states is sorted
-
-
-def _cmd_bench(o: argparse.Namespace) -> int:
+def _cmd_bench(o: SimpleNamespace) -> int:
     domain = get_domain(o.domain)
     samples = simulate(o.domain, episodes=o.episodes, max_steps=o.max_steps, seed=o.seed)
     m = build_abstraction(samples, domain.schema)
     path = most_probable_path(m)
     chart = summarize(m, path=path)
     chart_size = f"{domain.n_agents}x{len(chart.columns)}"
+    model = [o.domain, domain.n_agents, m.n_states, m.n_transitions, len(path), chart_size]
 
-    spec = _bench_queries(domain)
-    whynot_state = _incompatible_state(m, domain, spec["whynot"]["actions"])
-    rows = []
-    for kind in KINDS:
-        for method in METHODS:
-            q = Query(
-                kind=kind,
-                agents=spec[kind]["agents"],
-                method=method,
-                actions=spec[kind].get("actions", ()),
-                state=whynot_state if kind == "whynot" else None,
-                predicates=spec[kind].get("predicates", ()),
-            )
-            deadline = time.monotonic() + o.timeout
-            start = time.perf_counter()
-            status, clauses = "ok", ""
-            try:
-                a = answer(q, m, domain, deadline=deadline, max_vars=o.max_vars)
-                if kind == "what":
-                    clauses = str(sum(
-                        len(v) if isinstance(v, tuple) else (0 if v is None else 1)
-                        for v in a.actions.values()
-                    ))
-                else:
-                    clauses = str(a.n_clauses)
-                    status = "ok" if a.minimal else "not-minimal"
-            except MinimizationTimeout:
-                status = "timeout"
-            except TooManyVariablesError:
-                status = "too-large"
-            except ContradictionNotice:
-                status = "contradiction"
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            rows.append({
-                "domain": o.domain,
-                "agents": domain.n_agents,
-                "states": m.n_states,
-                "transitions": m.n_transitions,
-                "path_len": len(path),
-                "chart": chart_size,
-                "query": kind,
-                "method": method,
-                "clauses": clauses,
-                "time_ms": f"{elapsed_ms:.1f}",
-                "status": status,
-            })
+    rows = []  # in CSV column order
+    for q in _bench_queries(domain, m):
+        deadline = time.monotonic() + o.timeout
+        start = time.perf_counter()
+        status, clauses = "ok", ""
+        try:
+            a = answer(q, m, domain, deadline=deadline, max_vars=o.max_vars)
+            if q.kind == "what":
+                clauses = str(sum(
+                    len(v) if isinstance(v, tuple) else (0 if v is None else 1)
+                    for v in a.actions.values()
+                ))
+            else:
+                clauses = str(a.n_clauses)
+                status = "ok" if a.minimal else "not-minimal"
+        except MinimizationTimeout:
+            status = "timeout"
+        except TooManyVariablesError:
+            status = "too-large"
+        except ContradictionNotice:
+            status = "contradiction"
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        rows.append([*model, q.kind, q.method, clauses, f"{elapsed_ms:.1f}", status])
 
-    header = ["query", "method", "|E|", "time_ms", "status"]
-    print(
-        f"domain={o.domain} N={domain.n_agents} |S|={m.n_states} "
-        f"|T|={m.n_transitions} |rho|={len(path)} |Z|={chart_size}"
-    )
-    table = [header] + [
-        [r["query"], r["method"], r["clauses"] or "-", r["time_ms"], r["status"]]
-        for r in rows
-    ]
-    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
-    for row in table:
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-
+    print("domain={} N={} |S|={} |T|={} |rho|={} |Z|={}".format(*model))
+    sys.stdout.write(text_grid([["query", "method", "|E|", "time_ms", "status"]] + [
+        [kind, method, clauses or "-", ms, status]
+        for *_, kind, method, clauses, ms, status in rows]))
     if o.csv:
-        cols = ["domain", "agents", "states", "transitions", "path_len",
-                "chart", "query", "method", "clauses", "time_ms", "status"]
         with open(o.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in rows:
-                fh.write(",".join(str(r[c]) for c in cols) + "\n")
+            fh.write("domain,agents,states,transitions,path_len,chart,"
+                     "query,method,clauses,time_ms,status\n")
+            fh.writelines(",".join(map(str, r)) + "\n" for r in rows)
     return EXIT_OK
 
 
-def _cmd_boolmin_debug(o: argparse.Namespace) -> int:
+def _cmd_boolmin_debug(o: SimpleNamespace) -> int:
     path = o.table
     with open(path, "r", encoding="utf-8") as fh:
         rows = [ln.split() for ln in fh if ln.strip()]
@@ -481,12 +454,16 @@ _COMMANDS = {
               ("domain", "episodes", "max_steps", "seed", "timeout", "max_vars", "csv")),
     "boolmin-debug": (_cmd_boolmin_debug, None, ("table", "max_vars")),
 }
+_VISIBLE = {command: help for command, (_, help, _) in _COMMANDS.items() if help}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](_resolve(args))
+        command, given = _read_argv(sys.argv[1:] if argv is None else argv)
+        if given is None:
+            sys.stdout.write(_help(command))
+            return EXIT_OK
+        return _COMMANDS[command][0](_resolve(command, given))
     except TooManyVariablesError as exc:
         print(
             f"could not explain within resource limits: {exc}\n"
@@ -506,9 +483,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
 
 
-def console_main() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    raise SystemExit(main())

@@ -1,7 +1,8 @@
-"""Level-based-foraging-lite domains: agents carry levels and a food item is
-collected when one declared combination with sufficient combined level acts on
-it together.  Variants with 2, 4, and 9 agents; the declared combos are the
-minimal qualifying groups and double as the cooperation knowledge.
+"""Level-based-foraging-lite domains: a food item is collected when one of its
+declared agent combinations acts on it together.  Variants with 2, 4, and 9
+agents.  The combos stand for groups whose combined level reaches the food's
+level; they are a chosen set of such groups, not every minimal one, and they
+double as the cooperation knowledge.
 """
 
 from __future__ import annotations
@@ -12,21 +13,17 @@ from .base import GridConfig, TaskSpec
 COLLECT_1 = "collect_food_1"
 COLLECT_2 = "collect_food_2"
 
-# agent levels and the qualifying combos per food (sum of levels >= food level)
+# the declared combos per food
 _SETUPS = {
     2: {
-        "levels": {"F_1": 1, "F_2": 1},
         "food_1": (("F_1", "F_2"),),            # level-2 food
         "food_2": (("F_1",), ("F_2",)),         # level-1 food
     },
     4: {
-        "levels": {"F_1": 2, "F_2": 1, "F_3": 1, "F_4": 2},
         "food_1": (("F_1", "F_2"), ("F_1", "F_3")),   # level-3 food
         "food_2": (("F_4",), ("F_2", "F_3")),         # level-2 food
     },
     9: {
-        "levels": {"F_1": 2, "F_2": 2, "F_3": 1, "F_4": 1, "F_5": 1,
-                   "F_6": 1, "F_7": 1, "F_8": 1, "F_9": 2},
         "food_1": (("F_1", "F_2"), ("F_1", "F_3", "F_4")),  # level-4 food
         "food_2": (("F_9",), ("F_5", "F_6")),               # level-2 food
     },

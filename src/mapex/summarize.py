@@ -181,10 +181,11 @@ def render_chart(chart: SummaryChart, fmt: str = "chart",
     ]
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [header] + rows) + "\n"
-    widths = [
-        max(len(r[c]) for r in [header] + rows) for c in range(len(header))
-    ]
-    out = []
-    for row in [header] + rows:
-        out.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + "\n"
+    return text_grid([header] + rows)
+
+
+def text_grid(rows: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, trailing blanks cut, one line
+    per row; the layout of charts, ``mapex bench`` tables and ``--help``."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows]) + "\n"

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -40,15 +42,63 @@ class TestSimulate:
                      "--out", str(tmp_path / "t.jsonl")])
         assert code == 2
 
-    def test_bad_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--nope"])
-        assert exc.value.code == 2
+    def test_bad_flag_exits_2(self, capsys):
+        assert main(["simulate", "--nope"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
-    def test_unknown_subcommand_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+    def test_unknown_subcommand_exits_2(self, capsys):
+        assert main(["frobnicate"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+class TestArgv:
+    """argv is read from cli's own tables: a bad command line is one
+    ``error:`` line and exit 2, and the hidden command is never offered."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus"], ["simulate", "--episods", "3"], [],
+        ["simulate", "--domain"], ["simulate", "stray"],
+        ["simulate", "--domain", "--episodes", "3"],
+    ], ids=["unknown-command", "misspelt-flag", "no-command", "no-value",
+            "stray-word", "flag-as-value"])
+    def test_bad_command_line_is_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "boolmin-debug" not in err[0]
+
+    def test_names_are_exact(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert main(["simulate", "--domain", "sr3", "--epi", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unrecognized argument '--epi' (see mapex simulate --help)"]
+        assert main(["simulate", "--domain", "sr3", "--max_steps", "5",
+                     "--episodes", "1", "--out", str(out)]) == 0
+
+    def test_name_equals_value(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert main(["simulate", "--domain=sr3", "--episodes=3", f"--out={out}"]) == 0
+        assert capsys.readouterr().out.startswith("wrote ") and out.exists()
+
+    @pytest.mark.parametrize("argv", [["--max-vars", "-1"], ["--max-vars=-1"]])
+    def test_negative_value_reaches_its_converter(self, tmp_path, capsys, argv):
+        table = tmp_path / "tt.txt"
+        table.write_text("2\n11 1\n")
+        assert main(["boolmin-debug", "--table", str(table), *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --max-vars must be a positive integer, got -1"]
+
+    def test_readme_examples_name_only_known_flags(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("mapex ")]
+        assert len(commands) >= 7
+        for line in commands:
+            command, given = cli._read_argv(shlex.split(line)[1:])
+            assert command in cli._COMMANDS and given, line
 
 
 class TestPipelineComposability:
@@ -473,6 +523,33 @@ class TestCliFuzz:
         if code == 2:
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
+    FLAG_NAMES = sorted({f"--{n.replace('_', '-')}" for n in cli._FLAGS}
+                        | {"--config", "--episods", "--max_vars", "--epi", "--help", "-h"})
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["simulate", "abstract", "summarize", "explain",
+                                    "boolmin-debug", "bogus", "", "--help"]),
+           tokens=st.lists(st.one_of(
+               st.sampled_from(FLAG_NAMES),
+               st.builds("{}={}".format, st.sampled_from(FLAG_NAMES),
+                         st.sampled_from(["3", "", "-1", "sr3", "x=y"])),
+               st.sampled_from(["3", "-1", "0", "1.5", "sr3", "yes", "x", "-", "", "--"]),
+           ), max_size=6))
+    def test_argv_tokens(self, command, tokens):
+        """Any token list gives an answer, one error line (exit 2) or exit 3."""
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # simulate or abstract may write their --out here
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, *tokens])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 2:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
 
 class TestMaxVars:
     # below 1 the guardrail would refuse every problem, whatever its source
@@ -617,9 +694,7 @@ class TestOneCheckPerValue:
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_help_names_every_flag(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
-        assert exc.value.code == 0
+        assert main([command, "--help"]) == 0
         out = capsys.readouterr().out
         for name in cli._COMMANDS[command][2]:
             flag = "--" + name.replace("_", "-")
@@ -715,7 +790,7 @@ class TestBench:
                 frozenset({"A"}), frozenset(), (frozenset({("A", "wait")}),))}),
         )
         with pytest.raises(MapexError, match="no task actions"):
-            _bench_queries(domain)
+            _bench_queries(domain, None)
 
     def test_bench_reports_guardrail_cells(self, capsys):
         assert main(["bench", "--domain", "lbf9", "--episodes", "5"]) == 0
@@ -793,9 +868,7 @@ class TestExternalDomainFiles:
 
 class TestBoolminDebug:
     def test_hidden_from_top_level_help(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
+        assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "==SUPPRESS==" not in out and "boolmin-debug" not in out
         assert "{simulate,abstract,summarize,explain,bench}" in out
