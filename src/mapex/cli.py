@@ -30,7 +30,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from . import boolmin
 from .abstraction import NORMALIZATIONS, build_abstraction, load_abstraction, save_abstraction
 from .domain import DomainDefinition, JointState, load_domain_file
-from .envs import DEFAULT_MAX_STEPS, get_domain, read_trace, simulate, write_trace
+from .envs import DEFAULT_MAX_STEPS, get_domain, iter_trace, simulate, write_trace
 from .errors import (
     ContradictionNotice,
     MapexError,
@@ -271,8 +271,8 @@ def _check_agents(what: str, n_agents, domain: DomainDefinition) -> None:
 def _cmd_abstract(o: SimpleNamespace) -> int:
     out = _file_out(o)
     domain = _resolve_domain(o.domain)
-    header, samples = read_trace(o.trace)
-    _check_agents(f"trace {o.trace}", header.get("agents"), domain)
+    samples = iter_trace(o.trace)  # yields the header first, before any sample
+    _check_agents(f"trace {o.trace}", next(samples).get("agents"), domain)
     m = build_abstraction(
         samples, domain.schema, normalization=o.normalize, virtual_init=o.virtual_init
     )

@@ -20,6 +20,7 @@ from .base import (
     GenericScriptedPolicy,
     TraceSample,
     grid_domain,
+    iter_trace,
     read_trace,
     run_episodes,
     write_trace,
@@ -76,6 +77,7 @@ __all__ = [
     "TraceSample",
     "domain_ids",
     "get_domain",
+    "iter_trace",
     "read_trace",
     "simulate",
     "write_trace",

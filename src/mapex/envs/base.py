@@ -58,6 +58,8 @@ _PLAIN_PHRASES = {MOVE: ActionPhrases("move", "moves"),
 
 _TRACE_FORMAT = "mapex-trace"
 _TRACE_VERSION = 1
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # the trace layout
+_scan = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -79,85 +81,122 @@ def write_trace(path, domain_id: str, n_agents: int,
     object, as the simulator hands it on) reuses that state's JSON text, so
     each joint state is encoded once.
     """
-    encode = json.JSONEncoder(separators=(",", ":")).encode
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         header = {"format": _TRACE_FORMAT, "version": _TRACE_VERSION,
                   "domain": domain_id, "agents": n_agents}
-        fh.write(encode(header) + "\n")
+        fh.write(_encode(header) + "\n")
         previous_next, next_text = object(), ""  # object(): no sample's state is it
         for s in samples:
             state = s.joint_concrete_state
-            state_text = next_text if state is previous_next else encode(state)
+            state_text = next_text if state is previous_next else _encode(state)
             previous_next = s.next_joint_concrete_state
-            next_text = encode(previous_next)
-            fh.write(f'{{"episode":{encode(s.episode_id)},"step":{encode(s.step)},'
-                     f'"state":{state_text},"action":{encode(s.joint_action)},'
+            next_text = _encode(previous_next)
+            fh.write(f'{{"episode":{_encode(s.episode_id)},"step":{_encode(s.step)},'
+                     f'"state":{state_text},"action":{_encode(s.joint_action)},'
                      f'"next_state":{next_text}}}\n')
             n += 1
     return n
 
 
 def read_trace(path) -> tuple[dict[str, Any], list[TraceSample]]:
-    """Read a trace file; validates the header and per-episode step chaining."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TraceFormatError(f"{path}: empty trace file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"{path}: bad header: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != _TRACE_FORMAT:
-        raise TraceFormatError(f"{path}: missing mapex-trace header")
-    # True == 1 and 3.0 == 3, so the types are checked too
-    version, agents = header.get("version"), header.get("agents")
-    if type(version) is not int or version != _TRACE_VERSION:
-        raise TraceFormatError(f"{path}: unsupported version {version!r}")
-    if type(agents) is not int:
-        raise TraceFormatError(f"{path}: agents must be an integer, got {agents!r}")
+    """The header and every sample of a trace file, read by ``iter_trace``."""
+    samples = iter_trace(path)
+    return next(samples), list(samples)
 
-    samples: list[TraceSample] = []
-    expected: dict[int, int] = {}
-    last_next: dict[int, Any] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+
+def iter_trace(path) -> Iterator[Any]:
+    """Read a trace file in one forward pass: yield its checked header, then
+    each sample once its line is checked, so the first fault in file order is
+    the one raised.  Steps run from 0 within each episode, and each state must
+    equal its episode's previous next_state.  A record in the writer's compact
+    layout whose state text repeats the previous record's next_state is decoded
+    only from ``"action"`` on, and its sample holds that next_state object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        # splitting each line again keeps str.splitlines' line ends and numbers
+        lines = enumerate((part for line in fh for part in line.splitlines()), start=1)
+        if (first := next(lines, (1, None))[1]) is None:
+            raise TraceFormatError(f"{path}: empty trace file")
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{path}:{lineno}: bad record: {exc}") from None
-        try:
-            episode, step = rec["episode"], rec["step"]
-            state, action, nxt = (
-                tuple(rec["state"]), tuple(rec["action"]), tuple(rec["next_state"]))
-        except (KeyError, TypeError):
-            raise TraceFormatError(f"{path}:{lineno}: record missing fields") from None
-        if type(episode) is not int or type(step) is not int:
-            raise TraceFormatError(f"{path}:{lineno}: episode and step must be integers")
-        # action ids are words: a model file writes a joint action comma-joined
-        if type(rec["action"]) is not list or not all(
-            type(a) is str and a.split() == [a] and "," not in a for a in action
-        ):
-            raise TraceFormatError(
-                f"{path}:{lineno}: action must be a list of strings without commas or spaces")
-        if step != expected.get(episode, 0):
-            raise TraceFormatError(
-                f"{path}:{lineno}: episode {episode} step {step}, "
-                f"expected {expected.get(episode, 0)}"
-            )
-        if step > 0:
-            if last_next[episode] != state:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: episode {episode} state at step {step} does "
-                    f"not chain from the previous next_state"
-                )
-            # hand on the previous next_state itself, so it is encoded once
-            state = last_next[episode]
-        expected[episode] = step + 1
-        last_next[episode] = nxt
-        samples.append(TraceSample(episode, step, state, action, nxt))
-    return header, samples
+            header = json.loads(first)
+        except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
+            raise TraceFormatError(f"{path}: bad header: {exc}") from None
+        if not isinstance(header, dict) or header.get("format") != _TRACE_FORMAT:
+            raise TraceFormatError(f"{path}: missing mapex-trace header")
+        # True == 1 and 3.0 == 3, so the types are checked too
+        version, agents = header.get("version"), header.get("agents")
+        if type(version) is not int or version != _TRACE_VERSION:
+            raise TraceFormatError(f"{path}: unsupported version {version!r}")
+        if type(agents) is not int:
+            raise TraceFormatError(f"{path}: agents must be an integer, got {agents!r}")
+        yield header
+
+        def bad(what: str) -> TraceFormatError:
+            return TraceFormatError(f"{path}:{lineno}: {what}")
+
+        last: dict[int, tuple[int, Any]] = {}  # episode -> (its next step, last next_state)
+        actions: dict[str, tuple[str, ...]] = {}  # compact action text -> its checked ids
+        head = nxt_text = None  # how a continuing record starts; nxt's text if known
+        for lineno, line in lines:
+            tail = head is not None and line.startswith(head) and _compact_tail(
+                line, len(head), nxt_text or _encode(nxt), actions)
+            if tail:
+                action, nxt, nxt_text = tail
+                state, step = last[episode][1], step + 1
+            elif not line.strip():
+                continue
+            else:
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:
+                    raise bad(f"bad record: {exc}") from None
+                try:
+                    episode, step = rec["episode"], rec["step"]
+                    state, action, nxt = (
+                        tuple(rec["state"]), tuple(rec["action"]), tuple(rec["next_state"]))
+                except (KeyError, TypeError):
+                    raise bad("record missing fields") from None
+                if type(episode) is not int or type(step) is not int:
+                    raise bad("episode and step must be integers")
+                if not _action_ids(rec["action"]):
+                    raise bad("action must be a list of strings without commas or spaces")
+                want, previous = last.get(episode, (0, None))
+                if step != want:
+                    raise bad(f"episode {episode} step {step}, expected {want}")
+                if step > 0 and previous != state:
+                    raise bad(f"episode {episode} state at step {step} does not chain "
+                              f"from the previous next_state")
+                # hand on the previous next_state itself, so it is encoded once
+                state, nxt_text = previous if step else state, None
+            last[episode] = step + 1, nxt
+            head = f'{{"episode":{episode},"step":{step + 1},"state":'
+            yield TraceSample(episode, step, state, action, nxt)
+
+
+def _action_ids(value) -> bool:
+    # action ids are words: a model file writes a joint action comma-joined
+    return type(value) is list and all(
+        type(a) is str and a.split() == [a] and "," not in a for a in value)
+
+
+def _compact_tail(line: str, at: int, state_text: str, actions: dict):
+    """(action, next_state, next_state's text) of a compact record whose state
+    text at ``at`` is ``state_text``, or None when the line is laid out
+    otherwise or would fail a check, which the full decode then reports."""
+    start = at + len(state_text) + 10  # where the action's text starts
+    if not line.startswith(f'{state_text},"action":', at):
+        return None
+    try:
+        value, i = _scan(line, start)
+        nxt, end = _scan(line, i + 14)
+        nxt = tuple(nxt)
+    except (ValueError, TypeError):
+        return None
+    if line[i:i + 14] != ',"next_state":' or line[end:] != "}":
+        return None
+    if (action := actions.get(line[start:i])) is None and _action_ids(value):
+        action = actions[line[start:i]] = tuple(value)
+    return None if action is None else (action, nxt, line[i + 14:end])
 
 
 def chebyshev(a: Cell, b: Cell) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import shlex
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,45 @@ class TestAgentCount:
         assert err == [f"error: trace {trace} has 3 agents but domain sr5 has 5"]
         assert not out.exists()
 
+    def test_header_is_checked_before_any_sample(self, pipeline, tmp_path, capsys):
+        _, trace, _ = pipeline
+        lines = trace.read_text().splitlines()
+        lines[5] = "{bad"
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "m.mmdp"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["abstract", "--trace", str(bad), "--domain", "sr5",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: trace {bad} has 3 agents but domain sr5 has 5"]
+        assert not out.exists()
+
+    def test_first_fault_in_file_order(self, pipeline, tmp_path, capsys):
+        # the samples stream into the model, so a bad agent record in the
+        # first sample is found before a broken last line
+        _, trace, _ = pipeline
+        header, first, *rest = trace.read_text().splitlines()
+        rec = json.loads(first)
+        del rec["state"][0]["pos"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([header, json.dumps(rec), *rest, "{bad"]) + "\n")
+        assert main(["abstract", "--trace", str(bad), "--domain", "sr3",
+                     "--out", str(tmp_path / "m.mmdp")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: episode 0 step 0: malformed agent record (KeyError: 'pos')"]
+
+    def test_abstract_memory_is_below_the_trace_size(self, tmp_path, capsys):
+        trace, out = tmp_path / "sr3.jsonl", tmp_path / "sr3.mmdp"
+        assert main(["simulate", "--domain", "sr3", "--episodes", "400", "--seed", "42",
+                     "--out", str(trace)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["abstract", "--trace", str(trace), "--domain", "sr3",
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace.stat().st_size
+
 
 class TestJsonTypes:
     """A JSON value of the wrong type is refused where the field is read:
@@ -522,6 +562,37 @@ class TestCliFuzz:
         assert code in (0, 2, 3), err.getvalue()
         if code == 2:
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), domain=st.sampled_from(["sr3", "sr4", "sr5", "lbf2"]))
+    def test_mutated_compact_records(self, small_pipeline, data, domain):
+        """One node of one record changed and written back in the writer's
+        compact layout, and with it, if drawn, the next record's state: the
+        mutation reaches the reader's reuse path."""
+        trace, _ = small_pipeline
+        header, *records = trace.read_text().splitlines()
+        k = data.draw(st.integers(0, min(len(records), 12) - 2), label="record")
+        rec, nxt = json.loads(records[k]), json.loads(records[k + 1])
+        path = data.draw(st.sampled_from(_json_paths(rec)), label="node")
+        value = data.draw(_JSON_VALUES, label="value")
+        targets = [(rec, path)]
+        if path[0] == "next_state" and data.draw(st.booleans(), label="carry"):
+            targets.append((nxt, ("state", *path[1:])))
+        for node, keys in targets:
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        records[k:k + 2] = [json.dumps(r, separators=(",", ":")) for r in (rec, nxt)]
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "bad.jsonl"
+            bad.write_text("\n".join([header, *records]) + "\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["abstract", "--trace", str(bad), "--domain", domain,
+                             "--out", str(Path(tmp) / "m.mmdp")])
+        assert code in (0, 2, 3), err.getvalue()
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
     FLAG_NAMES = sorted({f"--{n.replace('_', '-')}" for n in cli._FLAGS}
                         | {"--config", "--episods", "--max_vars", "--epi", "--help", "-h"})

@@ -1,17 +1,21 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mapex
-from mapex import get_domain, read_trace, simulate, write_trace
+from mapex import (
+    build_abstraction, get_domain, read_trace, save_abstraction, simulate, write_trace,
+)
 from mapex.domain import domain_to_dict
-from mapex.envs import domain_ids
+from mapex.envs import domain_ids, iter_trace
 from mapex.envs.base import (
     WAIT,
     GridConfig,
@@ -375,3 +379,161 @@ class TestTraceFiles:
         path.write_text('{"format":"mapex-trace","version":9}\n')
         with pytest.raises(TraceFormatError):
             read_trace(path)
+
+
+def _compact(rec) -> str:
+    return json.dumps(rec, separators=(",", ":"))
+
+
+def _mmdp(trace, out) -> bytes:
+    """The .mmdp bytes of an sr3 trace, built from its streamed samples."""
+    samples = iter_trace(trace)
+    next(samples)
+    save_abstraction(build_abstraction(samples, get_domain("sr3").schema), out)
+    return out.read_bytes()
+
+
+class TestStreamingReader:
+    """A compact record whose state text repeats the previous next_state is
+    decoded from "action" on; every result equals a full decode's."""
+
+    @pytest.fixture()
+    def trace(self, sr3_trace_path):
+        header, *records = sr3_trace_path.read_text().splitlines()
+        return header, [json.loads(r) for r in records]
+
+    @staticmethod
+    def write(path, header, records, dump=_compact):
+        path.write_text("\n".join([header, *map(dump, records)]) + "\n")
+        return path
+
+    def test_writer_output_decodes_each_state_once(self, sr3_trace_path, monkeypatch):
+        # only the header and each episode's first record take a full decode
+        loads = json.loads
+        full = []
+        monkeypatch.setattr(json, "loads", lambda text: full.append(text) or loads(text))
+        _, samples = read_trace(sr3_trace_path)
+        assert len(full) == 1 + sum(s.step == 0 for s in samples)
+        assert all(s.joint_concrete_state is p.next_joint_concrete_state
+                   for p, s in zip(samples, samples[1:]) if s.step)
+
+    def test_nested_next_state_key(self, trace, tmp_path, sr3_trace_path):
+        # the next_state's text is the span raw_decode consumed, so a nested
+        # "next_state" key (even inside a string) cannot end it early
+        header, records = trace
+        k = next(i for i, r in enumerate(records) if r["step"] == 3)
+        extra = {"next_state": [{"pos": [0, 0]}], "note": '],"next_state":[1]}'}
+        records[k]["next_state"][0]["next_state"] = extra
+        records[k + 1]["state"][0]["next_state"] = extra
+        bad = self.write(tmp_path / "nested.jsonl", header, records)
+        _, samples = read_trace(bad)
+        assert samples[k + 1].joint_concrete_state is samples[k].next_joint_concrete_state
+        assert samples[k].next_joint_concrete_state[0]["next_state"] == extra
+        assert _mmdp(bad, tmp_path / "a.mmdp") == _mmdp(sr3_trace_path, tmp_path / "b.mmdp")
+
+    def test_one_byte_off_does_not_chain(self, trace, tmp_path):
+        header, records = trace
+        k = next(i for i, r in enumerate(records) if r["step"] == 3)
+        line = _compact(records[k])
+        at = line.index('"state":[{"pos":[') + len('"state":[{"pos":[')
+        off = line[:at] + str((int(line[at]) + 1) % 10) + line[at + 1:]
+        lines = [header, *map(_compact, records)]
+        lines[k + 1] = off
+        bad = tmp_path / "off.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(bad)
+        assert str(exc.value) == (
+            f"{bad}:{k + 2}: episode {records[k]['episode']} state at step 3 does "
+            f"not chain from the previous next_state")
+
+    def test_repeated_state_text_keeps_episode_and_step(self, trace, tmp_path):
+        header, records = trace
+        ep0 = [r for r in records if r["episode"] == 0]
+        last = ep0[-1]
+        fresh = {**last, "episode": 1, "step": 0, "state": last["next_state"]}
+        _, samples = read_trace(self.write(tmp_path / "fresh.jsonl", header, ep0 + [fresh]))
+        assert (samples[-1].episode_id, samples[-1].step) == (1, 0)
+        skipped = {**fresh, "episode": 0, "step": last["step"] + 2}
+        bad = self.write(tmp_path / "skip.jsonl", header, ep0 + [skipped])
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(bad)
+        assert str(exc.value) == (f"{bad}:{len(ep0) + 2}: episode 0 step {last['step'] + 2}, "
+                                  f"expected {last['step'] + 1}")
+
+    def test_nan_chains_in_every_layout(self, trace, tmp_path):
+        # json decodes every NaN to one float object, so equal text gives
+        # equal states (NaN != NaN, but containers compare by identity first)
+        header, records = trace
+        k = next(i for i, r in enumerate(records) if r["step"] == 3)
+        records[k]["next_state"][0]["x"] = records[k + 1]["state"][0]["x"] = float("nan")
+        compact = self.write(tmp_path / "compact.jsonl", header, records)
+        spaced = self.write(tmp_path / "spaced.jsonl", header, records, json.dumps)
+        assert read_trace(compact) == read_trace(spaced)
+
+    def test_other_layouts_read_alike(self, trace, tmp_path, sr3_trace_path):
+        header, records = trace
+        spaced = self.write(tmp_path / "spaced.jsonl", header, records,
+                            lambda r: json.dumps(dict(reversed(r.items()))))
+        assert (_mmdp(spaced, tmp_path / "a.mmdp")
+                == _mmdp(sr3_trace_path, tmp_path / "b.mmdp"))
+
+    def test_interleaved_episodes(self, trace, tmp_path):
+        header, records = trace
+        first, second = ([r for r in records if r["episode"] == e] for e in (0, 1))
+        rest = [r for r in records if r["episode"] > 1]
+        woven = [r for pair in zip(first, second) for r in pair]
+        n = len(woven) // 2
+        woven += first[n:] + second[n:]
+        a = self.write(tmp_path / "woven.jsonl", header, woven + rest)
+        b = self.write(tmp_path / "seq.jsonl", header, first + second + rest)
+        assert _mmdp(a, tmp_path / "a.mmdp") == _mmdp(b, tmp_path / "b.mmdp")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda line: line + " x", None),
+        (lambda line: line.replace('"action":["', '"action":["a b","', 1),
+         "action must be a list of strings without commas or spaces"),
+        (lambda line: line[:line.index(',"next_state":')] + ',"next_state":7}',
+         "record missing fields"),
+        (lambda line: line[:line.index(',"next_state":')] + "}", "record missing fields"),
+    ], ids=["trailing-text", "action-with-space", "number-next-state", "no-next-state"])
+    def test_faults_after_a_repeated_state(self, trace, tmp_path, edit, message):
+        header, records = trace
+        k = next(i for i, r in enumerate(records) if r["step"] == 4)
+        lines = [header, *map(_compact, records)]
+        lines[k + 1] = edit(lines[k + 1])
+        if message is None:
+            with pytest.raises(json.JSONDecodeError) as exc:
+                json.loads(lines[k + 1])
+            message = f"bad record: {exc.value}"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(bad)
+        assert str(exc.value) == f"{bad}:{k + 2}: {message}"
+
+    @pytest.mark.parametrize("line", [0, 1], ids=["header", "record"])
+    def test_integer_over_the_digit_limit(self, trace, tmp_path, line):
+        # int() refuses more than 4300 digits with a ValueError, not a JSONDecodeError
+        header, records = trace
+        lines = [header, _compact(records[0])]
+        lines[line] = lines[line].replace("1", "9" * 5000, 1)
+        bad = tmp_path / "big.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        where = ": bad header" if line == 0 else ":2: bad record"
+        with pytest.raises(TraceFormatError, match=f"{where}: Exceeds the limit"):
+            read_trace(bad)
+
+    def test_abandoned_iterator_leaves_no_open_file(self, sr3_trace_path):
+        unraisable = []
+        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                samples = iter_trace(sr3_trace_path)
+                next(samples), next(samples)
+                del samples
+                gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert unraisable == []
