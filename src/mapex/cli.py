@@ -257,7 +257,8 @@ def _cmd_simulate(o: SimpleNamespace) -> int:
 
 def _resolve_domain(value: str) -> DomainDefinition:
     """Registry id (sr3, rware19, ...) or a path to a domain definition file."""
-    if os.path.exists(value):
+    # a directory named after an id (say sr3/) must not shadow it
+    if os.path.isfile(value):
         return load_domain_file(value)
     return get_domain(value)
 

@@ -308,38 +308,71 @@ def encode_joint_state(
 
 
 # ---------------------------------------------------------------------------
-# Domain definition files.  Structured JSON, strict parsing: unknown keys are
-# rejected at every level.  Field names are documented in the README.
+# Domain definition files.  Structured JSON, read against the one declared
+# shape below before any record is built: unknown keys are rejected at every
+# level, and the first field that does not fit is named by its path.  Field
+# names are documented in the README.
 # ---------------------------------------------------------------------------
 
 _DOMAIN_FORMAT = "mapex-domain"
 _DOMAIN_VERSION = 1
 
-
-def _require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str], where: str):
-    if not isinstance(obj, Mapping):
-        raise DomainFormatError(f"{where}: expected an object")
-    keys = set(obj)
-    missing = required - keys
-    if missing:
-        raise DomainFormatError(f"{where}: missing keys {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise DomainFormatError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _require_list(obj: Any, where: str) -> list:
-    # a string would pass for a list of one-letter items
-    if not isinstance(obj, list):
-        raise DomainFormatError(f"{where}: expected a list")
-    return obj
+# str is a string and object any value (format and version are checked after
+# the walk); [s] is a list of s, AgentAction an [agent, action] pair, {str: s}
+# an object from any key to s, and any other dict an object with exactly its
+# keys, where a trailing "?" marks an optional one.
+_DOMAIN_SHAPE = {
+    "format": object,
+    "version": object,
+    "id": str,
+    "agents": [{"name": str, "actions": [str]}],
+    "features": [{"id": str, "label?": str, "positive": str, "negative": str,
+                  "positive_plural": str, "negative_plural": str}],
+    "task_features": [object],
+    "action_phrases": {str: {"base": str, "third": str}},
+    "relevance": [{"agent": str, "action": str, "agents": [str], "features": [str],
+                   "action_sets": [[AgentAction]]}],
+}
 
 
-def _require_text(obj: Any, where: str) -> str:
-    # str() would turn null into the text "None" and a list into its repr
-    if not isinstance(obj, str):
-        raise DomainFormatError(f"{where}: expected a string")
-    return obj
+def _check_shape(value: Any, shape: Any, where: str = "") -> None:
+    """Raise DomainFormatError at the first part of ``value`` not fitting ``shape``.
+
+    A list item that is a list or an object is named by its index; a string
+    or a pair is named by its list's path.
+    """
+    def fail(expected: str):
+        raise DomainFormatError(f"{where or 'domain'}: {expected}")
+
+    if shape is object:
+        return
+    # str() would turn null into the text "None", and a string would pass for
+    # a list of one-letter items
+    kind, expected = ((str, "a string") if shape is str
+                      else (Mapping, "an object") if isinstance(shape, dict)
+                      else (list, "a list"))
+    if not isinstance(value, kind):
+        fail(f"expected {expected}")
+    if shape is AgentAction and len(value) != 2:
+        fail("expected [agent, action] pairs")
+    if isinstance(shape, dict) and str in shape:
+        for key, item in value.items():
+            _check_shape(key, str, f"{where}[{key}]")
+            _check_shape(item, shape[str], f"{where}[{key}]")
+    elif isinstance(shape, dict):
+        fields = {k.rstrip("?"): s for k, s in shape.items()}
+        if missing := {k for k in shape if not k.endswith("?")} - set(value):
+            fail(f"missing keys {sorted(missing)}")
+        if unknown := set(value) - set(fields):
+            fail(f"unknown keys {sorted(unknown)}")
+        for key, item in fields.items():
+            if key in value:
+                _check_shape(value[key], item, f"{where}.{key}" if where else key)
+    elif shape is not str:
+        item = str if shape is AgentAction else shape[0]
+        indexed = isinstance(item, (dict, list))
+        for i, x in enumerate(value):
+            _check_shape(x, item, f"{where}[{i}]" if indexed else where)
 
 
 def domain_to_dict(domain: DomainDefinition) -> dict[str, Any]:
@@ -383,84 +416,32 @@ def domain_to_dict(domain: DomainDefinition) -> dict[str, Any]:
 
 
 def domain_from_dict(data: Mapping[str, Any]) -> DomainDefinition:
-    _require_keys(
-        data,
-        {"format", "version", "id", "agents", "features", "task_features",
-         "action_phrases", "relevance"},
-        set(),
-        "domain",
-    )
+    _check_shape(data, _DOMAIN_SHAPE)
     if data["format"] != _DOMAIN_FORMAT:
         raise DomainFormatError(f"not a domain definition: format={data['format']!r}")
     # True == 1, so the type is checked too
     if type(data["version"]) is not int or data["version"] != _DOMAIN_VERSION:
         raise DomainFormatError(f"unsupported domain version {data['version']!r}")
 
-    agents = []
-    for i, a in enumerate(_require_list(data["agents"], "agents")):
-        where = f"agents[{i}]"
-        _require_keys(a, {"name", "actions"}, set(), where)
-        actions = _require_list(a["actions"], f"{where}.actions")
-        agents.append(AgentSpec(_require_text(a["name"], f"{where}.name"), tuple(
-            _require_text(x, f"{where}.actions") for x in actions)))
-
-    predicates = []
-    for i, f in enumerate(_require_list(data["features"], "features")):
-        where = f"features[{i}]"
-        _require_keys(
-            f,
-            {"id", "positive", "negative", "positive_plural", "negative_plural"},
-            {"label"},
-            where,
-        )
-        fields = {**f, "label": f.get("label", f["id"])}
-        predicates.append(PredicateSpec(
-            **{k: _require_text(v, f"{where}.{k}") for k, v in fields.items()}))
-    task_features = _require_list(data["task_features"], "task_features")
-    schema = FeatureSchema(tuple(predicates), tuple(task_features))
-
-    if not isinstance(data["action_phrases"], Mapping):
-        raise DomainFormatError("action_phrases: expected an object")
-    phrases = {}
-    for action, ph in data["action_phrases"].items():
-        where = f"action_phrases[{action}]"
-        _require_keys(ph, {"base", "third"}, set(), where)
-        phrases[_require_text(action, where)] = ActionPhrases(
-            _require_text(ph["base"], f"{where}.base"),
-            _require_text(ph["third"], f"{where}.third"))
-
+    schema = FeatureSchema(
+        tuple(PredicateSpec(**{"label": f["id"], **f}) for f in data["features"]),
+        tuple(data["task_features"]),
+    )
     entries: dict[AgentAction, RelevanceEntry] = {}
-    for i, r in enumerate(_require_list(data["relevance"], "relevance")):
-        where = f"relevance[{i}]"
-        _require_keys(
-            r, {"agent", "action", "agents", "features", "action_sets"}, set(), where
-        )
-        key = (_require_text(r["agent"], f"{where}.agent"),
-               _require_text(r["action"], f"{where}.action"))
+    for r in data["relevance"]:
+        key = (r["agent"], r["action"])
         if key in entries:
             raise DomainFormatError(f"duplicate relevance entry for {key}")
-        sets = []
-        for j, s in enumerate(_require_list(r["action_sets"], f"{where}.action_sets")):
-            at = f"{where}.action_sets[{j}]"
-            pairs = [_require_list(p, at) for p in _require_list(s, at)]
-            if any(len(p) != 2 for p in pairs):
-                raise DomainFormatError(f"{at}: expected [agent, action] pairs")
-            sets.append(frozenset(
-                (_require_text(agent, at), _require_text(action, at))
-                for agent, action in pairs))
         entries[key] = RelevanceEntry(
-            agents=frozenset(_require_text(x, f"{where}.agents")
-                             for x in _require_list(r["agents"], f"{where}.agents")),
-            features=frozenset(_require_text(x, f"{where}.features")
-                               for x in _require_list(r["features"], f"{where}.features")),
-            action_sets=tuple(sets),
+            agents=frozenset(r["agents"]),
+            features=frozenset(r["features"]),
+            action_sets=tuple(frozenset(map(tuple, s)) for s in r["action_sets"]),
         )
-
     return DomainDefinition(
-        id=_require_text(data["id"], "id"),
-        agents=tuple(agents),
+        id=data["id"],
+        agents=tuple(AgentSpec(a["name"], tuple(a["actions"])) for a in data["agents"]),
         schema=schema,
-        action_phrases=phrases,
+        action_phrases={a: ActionPhrases(**ph) for a, ph in data["action_phrases"].items()},
         relevance=RelevanceKnowledge(entries),
     )
 
@@ -473,8 +454,9 @@ def save_domain_file(domain: DomainDefinition, path) -> None:
 
 def load_domain_file(path) -> DomainDefinition:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainFormatError(f"invalid JSON in {path}: {exc}") from None
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
+        raise DomainFormatError(f"invalid JSON in {path}: {exc}") from None
     return domain_from_dict(data)

@@ -12,17 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .domain import ActionPhrases, DomainDefinition, variable_index
+from .domain import ActionPhrases, DomainDefinition, PredicateSpec, variable_index
 from .errors import PhraseMapError, PreconditionError
 from .query import ConditionAnswer, LiteralDNF, Query, WhatAnswer
-
-
-@dataclass(frozen=True)
-class PredicatePhrases:
-    positive: str
-    negative: str
-    positive_plural: str
-    negative_plural: str
 
 
 @dataclass(frozen=True)
@@ -30,19 +22,14 @@ class PhraseMap:
     """Rendering vocabulary: display names, predicate phrases, action verbs."""
 
     agents: Mapping[str, str]
-    predicates: Mapping[str, PredicatePhrases]
+    predicates: Mapping[str, PredicateSpec]
     actions: Mapping[str, ActionPhrases]
 
     @classmethod
     def from_domain(cls, domain: DomainDefinition) -> "PhraseMap":
         return cls(
             agents={a.name: a.name for a in domain.agents},
-            predicates={
-                p.id: PredicatePhrases(
-                    p.positive, p.negative, p.positive_plural, p.negative_plural
-                )
-                for p in domain.schema.predicates
-            },
+            predicates={p.id: p for p in domain.schema.predicates},
             actions=dict(domain.action_phrases),
         )
 
@@ -51,7 +38,7 @@ class PhraseMap:
             raise PhraseMapError(f"no display name for agent {name!r}")
         return self.agents[name]
 
-    def predicate(self, pred_id: str) -> PredicatePhrases:
+    def predicate(self, pred_id: str) -> PredicateSpec:
         if pred_id not in self.predicates:
             raise PhraseMapError(f"no phrases for predicate {pred_id!r}")
         return self.predicates[pred_id]

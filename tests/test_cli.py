@@ -117,6 +117,17 @@ class TestPipelineComposability:
         )
         assert cli_chart == lib_chart
 
+    def test_directory_named_like_a_domain_id(self, pipeline, tmp_path, monkeypatch,
+                                               capsys):
+        _, _, mmdp = pipeline
+        monkeypatch.chdir(tmp_path)
+        argv = ["summarize", "--mmdp", str(mmdp), "--domain", "sr3"]
+        assert main(argv) == 0
+        chart = capsys.readouterr().out
+        (tmp_path / "sr3").mkdir()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == chart
+
     def test_summarize_to_file(self, pipeline, tmp_path):
         _, _, mmdp = pipeline
         out = tmp_path / "chart.csv"
@@ -233,6 +244,15 @@ class TestMalformedInputFiles:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: input file is not UTF-8 text")
+
+    def test_domain_file_integer_over_the_digit_limit(self, pipeline, tmp_path, capsys):
+        _, _, mmdp = pipeline
+        data = domain_to_dict(get_domain("sr3"))
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(data).replace('"version": 1', '"version": ' + "9" * 5000))
+        assert main(["summarize", "--mmdp", str(mmdp), "--domain", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: invalid JSON in {bad}: ")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MMDP))
     def test_malformed_mmdp_exits_2(self, pipeline, tmp_path, capsys, case):

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import pytest
@@ -7,7 +8,9 @@ from mapex import (
     RelevanceEntry,
     RelevanceKnowledge,
     decode_agent_state,
+    domain_ids,
     encode_agent_state,
+    get_domain,
     load_domain_file,
     save_domain_file,
     variable_index,
@@ -145,13 +148,21 @@ class TestAgentLookup:
 
 
 class TestDomainFiles:
-    def test_roundtrip(self, tmp_path, sr3_domain):
-        path = tmp_path / "sr3.json"
-        save_domain_file(sr3_domain, path)
+    @pytest.mark.parametrize("domain_id", domain_ids())
+    def test_roundtrip(self, tmp_path, domain_id):
+        domain = get_domain(domain_id)
+        path = tmp_path / f"{domain_id}.json"
+        save_domain_file(domain, path)
         loaded = load_domain_file(path)
-        assert domain_to_dict(loaded) == domain_to_dict(sr3_domain)
-        assert loaded.schema.predicate_ids == sr3_domain.schema.predicate_ids
-        assert loaded.schema.schema_hash() == sr3_domain.schema.schema_hash()
+        assert domain_to_dict(loaded) == domain_to_dict(domain)
+        assert loaded.schema.predicate_ids == domain.schema.predicate_ids
+        assert loaded.schema.schema_hash() == domain.schema.schema_hash()
+
+    def test_label_defaults_to_id(self, sr3_domain):
+        data = domain_to_dict(sr3_domain)
+        del data["features"][2]["label"]
+        predicate = domain_from_dict(data).schema.predicates[2]
+        assert predicate.label == predicate.id == "fire_detect"
 
     def test_unknown_top_level_key_rejected(self, sr3_domain):
         data = domain_to_dict(sr3_domain)
@@ -199,6 +210,78 @@ class TestDomainFiles:
         with pytest.raises(DomainFormatError, match=rf"^{re.escape(where)}: expected "):
             domain_from_dict(data)
 
+    @pytest.mark.parametrize("path,value,line", [
+        (("agents", 0, "color"), "gray", "agents[0]: unknown keys ['color']"),
+        (("relevance", 0, "action_sets", 0, 0), ["UAV", "move", "x"],
+         "relevance[0].action_sets[0]: expected [agent, action] pairs"),
+        (("relevance", 0, "action_sets", 0, 0), ["UAV", 1],
+         "relevance[0].action_sets[0]: expected a string"),
+        (("action_phrases", "move"), "go", "action_phrases[move]: expected an object"),
+    ], ids=["unknown-nested-key", "pair-length", "pair-item", "phrases-value"])
+    def test_message_names_the_field(self, sr3_domain, path, value, line):
+        data = _replaced(domain_to_dict(sr3_domain), path, value)
+        with pytest.raises(DomainFormatError) as info:
+            domain_from_dict(data)
+        assert str(info.value) == line
+
+    def test_missing_nested_key_message(self, sr3_domain):
+        data = domain_to_dict(sr3_domain)
+        del data["relevance"][0]["features"]
+        with pytest.raises(DomainFormatError) as info:
+            domain_from_dict(data)
+        assert str(info.value) == "relevance[0]: missing keys ['features']"
+
+    def test_shape_fault_reported_before_semantic_fault(self, sr3_domain):
+        # the whole file is checked against its shape before any record is built
+        data = domain_to_dict(sr3_domain)
+        data["features"][1]["id"] = data["features"][0]["id"]
+        data["relevance"][13]["agents"] = "UAV"
+        with pytest.raises(DomainFormatError, match=r"^relevance\[13\]\.agents: expected a list$"):
+            domain_from_dict(data)
+        data["relevance"][13]["agents"] = ["UAV"]
+        with pytest.raises(DomainFormatError, match=r"^duplicate predicate ids"):
+            domain_from_dict(data)
+
     def test_task_subset_validated(self):
         with pytest.raises(DomainFormatError):
             plain_schema(2, task_ids=("nope",))
+
+
+def _replaced(data, path, value):
+    """A copy of ``data`` with the node at ``path`` (() is the root) set to ``value``."""
+    if not path:
+        return copy.deepcopy(value)
+    data = node = copy.deepcopy(data)
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(value)
+    return data
+
+
+def _nodes(value, path=()):
+    """The path of every node of a JSON value, the root's () first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _nodes(item, path + (key,))
+
+
+class TestSingleFaultFiles:
+    """Each node of the sr3 file, the root included, replaced by one value:
+    290 nodes times ten values."""
+
+    @pytest.mark.parametrize("value", [
+        None, 1, True, "x", [], {}, ["x"], [1], [["a", "b", "c"]], {"k": 1},
+    ], ids=repr)
+    def test_fault_is_a_domain_format_error(self, sr3_domain, value):
+        base = domain_to_dict(sr3_domain)
+        for path in _nodes(base):
+            try:
+                domain_from_dict(_replaced(base, path, value))
+            except DomainFormatError:
+                continue
+            except Exception as exc:
+                pytest.fail(f"{path}: {exc!r}")
+            # only free text, an empty list or the same version still fits
+            assert value in ("x", []) or (path, value) == (("version",), 1), path
