@@ -435,6 +435,10 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
         return by_index[text]
 
     # the header's state indices (lines 6 and 7), now that the state table is read
-    return PolicyAbstraction(schema, n_agents, counts, state(initial, 6),
-                             normalization=normalization,
-                             initial_counts={state(s_i, 7): c for s_i, c in init_counts})
+    m = PolicyAbstraction(schema, n_agents, counts, state(initial, 6),
+                          normalization=normalization,
+                          initial_counts={state(s_i, 7): c for s_i, c in init_counts})
+    if m.n_states != len(states):  # saved files list only the states the model names
+        k = next(k for k, s in enumerate(states) if s not in m.state_index)
+        fail(f"state {k} on line {9 + k} is named by no transition or initial count")
+    return m

@@ -5,7 +5,8 @@ assignment in neither set is a don't-care the minimizer may absorb.  A one's
 primes are the minimal hitting sets of its differences with the zeros.  As a
 set hits a family exactly when it hits the family's inclusion-minimal members,
 only those enter the depth-first search (MMCS), which yields every prime, with
-no cap, once: from the first one it covers.
+no cap, once: from the first one it covers.  A prime stays a flat record, its
+sort key and masks, until the cover is chosen; only its primes become objects.
 
 One search picks every cover (O. Coudert, "Two-level logic minimization: an
 overview", Integration 17(2), 1994): the table of ones by primes is cut to its
@@ -63,9 +64,6 @@ class Implicant:
             rest ^= low
         return tuple(found)
 
-    def sort_key(self) -> tuple:
-        return tuple((v, 0 if pol else 1) for v, pol in self.literals())
-
 
 class Cover(list):
     """A DNF as the list of its implicants, with ``minimal`` and ``lower_bound``."""
@@ -117,13 +115,17 @@ def _minimal_transversals(
 
     def search(chosen: int, cand: int, uncov: int, crit: list[int]):
         _check_deadline(deadline, "prime generation", primes_so_far)
+        reach = chosen | cand if uncov else chosen
+        for d in earlier:
+            if not d & reach:
+                return
         if not uncov:
-            if all(d & chosen for d in earlier):
-                found.append(chosen)
+            found.append(chosen)
             return
-        if not all(d & (chosen | cand) for d in earlier):
-            return
-        branch = cand & min(_select(edges, uncov), key=lambda f: (f & cand).bit_count())
+        fewest = n_vars + 1  # the first edge of fewest candidates
+        for f in _select(edges, uncov):
+            if (f & cand).bit_count() < fewest:
+                branch, fewest = f & cand, (f & cand).bit_count()
         cand &= ~branch
         while branch:
             bit = branch & -branch
@@ -131,8 +133,8 @@ def _minimal_transversals(
             holding = in_edges[bit.bit_length() - 1]
             kept = [c & ~holding for c in crit]
             if all(kept):
-                search(chosen | bit, cand | branch, uncov & ~holding,
-                       kept + [uncov & holding])
+                kept.append(uncov & holding)
+                search(chosen | bit, cand | branch, uncov & ~holding, kept)
 
     search(0, (1 << n_vars) - 1, (1 << len(edges)) - 1, [])  # every variable a candidate
     return found
@@ -140,17 +142,19 @@ def _minimal_transversals(
 
 def _prime_implicants(
     ones: Sequence[int], zeros: Sequence[int], deadline: float | None
-) -> dict[Implicant, int]:
-    """All prime implicants touching the on-set, each mapped to the mask of the
-    positions in ``ones`` it covers: the AND, over its literals, of the ones
-    agreeing with the literal.
+) -> list[tuple[tuple, int, int, int]]:
+    """All prime implicants touching the on-set, as (sort key, care mask,
+    values, covered) records, both built in one pass over the literals: the key
+    lists (variable, 0 if positive else 1) by ascending variable, and
+    ``covered`` holds the positions in ``ones`` the prime covers, the AND of
+    the ones agreeing with each literal.
 
     Each prime is generated once, from the first one it covers: the k-th one
     keeps only the care masks that hit its difference with every earlier one,
     so it covers none of them.  Both difference families enter the search as
     their inclusion-minimal members.
     """
-    primes: dict[Implicant, int] = {}
+    primes: list[tuple[tuple, int, int, int]] = []
     n_vars = max([*ones, *zeros], default=0).bit_length()
     everyone = (1 << len(ones)) - 1
     holding = [0] * n_vars  # per variable, the ones holding it, as bits by position
@@ -158,23 +162,30 @@ def _prime_implicants(
         while o:
             holding[(o & -o).bit_length() - 1] |= 1 << j
             o &= o - 1
+    # per variable, (literal, ones agreeing) for the negative and the positive literal
+    agree = [(((v, 1), everyone ^ h), ((v, 0), h)) for v, h in enumerate(holding)]
     for k, m in enumerate(ones):
         edges = _minimal_sets([m ^ z for z in zeros])
         earlier = _minimal_sets([m ^ o for o in ones[:k]])
         for care in _minimal_transversals(edges, earlier, n_vars, deadline, len(primes)):
-            prime, covered = Implicant(care, m & care), everyone
-            for v, held in prime.literals():
-                covered &= holding[v] if held else everyone ^ holding[v]
-            primes[prime] = covered
+            key, covered, rest = [], everyone, care
+            while rest:
+                low = rest & -rest
+                literal, agreeing = agree[low.bit_length() - 1][m & low != 0]
+                key.append(literal)
+                covered &= agreeing
+                rest ^= low
+            primes.append((tuple(key), care, m & care, covered))
     return primes
 
 
 def _cover(
-    primes: list[Implicant], masks: list[int], keys: list[tuple], deadline: float | None,
-) -> Cover:
-    """The best cover of every one by ``primes``, listed cheapest first by
-    (literals, sort key ``keys[i]``); ``masks[i]`` is the set of ones (bits)
-    ``primes[i]`` covers.  Covers rank by (clauses, literals, sorted sort keys)."""
+    masks: Sequence[int], keys: Sequence[tuple], deadline: float | None,
+) -> tuple[list[int], bool, int]:
+    """The best cover of every one by primes listed cheapest first by (literals,
+    sort key ``keys[i]``), prime i covering the ones (bits) in ``masks[i]``: its
+    primes in key order, whether it is proven, and a bound on its clauses.
+    Covers rank by (clauses, literals, sorted sort keys)."""
     # rows[j]: the primes covering one j, each a column of the masks' binary digits
     width = reduce(or_, masks, 0).bit_length()
     digits = "".join([bin(mask | 1 << width)[3:] for mask in reversed(masks)])
@@ -214,8 +225,7 @@ def _cover(
             seen.add(hit)
         rows = [a & open_primes for a in rows]
     if not live:  # an empty core: the forced primes are the one best cover
-        return Cover([primes[i] for i in sorted(forced, key=keys.__getitem__)],
-                     True, len(forced))
+        return sorted(forced, key=keys.__getitem__), True, len(forced)
 
     def rank(c: list[int]) -> tuple:
         return len(c), sum(len(keys[i]) for i in c), sorted(keys[i] for i in c)
@@ -252,8 +262,7 @@ def _cover(
         return clauses
 
     lower_bound = search([rows[j] for j in live], forced, sum(len(keys[i]) for i in forced))
-    return Cover([primes[i] for i in sorted(best[1], key=keys.__getitem__)],
-                 nodes <= COVER_NODE_BUDGET, lower_bound)
+    return sorted(best[1], key=keys.__getitem__), nodes <= COVER_NODE_BUDGET, lower_bound
 
 
 def evaluate_dnf(implicants: Iterable[Implicant], minterm: int) -> bool:
@@ -293,11 +302,10 @@ def minimize(
     if ones and not zeros:  # true everywhere
         return Cover([Implicant(0, 0)], True, 1)
 
-    coverage = _prime_implicants(ones, zeros, deadline)
-    keys = {p: p.sort_key() for p in coverage}
-    primes = sorted(coverage, key=lambda p: (len(keys[p]), keys[p]))
-    result = _cover(primes, [coverage[p] for p in primes], [keys[p] for p in primes],
-                    deadline)
+    primes = sorted(_prime_implicants(ones, zeros, deadline), key=lambda p: (len(p[0]), p[0]))
+    chosen, minimal, lower_bound = _cover([p[3] for p in primes], [p[0] for p in primes],
+                                          deadline)
+    result = Cover([Implicant(*primes[i][1:3]) for i in chosen], minimal, lower_bound)
 
     for m in ones:
         if not evaluate_dnf(result, m):

@@ -420,7 +420,7 @@ def _cmd_boolmin_debug(o: SimpleNamespace) -> int:
     ones, zeros = [], []
     for row in rows[1:]:
         if (len(row) != 2 or row[1] not in ("0", "1")
-                or not set(row[0]) <= {"0", "1"} or int(row[0], 2) >> n_vars):
+                or len(row[0]) != n_vars or not set(row[0]) <= {"0", "1"}):
             raise MapexError(
                 f"truth table {path}: row {' '.join(row)!r} is not "
                 f"'<bits> 0|1' over {n_vars} variables"

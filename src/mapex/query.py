@@ -67,11 +67,13 @@ class Query:
             raise PreconditionError(f"unknown query method {self.method!r}")
         if not self.agents:
             raise PreconditionError("query needs at least one agent")
+        _named_once("agent", self.agents)
         for name in self.agents:
             domain.agent_spec(name)
         if self.kind in ("when", "whynot"):
             if not self.actions:
                 raise PreconditionError(f"{self.kind} query needs agent actions")
+            _named_once("agent", tuple(agent for agent, _ in self.actions))
             for agent, action in self.actions:
                 spec = domain.agent_spec(agent)
                 if action not in spec.actions:
@@ -87,8 +89,16 @@ class Query:
         if self.kind == "what":
             if not self.predicates:
                 raise PreconditionError("what query needs predicates")
+            _named_once("predicate", self.predicates)
             for p in self.predicates:
                 domain.schema.index_of(p)
+
+
+def _named_once(kind: str, names: tuple[str, ...]) -> None:
+    """Refuse a name given twice, which would be read, and rendered, as two."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise PreconditionError(f"{kind} {name!r} is named twice in the query")
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,16 @@ def _bits_out_of_range(lines):
     lines[i] = "0 " + ",".join(["999"] * n_agents)
 
 
+def _unnamed_state(lines):
+    # a well-formed last row that no transition or initial count names
+    i = _first_row(lines, "states")
+    n_states = int(lines[i - 1].split(" ")[1])
+    n_agents = len(lines[i].split(" ")[1].split(","))
+    top = (1 << int(lines[_first_row(lines, "features") - 1].split(" ")[1])) - 1
+    lines.insert(i + n_states, f"{n_states} " + ",".join([str(top)] * n_agents))
+    lines[i - 1] = f"states {n_states + 1}"
+
+
 MALFORMED_MMDP = {
     "non-numeric-count": (_set_count, "malformed line"),
     "target-out-of-range": (_set_target, "transition 0 -> 9999 on line"),
@@ -153,4 +163,5 @@ MALFORMED_MMDP = {
     "swapped-states": (_swap_states, "state rows out of order"),
     "repeated-init-count": (_repeat_init_count, "duplicate init-counts entries"),
     "bits-out-of-range": (_bits_out_of_range, "state 0 on line 9 has an agent value outside"),
+    "unnamed-state": (_unnamed_state, "state 18 on line 27 is named by no transition"),
 }

@@ -45,9 +45,13 @@ def partitions(n_vars):
 
 
 def coverage_sets(ones, zeros):
-    """_prime_implicants as (care mask, values) -> the set of ones covered."""
-    return {(p.care_mask, p.values): {m for j, m in enumerate(ones) if covered >> j & 1}
-            for p, covered in _prime_implicants(ones, zeros, None).items()}
+    """_prime_implicants as (care mask, values) -> the set of ones covered,
+    checking that each record's sort key is its cube's literal tuple."""
+    coverage = {}
+    for key, care, values, covered in _prime_implicants(ones, zeros, None):
+        assert key == literal_tuple((care, values)), (ones, zeros)
+        coverage[care, values] = {m for j, m in enumerate(ones) if covered >> j & 1}
+    return coverage
 
 
 def random_problem(rng, n_vars, n_ones, n_zeros):
@@ -188,7 +192,8 @@ class TestLiterals:
             want = tuple((v, bool(values >> v & 1))
                          for v in range(care.bit_length()) if care >> v & 1)
             assert imp.literals() == want
-            assert imp.sort_key() == tuple((v, 0 if pol else 1) for v, pol in want)
+            assert literal_tuple((care, values)) == tuple((v, 0 if pol else 1)
+                                                          for v, pol in want)
 
 
 class TestMinimalSets:
@@ -230,7 +235,7 @@ class TestEachPrimeOnce:
                                          rng.randint(1, (1 << n_vars) - n_ones))
             made, primes = self.generated(monkeypatch, ones, zeros)
             assert len(set(made)) == len(made) == len(primes), (ones, zeros)
-            assert set(made) == {(p.care_mask, p.values) for p in primes}
+            assert set(made) == {(care, values) for _, care, values, _ in primes}
             if n_vars <= 5:
                 assert set(made) == set(prime_cubes(ones, zeros, n_vars))
 
@@ -241,31 +246,56 @@ class TestEachPrimeOnce:
         made, primes = self.generated(monkeypatch, ones, zeros)
         assert len(set(made)) == len(made) == len(primes) == 1007
 
-    def test_one_sort_key_per_prime(self, monkeypatch):
-        # the cover search ranks covers by candidate positions; it derives no
-        # sort key beyond the one minimize takes per prime
-        calls = []
-        sort_key = Implicant.sort_key
-
-        def spy(self):
-            calls.append(self)
-            return sort_key(self)
-
-        monkeypatch.setattr(Implicant, "sort_key", spy)
+    @staticmethod
+    def small_problems():
         # two primes, !x0 and !x1, share the only one: no prime is essential
-        problems = [([0], [3], 2)]
+        yield [0], [3], 2
         rng = random.Random(2718)
         for _ in range(100):
             n_vars = rng.randint(2, 5)
             n_ones = rng.randint(1, 1 << (n_vars - 1))
-            problems.append((*random_problem(rng, n_vars, n_ones,
-                                             rng.randint(1, (1 << n_vars) - n_ones)),
-                             n_vars))
-        for ones, zeros, n_vars in problems:
+            yield (*random_problem(rng, n_vars, n_ones,
+                                   rng.randint(1, (1 << n_vars) - n_ones)), n_vars)
+
+    def test_one_sort_key_per_prime(self, monkeypatch):
+        # the cover search ranks covers by candidate positions; it derives no
+        # sort key beyond the one the prime pass builds per prime
+        records, calls = [], []
+        prime_pass, cover = boolmin._prime_implicants, boolmin._cover
+
+        def records_spy(*args):
+            records[:] = prime_pass(*args)
+            return records
+
+        def cover_spy(masks, keys, deadline):
+            calls.append(keys)
+            return cover(masks, keys, deadline)
+
+        monkeypatch.setattr(boolmin, "_prime_implicants", records_spy)
+        monkeypatch.setattr(boolmin, "_cover", cover_spy)
+        for ones, zeros, n_vars in self.small_problems():
             n_primes = len(_prime_implicants(ones, zeros, None))
             calls.clear()
             minimize(ones, zeros, n_vars)
-            assert len(calls) == n_primes, (ones, zeros)
+            assert len(calls) == 1 and len(calls[0]) == n_primes, (ones, zeros)
+            assert ({id(key) for key in calls[0]}
+                    == {id(key) for key, *_ in records}), (ones, zeros)
+
+    def test_implicants_only_for_the_cover(self, monkeypatch):
+        # primes stay records until the cover is chosen: minimize makes one
+        # Implicant per clause it returns
+        made = []
+        check = Implicant.__post_init__
+
+        def spy(self):
+            made.append(self)
+            check(self)
+
+        monkeypatch.setattr(Implicant, "__post_init__", spy)
+        for ones, zeros, n_vars in self.small_problems():
+            made.clear()
+            result = minimize(ones, zeros, n_vars)
+            assert len(made) == len(result), (ones, zeros)
 
 
 class TestGreedyCover:
@@ -349,6 +379,42 @@ class TestExactCoverScale:
         assert all(dnf_truth(cut, m) for m in ones)
 
 
+# The four wide when norf answers of the benchmark's explain workload (seed 42):
+# the (care mask, values) cubes, whether proven minimal, and the clause bound.
+WIDE_WHEN_NORF = {
+    ("lbf9", 50, "F_1", "collect_food_1"): (
+        [(1, 1), (22548844562, 262144), (16402, 0), (4456466, 4194304),
+         (1346388226, 1077952512), (21764785154, 0), (39728791554, 0),
+         (17247241488, 262160), (18258067728, 4456464), (4299182096, 16400),
+         (17184079888, 17184079888), (21546139664, 21474836496), (4295229712, 256),
+         (1074020672, 278784), (4295033856, 4295033856), (17184343040, 4194304),
+         (268500992, 268500992), (34645016576, 34359738368),
+         (22552772608, 5368709120), (285212672, 285212672)],
+        False, 17),
+    ("sr5", 100, "UAV", "rescue_victim"): (
+        [(1, 1), (536876034, 0), (327682, 65536), (268435458, 268435456),
+         (131136, 131136), (136256, 4096), (16782336, 16782336), (328704, 263168),
+         (4198400, 4198400), (20971520, 20971520)],
+        True, 9),
+    ("sr4", 30, "UAV", "rescue_victim"): (
+        [(1, 1), (66562, 1024), (66562, 65536), (262146, 0)],
+        True, 4),
+    ("lbf4", 50, "F_1", "collect_food_1"): (
+        [(1, 1), (322, 0), (4368, 272), (20480, 4096), (32768, 32768)],
+        True, 5),
+}
+
+
+class TestWideWhenNorfPinned:
+    @pytest.mark.parametrize("problem", list(WIDE_WHEN_NORF),
+                             ids=lambda p: f"{p[0]}@{p[1]}")
+    def test_cover_bytes(self, problem):
+        cubes, minimal, lower_bound = WIDE_WHEN_NORF[problem]
+        dnf = minimize(*when_norf_problem(*problem), max_vars=64)
+        assert [(imp.care_mask, imp.values) for imp in dnf] == cubes
+        assert (dnf.minimal, dnf.lower_bound) == (minimal, lower_bound)
+
+
 class TestPrimality:
     def test_dropping_any_literal_covers_a_zero(self):
         rng = random.Random(99)
@@ -379,7 +445,7 @@ class TestDeterminism:
 
     def test_clause_order_is_canonical(self):
         dnf = minimize({0b01, 0b10, 0b11}, {0b00}, 2)
-        keys = [imp.sort_key() for imp in dnf]
+        keys = [literal_tuple((imp.care_mask, imp.values)) for imp in dnf]
         assert keys == sorted(keys)
 
 
@@ -415,7 +481,7 @@ class TestGuardrails:
         code = (
             "from mapex import boolmin\n"
             "boolmin._prime_implicants = lambda ones, zeros, deadline: "
-            "{boolmin.Implicant(0, 0): (1 << len(ones)) - 1}\n"
+            "[((), 0, 0, (1 << len(ones)) - 1)]\n"
             "try:\n"
             "    boolmin.minimize([0], [1], 1)\n"
             "except AssertionError as exc:\n"

@@ -221,6 +221,19 @@ class TestExplain:
         assert err == [f"error: --timeout must be a positive number of seconds, "
                        f"got {float(timeout)}"]
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--type", "when", "--agents", "UAV,UAV", "--actions", "rescue_victim,move"],
+         "agent 'UAV'"),
+        (["--type", "what", "--agents", "UAV", "--predicates", "victim_detect,victim_detect"],
+         "predicate 'victim_detect'"),
+    ], ids=["agent", "predicate"])
+    def test_name_given_twice_exits_2(self, pipeline, capsys, flags, name):
+        _, _, mmdp = pipeline
+        assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} is named twice in the query\n"
+
     def test_missing_required_flag_exits_2(self, pipeline):
         _, _, mmdp = pipeline
         assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3",
@@ -986,6 +999,15 @@ class TestBoolminDebug:
         assert main(["boolmin-debug", "--table", str(table)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: truth table {table}")
+
+    @pytest.mark.parametrize("bits", ["1", "011"], ids=["short", "long"])
+    def test_row_of_other_width_is_named(self, tmp_path, capsys, bits):
+        # "1" is not read as "01": a row must give every variable's bit
+        table = tmp_path / "tt.txt"
+        table.write_text(f"2\n01 1\n{bits} 0\n")
+        assert main(["boolmin-debug", "--table", str(table)]) == 2
+        assert capsys.readouterr().err == (f"error: truth table {table}: row '{bits} 0' "
+                                           f"is not '<bits> 0|1' over 2 variables\n")
 
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
     def test_guardrail_exits_3_like_explain(self, tmp_path, capsys, monkeypatch, source):

@@ -385,6 +385,18 @@ class TestQueryValidation:
                 sr3_domain
             )
 
+    @pytest.mark.parametrize("query", [
+        Query(kind="when", agents=("UAV", "UAV"), method="norf",
+              actions=(("UAV", RESCUE), ("UAV", "move"))),
+        Query(kind="when", agents=("UAV",), method="withrf",
+              actions=(("UAV", RESCUE), ("UAV", "move"))),
+        Query(kind="what", agents=("UAV",), predicates=("victim_detect", "victim_detect")),
+    ], ids=["agent", "agent-in-actions", "predicate"])
+    def test_name_given_twice_rejected(self, sr3_domain, query):
+        # read as two of them, a repeated name renders a sentence about two
+        with pytest.raises(PreconditionError, match="named twice"):
+            query.validate(sr3_domain)
+
     def test_kind_mismatch_rejected(self, sr3_domain, sr3_abstraction):
         q = Query(kind="what", agents=("UAV",), predicates=("victim_detect",))
         with pytest.raises(PreconditionError):
@@ -531,7 +543,7 @@ class TestIndexedPartition:
     @given(st.integers(0, 10_000), synth_domains(), st.sampled_from(("norf", "withrf")),
            st.lists(st.sampled_from(("A", "B")), min_size=1, max_size=2, unique=True),
            st.lists(st.sampled_from(SYNTH_SCHEMA.predicate_ids), min_size=1,
-                    max_size=2))
+                    max_size=2, unique=True))
     @settings(max_examples=100, deadline=None)
     def test_what_states_match_brute_force(self, seed, domain, method, agents,
                                            predicates):
