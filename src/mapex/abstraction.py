@@ -16,8 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, groupby
-from operator import attrgetter, or_
+from itertools import compress, groupby, islice
+from operator import attrgetter, itemgetter, lt, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import FeatureSchema, JointAction, JointState, encode_joint_state
@@ -134,7 +134,6 @@ class PolicyAbstraction:
         for pred_id in schema.task_completion_ids:
             self._goal_mask |= 1 << schema.index_of(pred_id)
         self.normalization = normalization
-        self.counts = dict(transition_counts)
         self.initial_state = initial_state
         self.initial_counts = dict(initial_counts or {initial_state: 1})
         if initial_state not in self.initial_counts:
@@ -144,14 +143,15 @@ class PolicyAbstraction:
                 raise PreconditionError(f"initial count {c} < 1 for {s}")
 
         # one pass over the ((source, action, target), count) items in canonical
-        # order, grouped by probability denominator: the source state, or the
-        # source state and action.  Soundness checks are explicit raises, so
-        # they also run under python -O
+        # order, grouped by probability denominator (the source, or the source and
+        # action); counts out of that order (a build's, not a load's) are sorted
+        # first.  Soundness checks are explicit raises, so they also run under python -O
+        in_order = all(map(lt, transition_counts, islice(transition_counts, 1, None)))
+        self.counts = dict(transition_counts if in_order else sorted(transition_counts.items()))
         edges: dict[JointState, list[Transition]] = {}
-        state_set = set(self.initial_counts)
         denominator = ((lambda item: item[0][0]) if normalization == "state"
                        else (lambda item: item[0][:2]))
-        for key, group in groupby(sorted(self.counts.items()), denominator):
+        for key, group in groupby(self.counts.items(), denominator):
             group = list(group)
             total = 0
             for (s, a, t), c in group:
@@ -160,7 +160,6 @@ class PolicyAbstraction:
                 if len(s) != n_agents or len(t) != n_agents or len(a) != n_agents:
                     raise SchemaMismatchError(f"transition arity mismatch for "
                                               f"{(s, a, t)}; expected {n_agents}")
-                state_set.add(t)
                 total += c
             out = edges.setdefault(s, [])
             mass = 0.0
@@ -170,15 +169,17 @@ class PolicyAbstraction:
             if not math.isclose(mass, 1.0, abs_tol=_PROB_TOLERANCE):
                 raise AssertionError(f"outgoing probability mass {mass} != 1 for {key}")
 
-        # canonical ordering: sorted by agent-major bit values
-        self.states: tuple[JointState, ...] = tuple(sorted(state_set.union(edges)))
+        # canonical ordering by agent-major bit values; the sources come in order
+        others = {*self.initial_counts, *map(itemgetter(2), self.counts)}.difference(edges)
+        self.states: tuple[JointState, ...] = tuple(sorted([*edges, *others]))
         max_states = (1 << schema.n_features) ** n_agents
         if len(self.states) > max_states:
             raise AssertionError(f"state count {len(self.states)} exceeds the "
                                  f"2^|F|^N bound {max_states}")
         self.state_index: dict[JointState, int] = {s: i for i, s in enumerate(self.states)}
-        self.out_edges: dict[JointState, tuple[Transition, ...]] = {
-            s: tuple(edges.get(s, ())) for s in self.states}
+        self.out_edges: dict[JointState, tuple[Transition, ...]] = dict.fromkeys(
+            self.state_index, ())
+        self.out_edges.update(zip(edges, map(tuple, edges.values())))
         self._state_masks: dict[tuple[int, int], int] = {}
 
     @property
@@ -398,31 +399,39 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
             index = ordered(index, int(s_i), "init-counts entries")
             init_counts.append((s_i, int(c)))
 
-        # every agent value is a bit set over the schema's features
+        # agent values are bit sets over the schema's features; each text is read once
         limit = 1 << schema.n_features
+        value_of: dict[str, int] = {}
         states: list[JointState] = []
         row = ()
         for k in range(int(take("states"))):
             idx += 1
             num, bits = lines[idx].split(" ", 1)
-            values = tuple(map(int, bits.split(",")))
+            texts = bits.split(",")
+            try:
+                values, read = tuple(map(value_of.__getitem__, texts)), ()
+            except KeyError:
+                values = read = tuple(map(int, texts))
             if int(num) != k:
                 fail(f"state rows out of order at line {idx + 1}")
-            if min(values) < 0 or max(values) >= limit:
+            if read and (min(read) < 0 or max(read) >= limit):
                 fail(f"state {k} on line {idx + 1} has an agent value outside [0, {limit})")
-            states.append(row := ordered(row, values, "state rows"))
+            value_of.update(zip(texts, read))
+            states.append(row := values if values > row else ordered(row, values, "state rows"))
         by_index = {str(i): s for i, s in enumerate(states)}
 
+        actions: dict[str, JointAction] = {}  # one tuple per action text
         counts = {}
         key = ()
         for _ in range(int(take("transitions"))):
             idx += 1
             s_i, action, t_i, count, _prob = lines[idx].split(" ")
-            if s_i not in by_index or t_i not in by_index:
+            if (s := by_index.get(s_i)) is None or (t := by_index.get(t_i)) is None:
                 fail(f"transition {s_i} -> {t_i} on line {idx + 1} names a state "
                      f"index outside the state table")
-            key = ordered(key, (by_index[s_i], tuple(action.split(",")), by_index[t_i]),
-                          "transition lines")
+            a = actions.get(action) or actions.setdefault(action, tuple(action.split(",")))
+            row = (s, a, t)
+            key = row if row > key else ordered(key, row, "transition lines")
             counts[key] = int(count)
         if idx != len(lines) - 2:
             fail(f"unexpected line {idx + 2} after the transition table")

@@ -202,7 +202,7 @@ class RelevanceKnowledge:
 
     def validate(self, domain: "DomainDefinition") -> None:
         """Check the registry invariants; raises DomainFormatError on violation."""
-        names = {a.name for a in domain.agents}
+        alphabets = {a.name: a.actions for a in domain.agents}
         feature_ids = set(domain.schema.predicate_ids)
         for spec in domain.agents:
             for action in spec.actions:
@@ -211,9 +211,9 @@ class RelevanceKnowledge:
                         f"relevance knowledge misses ({spec.name}, {action})"
                     )
         for (agent, action), entry in self.entries.items():
-            if agent not in names:
+            if agent not in alphabets:
                 raise DomainFormatError(f"relevance entry for unknown agent {agent!r}")
-            if action not in domain.agent_spec(agent).actions:
+            if action not in alphabets[agent]:
                 raise DomainFormatError(
                     f"relevance entry for ({agent}, {action}) but {action!r} "
                     f"is not in the agent's alphabet"
@@ -231,11 +231,11 @@ class RelevanceKnowledge:
                         f"does not contain the pair itself"
                     )
                 for other_agent, other_action in s:
-                    if other_agent not in names:
+                    if other_agent not in alphabets:
                         raise DomainFormatError(
                             f"relevance action set names unknown agent {other_agent!r}"
                         )
-                    if other_action not in domain.agent_spec(other_agent).actions:
+                    if other_action not in alphabets[other_agent]:
                         raise DomainFormatError(
                             f"relevance action set pairs {other_agent!r} with "
                             f"{other_action!r}, not in its alphabet"

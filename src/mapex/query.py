@@ -426,7 +426,7 @@ def answer_what(
     if query.method == "norf":
         listed = {}
         for name, i in indices.items():
-            observed = {a[i] for s in satisfying for a in m.enabled_actions(s)}
+            observed = {e.action[i] for s in satisfying for e in m.out_edges[s]}
             listed[name] = tuple(
                 a for a in domain.agent_spec(name).actions if a in observed
             )

@@ -154,6 +154,36 @@ def _unnamed_state(lines):
     lines[i - 1] = f"states {n_states + 1}"
 
 
+def _edit_row(table, field, value, row=0):
+    """An edit that sets one space-separated field of a table's row."""
+    def edit(lines):
+        i = _first_row(lines, table) + row
+        fields = lines[i].split(" ")
+        fields[field] = value
+        lines[i] = " ".join(fields)
+    return edit
+
+
+def _state_value(text):
+    """An edit that sets the first agent value of state row 0."""
+    def edit(lines):
+        i = _first_row(lines, "states")
+        num, bits = lines[i].split(" ")
+        lines[i] = f"{num} {text}," + bits.split(",", 1)[1]
+    return edit
+
+
+def _extra_state(lines):
+    i = _first_row(lines, "states")
+    lines[i - 1] = f"states {int(lines[i - 1].split(' ')[1]) + 1}"
+
+
+def _short_state(lines):
+    # state row 0 loses its last agent; it still sorts first
+    i = _first_row(lines, "states")
+    lines[i] = lines[i].rsplit(",", 1)[0]
+
+
 MALFORMED_MMDP = {
     "non-numeric-count": (_set_count, "malformed line"),
     "target-out-of-range": (_set_target, "transition 0 -> 9999 on line"),
@@ -164,4 +194,24 @@ MALFORMED_MMDP = {
     "repeated-init-count": (_repeat_init_count, "duplicate init-counts entries"),
     "bits-out-of-range": (_bits_out_of_range, "state 0 on line 9 has an agent value outside"),
     "unnamed-state": (_unnamed_state, "state 18 on line 27 is named by no transition"),
+    "non-numeric-value": (_state_value("x"), "malformed line 9 (ValueError: invalid "
+                          "literal for int() with base 10: 'x')"),
+    "negative-value": (_state_value("-1"), "state 0 on line 9 has an agent value "
+                       "outside [0, 64)"),
+    "misnumbered-state": (_edit_row("states", 0, "1"), "state rows out of order at line 9"),
+    "sixth-field": (_edit_row("transitions", 4, "1.0 x"), "malformed line 28 (ValueError: "
+                    "too many values to unpack (expected 5))"),
+    "action-with-space": (_edit_row("transitions", 1, "wait move"), "malformed line 28 "
+                          "(ValueError: too many values to unpack (expected 5))"),
+    "states-overrun": (_extra_state, "malformed line 27 (ValueError: invalid literal for "
+                       "int() with base 10: 'transitions')"),
+}
+
+# files the parser reads but whose model the constructor rejects, with the
+# error it raises (no path prefix): (edit, message)
+BAD_MODEL_MMDP = {
+    "zero-count": (_edit_row("transitions", 3, "0"), "transition count 0 < 1 for "
+                   "((0, 0, 0), ('move', 'move', 'move'), (0, 0, 0))"),
+    "short-state": (_short_state, "transition arity mismatch for ((0, 0), ('move', "
+                    "'move', 'move'), (0, 0)); expected 3"),
 }

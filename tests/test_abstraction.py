@@ -1,11 +1,15 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mapex
 
@@ -15,6 +19,7 @@ from mapex import (
     load_abstraction,
     save_abstraction,
 )
+from mapex.abstraction import NORMALIZATIONS
 from mapex.envs.base import TraceSample
 from mapex.errors import (
     AbstractionFormatError,
@@ -24,7 +29,8 @@ from mapex.errors import (
     TraceFormatError,
 )
 from oracles import recount_trace
-from synth import MALFORMED_MMDP, plain_schema, rewrite_mmdp
+from synth import (BAD_MODEL_MMDP, MALFORMED_MMDP, plain_schema,
+                   random_layered_abstraction, rewrite_mmdp)
 
 
 def rec(*true_ids):
@@ -157,6 +163,78 @@ class TestFiles:
         assert loaded == sr3_abstraction
         assert loaded.states == sr3_abstraction.states
 
+    @staticmethod
+    def records(m):
+        return [(s, [(e.source, e.action, e.target, e.count, e.probability)
+                     for e in m.out_edges[s]]) for s in m.states]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), normalization=st.sampled_from(NORMALIZATIONS),
+           virtual_init=st.booleans())
+    def test_roundtrip_keeps_every_record(self, seed, normalization, virtual_init):
+        built = random_layered_abstraction(seed)
+        initial_counts = ({built.initial_state: 2, built.states[-1]: 1}
+                          if virtual_init else None)
+        def make(counts):
+            return PolicyAbstraction(built.schema, built.n_agents, counts,
+                                     built.initial_state, normalization=normalization,
+                                     initial_counts=initial_counts)
+        m = make(built.counts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp, "m.mmdp"), Path(tmp, "again.mmdp")
+            save_abstraction(m, path)
+            loaded = load_abstraction(path, m.schema)
+            save_abstraction(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
+        assert loaded.states == m.states
+        assert list(loaded.counts.items()) == list(m.counts.items())
+        assert loaded.initial_counts == m.initial_counts
+        assert self.records(loaded) == self.records(m)
+        # the constructor puts any insertion order into canonical order
+        assert self.records(make(dict(reversed(m.counts.items())))) == self.records(m)
+
+    def test_loaded_model_shares_action_tuples(self, tmp_path):
+        # one tuple per distinct action text: sr5 at 30 episodes has 211 in 585 lines
+        domain = mapex.get_domain("sr5")
+        path = tmp_path / "sr5.mmdp"
+        save_abstraction(build_abstraction(mapex.simulate("sr5", episodes=30, seed=42),
+                                           domain.schema), path)
+        actions = [a for _, a, _ in load_abstraction(path, domain.schema).counts]
+        assert len(actions) == 585
+        assert len({id(a) for a in actions}) == len(set(actions)) == 211
+
+    def test_zero_padded_state_values_load_as_their_ints(self, tmp_path, sr3_domain,
+                                                         sr3_abstraction):
+        # every other state row pads its values, so 3 and 03 both occur
+        def pad(lines):
+            first = next(i for i, ln in enumerate(lines) if ln.startswith("states ")) + 1
+            for i in range(first, first + sr3_abstraction.n_states, 2):
+                num, bits = lines[i].split(" ")
+                lines[i] = f"{num} " + ",".join("0" + b for b in bits.split(","))
+        path = tmp_path / "m.mmdp"
+        save_abstraction(sr3_abstraction, path)
+        padded = load_abstraction(rewrite_mmdp(path, tmp_path / "padded.mmdp", pad),
+                                  sr3_domain.schema)
+        assert padded == sr3_abstraction and padded.states == sr3_abstraction.states
+
+    def test_wide_schema_loads_in_memory_bounded_by_the_file(self, tmp_path):
+        # 24 features allow 2^24 agent values; a load must not grow with them
+        schema = plain_schema(24, task_ids=("f23",))
+        top = (1 << 24) - 1
+        m = PolicyAbstraction(schema, 2, {((0, 7), ("a", "b"), (top, 1 << 23)): 2,
+                                          ((0, 7), ("b", "b"), (5, 0)): 1,
+                                          ((5, 0), ("a", "a"), (top, 1 << 23)): 1}, (0, 7))
+        path = tmp_path / "wide.mmdp"
+        save_abstraction(m, path)
+        tracemalloc.start()
+        try:
+            loaded = load_abstraction(path, schema)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == m and loaded.states == m.states
+        assert peak < 256 * 1024
+
     def test_file_bytes_stable(self, tmp_path, sr3_abstraction):
         p1, p2 = tmp_path / "a.mmdp", tmp_path / "b.mmdp"
         save_abstraction(sr3_abstraction, p1)
@@ -212,7 +290,7 @@ class TestMalformedFiles:
         path = tmp_path / "m.mmdp"
         save_abstraction(sr3_abstraction, path)
         bad = rewrite_mmdp(path, tmp_path / "bad.mmdp", edit)
-        with pytest.raises(AbstractionFormatError, match=message):
+        with pytest.raises(AbstractionFormatError, match=re.escape(message)):
             load_abstraction(bad, sr3_domain.schema)
 
 
@@ -267,9 +345,24 @@ class TestSoundnessChecksSurviveOptimize:
         wrapped = (prelude + "try:\n"
                    + "".join("    " + ln + "\n" for ln in code.splitlines())
                    + "except AssertionError as exc:\n    print(exc)\n")
+        run = self.run_optimized(wrapped)
+        assert run.stdout == message + "\n", run.stderr
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_MMDP))
+    def test_loaded_file_exits_2_under_optimize(self, tmp_path, sr3_abstraction, case):
+        edit, message = BAD_MODEL_MMDP[case]
+        path = tmp_path / "m.mmdp"
+        save_abstraction(sr3_abstraction, path)
+        bad = rewrite_mmdp(path, tmp_path / "bad.mmdp", edit)
+        run = self.run_optimized(
+            "import sys\nfrom mapex.cli import main\n"
+            f"sys.exit(main(['summarize', '--mmdp', {str(bad)!r}, '--domain', 'sr3']))\n")
+        assert (run.returncode, run.stderr) == (2, f"error: {message}\n")
+
+    @staticmethod
+    def run_optimized(code: str) -> subprocess.CompletedProcess:
         src = str(Path(mapex.__file__).resolve().parents[1])
         tests = str(Path(__file__).resolve().parent)
         path = os.pathsep.join([src, tests])
-        run = subprocess.run([sys.executable, "-O", "-c", wrapped], capture_output=True,
-                             text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
-        assert run.stdout == message + "\n", run.stderr
+        return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mapex import boolmin, build_abstraction, get_domain, render_chart, simulate, summarize
+from mapex import (boolmin, build_abstraction, get_domain, render_chart, save_abstraction,
+                   simulate, summarize)
 from mapex import cli
 from mapex.cli import main
 from mapex.domain import domain_to_dict
-from synth import MALFORMED_MMDP, rewrite_mmdp
+from synth import BAD_MODEL_MMDP, MALFORMED_MMDP, rewrite_mmdp
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,29 @@ class TestPipelineComposability:
         (tmp_path / "sr3").mkdir()
         assert main(argv) == 0
         assert capsys.readouterr().out == chart
+
+    def test_replaced_file_is_read_again(self, tmp_path, capsys):
+        # nothing read from a path outlives a call: the second call, on the same
+        # path and modification time, prints the new file's chart
+        domain = get_domain("sr4")
+        paths = []
+        for seed in (42, 1):
+            paths.append(tmp_path / f"sr4-{seed}.mmdp")
+            save_abstraction(build_abstraction(
+                simulate("sr4", episodes=5, seed=seed), domain.schema), paths[-1])
+        charts = []
+        for path in paths:
+            assert main(["summarize", "--mmdp", str(path), "--domain", "sr4"]) == 0
+            charts.append(capsys.readouterr().out)
+        assert charts[0] != charts[1]
+        shared = tmp_path / "sr4.mmdp"
+        for path, chart in zip(paths, charts):
+            stamp = shared.stat().st_mtime_ns if shared.exists() else None
+            shared.write_bytes(path.read_bytes())
+            if stamp is not None:
+                os.utime(shared, ns=(stamp, stamp))
+            assert main(["summarize", "--mmdp", str(shared), "--domain", "sr4"]) == 0
+            assert capsys.readouterr().out == chart
 
     def test_summarize_to_file(self, pipeline, tmp_path):
         _, _, mmdp = pipeline
@@ -289,6 +313,15 @@ class TestMalformedInputFiles:
         assert main(["summarize", "--mmdp", str(bad), "--domain", "sr3"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: initial count {count} < 1 for ")
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_MMDP))
+    def test_bad_model_exits_2(self, pipeline, tmp_path, capsys, case):
+        # the constructor's own checks: the line names the transition, not the file
+        _, _, mmdp = pipeline
+        edit, message = BAD_MODEL_MMDP[case]
+        bad = rewrite_mmdp(mmdp, tmp_path / "bad.mmdp", edit)
+        assert main(["summarize", "--mmdp", str(bad), "--domain", "sr3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("field", ["tasks", "done", "pos"])
     def test_agent_record_missing_field_exits_2(self, pipeline, tmp_path, capsys,
