@@ -19,14 +19,14 @@ combos once, in that ``GridConfig``: the world enforces them, and
 one with a ``config``, ``agent_names``, ``assign(rng)`` (once per episode)
 and ``step(world, assigned, rng)`` -> (joint action, each agent's next cell).
 
-Routing: ``GridWorld`` takes the open cells and a per-cell neighbour table for
-the current task liveness from a memo shared by every world of its config, and
-memoises one breadth-first parent tree per start cell (``bfs_tree``); agents
-that share a cell share its tree.  A world changes tables and drops its trees
-only when ``resolve`` completes a task, the one event that changes which cells
-are passable.  The scripted policy answers both staging reachability and its
-first move (``first_move``) from the tree of the agent's cell, so each agent
-costs at most one BFS per step.
+Routing: each ``run_episodes`` call keeps, per task liveness, the open cells,
+a per-cell neighbour table and one breadth-first parent tree per start cell
+(``bfs_tree``); its worlds share them, a world built alone keeps its own, and
+nothing outlives the run.  Agents and worlds at one cell and liveness share
+its tree.  A world changes tables only when ``resolve`` completes a task, the
+one event that changes which cells are passable.  The scripted policy answers
+staging reachability and its first move (``first_move``) from the tree of the
+agent's cell, so each (liveness, cell) costs at most one BFS per run.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..domain import (
@@ -82,6 +81,7 @@ def write_trace(path, domain_id: str, n_agents: int,
     each joint state is encoded once.
     """
     n = 0
+    action_texts: dict[tuple[str, ...], str] = {}  # joint action -> its text
     with open(path, "w", encoding="utf-8") as fh:
         header = {"format": _TRACE_FORMAT, "version": _TRACE_VERSION,
                   "domain": domain_id, "agents": n_agents}
@@ -92,8 +92,14 @@ def write_trace(path, domain_id: str, n_agents: int,
             state_text = next_text if state is previous_next else _encode(state)
             previous_next = s.next_joint_concrete_state
             next_text = _encode(previous_next)
+            try:  # keyed by tuples of strings only, as 1 == 1.0 == True encode apart
+                action_text = action_texts[action := s.joint_action]
+            except (KeyError, TypeError):  # new, or unhashable (a list)
+                action_text = _encode(action)
+                if type(action) is tuple and all(type(a) is str for a in action):
+                    action_texts[action] = action_text
             fh.write(f'{{"episode":{_encode(s.episode_id)},"step":{_encode(s.step)},'
-                     f'"state":{state_text},"action":{_encode(s.joint_action)},'
+                     f'"state":{state_text},"action":{action_text},'
                      f'"next_state":{next_text}}}\n')
             n += 1
     return n
@@ -108,8 +114,9 @@ def read_trace(path) -> tuple[dict[str, Any], list[TraceSample]]:
 def iter_trace(path) -> Iterator[Any]:
     """Read a trace file in one forward pass: yield its checked header, then
     each sample once its line is checked, so the first fault in file order is
-    the one raised.  Steps run from 0 within each episode, and each state must
-    equal its episode's previous next_state.  A record in the writer's compact
+    the one raised.  Steps run from 0 within each episode, each state must
+    equal its episode's previous next_state, and state, action and next_state
+    hold one entry per agent of the header.  A record in the writer's compact
     layout whose state text repeats the previous record's next_state is decoded
     only from ``"action"`` on, and its sample holds that next_state object."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -139,7 +146,7 @@ def iter_trace(path) -> Iterator[Any]:
         head = nxt_text = None  # how a continuing record starts; nxt's text if known
         for lineno, line in lines:
             tail = head is not None and line.startswith(head) and _compact_tail(
-                line, len(head), nxt_text or _encode(nxt), actions)
+                line, len(head), nxt_text or _encode(nxt), actions, agents)
             if tail:
                 action, nxt, nxt_text = tail
                 state, step = last[episode][1], step + 1
@@ -160,6 +167,9 @@ def iter_trace(path) -> Iterator[Any]:
                     raise bad("episode and step must be integers")
                 if not _action_ids(rec["action"]):
                     raise bad("action must be a list of strings without commas or spaces")
+                if not len(state) == len(action) == len(nxt) == agents:
+                    raise bad(f"state, action and next_state must hold {agents} agents, "
+                              f"as the header says")
                 want, previous = last.get(episode, (0, None))
                 if step != want:
                     raise bad(f"episode {episode} step {step}, expected {want}")
@@ -179,10 +189,10 @@ def _action_ids(value) -> bool:
         type(a) is str and a.split() == [a] and "," not in a for a in value)
 
 
-def _compact_tail(line: str, at: int, state_text: str, actions: dict):
+def _compact_tail(line: str, at: int, state_text: str, actions: dict, agents: int):
     """(action, next_state, next_state's text) of a compact record whose state
-    text at ``at`` is ``state_text``, or None when the line is laid out
-    otherwise or would fail a check, which the full decode then reports."""
+    text at ``at`` is ``state_text``, a checked next_state, or None when the line
+    is laid out otherwise or would fail a check, which the full decode reports."""
     start = at + len(state_text) + 10  # where the action's text starts
     if not line.startswith(f'{state_text},"action":', at):
         return None
@@ -192,9 +202,10 @@ def _compact_tail(line: str, at: int, state_text: str, actions: dict):
         nxt = tuple(nxt)
     except (ValueError, TypeError):
         return None
-    if line[i:i + 14] != ',"next_state":' or line[end:] != "}":
+    if line[i:i + 14] != ',"next_state":' or line[end:] != "}" or len(nxt) != agents:
         return None
-    if (action := actions.get(line[start:i])) is None and _action_ids(value):
+    if (action := actions.get(line[start:i])) is None and (
+            _action_ids(value) and len(value) == agents):
         action = actions[line[start:i]] = tuple(value)
     return None if action is None else (action, nxt, line[i + 14:end])
 
@@ -312,13 +323,10 @@ def grid_domain(domain_id: str, agent_names: Sequence[str], config: GridConfig,
     )
 
 
-@cache
 def _open_cells(config: GridConfig, live: tuple[str, ...]
                 ) -> tuple[frozenset[Cell], dict[Cell, tuple[Cell, ...]]]:
     """The open cells and every cell's open 4-neighbours while exactly the
-    ``live`` tasks block their cells.  Memoised for the life of the process,
-    one entry per liveness a config's episodes reach, and shared by all its
-    worlds, so nothing may mutate them."""
+    ``live`` tasks block their cells."""
     blocked = config.walls | {t.cell for t in config.tasks if t.id in live}
     cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
     open_cells = frozenset(x for x in cells if x not in blocked)
@@ -332,11 +340,15 @@ def _open_cells(config: GridConfig, live: tuple[str, ...]
 
 
 class GridWorld:
-    """Mutable episode state: agent positions, task liveness, completion flags."""
+    """Mutable episode state: agent positions, task liveness, completion flags.
+    ``tables`` maps a task liveness to its routing tables; the worlds of one
+    run share one dict, and a world given none keeps its own."""
 
-    def __init__(self, config: GridConfig, agent_names: Sequence[str]):
+    def __init__(self, config: GridConfig, agent_names: Sequence[str],
+                 tables: dict | None = None):
         self.config = config
         self.agent_names = tuple(agent_names)
+        self._tables = {} if tables is None else tables
         self.positions: list[Cell] = list(config.starts)
         self.alive: dict[str, bool] = {t.id: True for t in config.tasks}
         self.done: list[dict[str, bool]] = [
@@ -345,11 +357,15 @@ class GridWorld:
         self._refresh()
 
     def _refresh(self) -> None:
-        """Take the open-cell set and the neighbour table for the current
-        task liveness, and drop every cached BFS tree."""
+        """Take the current liveness's routing tables; build the task board and
+        the flag snapshots that records share until the next completion."""
         live = tuple(t.id for t in self.config.tasks if self.alive[t.id])
-        self._open, self._neighbors = _open_cells(self.config, live)
-        self._trees: dict[Cell, dict[Cell, Cell]] = {}
+        if (table := self._tables.get(live)) is None:
+            table = self._tables[live] = (*_open_cells(self.config, live), {})
+        self._open, self._neighbors, self._trees = table
+        self._board = {t.id: {"pos": [*t.cell], "present": self.alive[t.id]}
+                       for t in self.config.tasks}
+        self._flags = [dict(done) for done in self.done]
 
     def passable(self, cell: Cell) -> bool:
         return cell in self._open
@@ -360,7 +376,7 @@ class GridWorld:
     def bfs_tree(self, start: Cell) -> dict[Cell, Cell]:
         """Parent of every cell reachable from ``start`` (``start`` maps to
         itself) in breadth-first order; shared by every caller with the same
-        start until the next task completion."""
+        start and task liveness that shares this world's tables."""
         tree = self._trees.get(start)
         if tree is None:
             tree = {start: start}
@@ -377,23 +393,16 @@ class GridWorld:
 
     def joint_record(self) -> tuple[dict[str, Any], ...]:
         """Self-contained per-agent records: position, task board, own flags.
-        The agents of one record share its task board dict; nothing mutates
-        a record once built."""
-        board = {
-            t.id: {"pos": [t.cell[0], t.cell[1]], "present": self.alive[t.id]}
-            for t in self.config.tasks
-        }
-        return tuple(
-            {"pos": [r, c], "tasks": board, "done": dict(done)}
-            for (r, c), done in zip(self.positions, self.done)
-        )
+        Records share the board and each agent's flags until a completion
+        builds new ones; nothing mutates a record once built."""
+        return tuple({"pos": [r, c], "tasks": self._board, "done": done}
+                     for (r, c), done in zip(self.positions, self._flags))
 
     def all_done(self) -> bool:
         return not any(self.alive.values())
 
     def resolve(self, actions: Sequence[str]) -> None:
         """Apply task completions for one step's joint action."""
-        name_to_index = {n: i for i, n in enumerate(self.agent_names)}
         completed = False
         for task in self.config.tasks:
             if not self.alive[task.id]:
@@ -407,7 +416,7 @@ class GridWorld:
                 if set(combo) <= takers:
                     self.alive[task.id] = False
                     for name in combo:
-                        self.done[name_to_index[name]][task.id] = True
+                        self.done[self.agent_names.index(name)][task.id] = True
                     completed = True
                     break
         if completed:
@@ -429,23 +438,25 @@ class GenericScriptedPolicy:
         self.config = config
         self.agent_names = tuple(agent_names)
 
-    def assign(self, rng: random.Random) -> dict[str, tuple[str, ...]]:
-        return {t.id: t.combos[rng.randrange(len(t.combos))] for t in self.config.tasks}
+    def assign(self, rng: random.Random) -> tuple[tuple[tuple[TaskSpec, int], ...], ...]:
+        """Each agent's plan for the episode: the tasks whose drawn combo names
+        it, in declaration order, each with its rank in the sorted combo."""
+        combos = [t.combos[rng.randrange(len(t.combos))] for t in self.config.tasks]
+        return tuple(
+            tuple((t, sorted(c).index(name)) for t, c in zip(self.config.tasks, combos)
+                  if name in c)
+            for name in self.agent_names)
 
-    def step(self, world: GridWorld, assigned: dict[str, tuple[str, ...]],
+    def step(self, world: GridWorld, plans: tuple[tuple[tuple[TaskSpec, int], ...], ...],
              rng: random.Random) -> tuple[list[str], list[Cell]]:
         actions: list[str] = []
         targets: list[Cell] = []
-        for i, name in enumerate(self.agent_names):
-            pos = world.positions[i]
-            task = next(
-                (t for t in self.config.tasks
-                 if world.alive[t.id] and name in assigned[t.id]),
-                None,
-            )
-            if task is None:
-                options = [*world.neighbors(pos), pos]
-                choice = options[rng.randrange(len(options))]
+        for pos, plan in zip(world.positions, plans):
+            for task, rank in plan:  # the first live task of the plan
+                if world.alive[task.id]:
+                    break
+            else:
+                choice = rng.choice([*world.neighbors(pos), pos])
                 actions.append(MOVE if choice != pos else WAIT)
                 targets.append(choice)
                 continue
@@ -460,7 +471,6 @@ class GenericScriptedPolicy:
             tree = world.bfs_tree(pos)
             staging = [c for c in _around(task.cell) if c in tree]
             if staging:
-                rank = sorted(assigned[task.id]).index(name)
                 step_to = first_move(tree, pos, staging[rank % len(staging)])
             else:
                 step_to = pos
@@ -492,14 +502,19 @@ def _around(cell: Cell) -> list[Cell]:
 def run_episodes(policy, episodes: int, max_steps: int,
                  seed: int) -> Iterator[TraceSample]:
     """Run ``policy`` (see the module docstring); yields samples episode by
-    episode."""
+    episode.  The counts are checked at the call, before any sample."""
     if episodes < 1:
         raise PreconditionError(f"episodes must be >= 1, got {episodes}")
     if max_steps < 1:
         raise PreconditionError(f"max_steps must be >= 1, got {max_steps}")
+    return _episodes(policy, episodes, max_steps, seed)
+
+
+def _episodes(policy, episodes: int, max_steps: int, seed: int) -> Iterator[TraceSample]:
+    tables: dict = {}  # the run's routing tables, by task liveness
     for episode in range(episodes):
         rng = episode_rng(seed, episode)
-        world = GridWorld(policy.config, policy.agent_names)
+        world = GridWorld(policy.config, policy.agent_names, tables)
         assigned = policy.assign(rng)
         state = world.joint_record()
         for step in range(max_steps):

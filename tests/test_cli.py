@@ -3,6 +3,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -43,6 +45,18 @@ class TestSimulate:
         code = main(["simulate", "--domain", "mars", "--episodes", "1",
                      "--out", str(tmp_path / "t.jsonl")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--episodes", "episodes must be >= 1, got 0"),
+        ("--max-steps", "max_steps must be >= 1, got 0"),
+    ])
+    def test_refused_count_keeps_the_out_file(self, tmp_path, capsys, flag, message):
+        # the counts are checked before the trace file is opened
+        out = tmp_path / "keep.jsonl"
+        out.write_bytes(b"keep me\n")
+        assert main(["simulate", "--domain", "lbf9", flag, "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert out.read_bytes() == b"keep me\n"
 
     def test_bad_flag_exits_2(self, capsys):
         assert main(["simulate", "--nope"]) == 2
@@ -388,6 +402,46 @@ class TestAgentCount:
                      "--out", str(tmp_path / "m.mmdp")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: episode 0 step 0: malformed agent record (KeyError: 'pos')"]
+
+    @pytest.mark.parametrize("fields", [("state", "action", "next_state"), ("state",),
+                                        ("action",), ("next_state",)])
+    def test_record_agent_count_must_match_the_header(self, pipeline, tmp_path, capsys,
+                                                      fields):
+        # every record from line 5 on cut to two of the header's three agents;
+        # line 5 is a compact record in the middle of episode 0
+        _, trace, _ = pipeline
+        lines = trace.read_text().splitlines()
+        for i in range(4, len(lines)):
+            rec = json.loads(lines[i])
+            for field in fields:
+                rec[field] = rec[field][:2]
+            lines[i] = json.dumps(rec, separators=(",", ":"))
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "m.mmdp"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["abstract", "--trace", str(bad), "--domain", "sr3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}:5: state, action and next_state must hold 3 agents, "
+            f"as the header says"]
+        assert not out.exists()
+
+    def test_record_agent_count_checked_under_optimize(self, pipeline, tmp_path):
+        _, trace, _ = pipeline
+        header, *records = trace.read_text().splitlines()
+        cut = [json.dumps({**rec, "state": rec["state"][:2], "action": rec["action"][:2],
+                           "next_state": rec["next_state"][:2]})
+               for rec in map(json.loads, records)]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([header, *cut]) + "\n")
+        code = ("import sys\nfrom mapex.cli import main\n"
+                f"sys.exit(main(['abstract', '--trace', {str(bad)!r}, '--domain', 'sr3', "
+                f"'--out', {str(tmp_path / 'm.mmdp')!r}]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert (run.returncode, run.stderr) == (
+            2, f"error: {bad}:2: state, action and next_state must hold 3 agents, "
+               f"as the header says\n")
 
     def test_abstract_memory_is_below_the_trace_size(self, tmp_path, capsys):
         trace, out = tmp_path / "sr3.jsonl", tmp_path / "sr3.mmdp"

@@ -16,14 +16,17 @@ from mapex import (
 )
 from mapex.domain import domain_to_dict
 from mapex.envs import domain_ids, iter_trace
+from mapex.envs import search_rescue
 from mapex.envs.base import (
     WAIT,
+    GenericScriptedPolicy,
     GridConfig,
     GridWorld,
     TaskSpec,
     TraceSample,
     chebyshev,
     first_move,
+    run_episodes,
 )
 from mapex.errors import (
     PreconditionError,
@@ -129,6 +132,36 @@ class TestWriteTraceReuse:
         ]
         assert '"step":3,"state":[{"pos":[0,1],' in lines[4]
 
+    def test_action_text_reused_only_for_equal_encodings(self, tmp_path):
+        # a list-valued action is unhashable, and 1 == 1.0 == True encode apart
+        state = ({"pos": [0, 1]},)
+        actions = [("move",), ["move"], ("move",), (1,), (1.0,), (True,), [WAIT], (1,)]
+        samples = [TraceSample(0, step, state, action, state)
+                   for step, action in enumerate(actions)]
+        path = tmp_path / "t.jsonl"
+        write_trace(path, "hand", 1, samples)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [line.split('"action":')[1].split(',"next_state"')[0]
+                for line in lines[1:]] == ['["move"]'] * 3 + ["[1]", "[1.0]", "[true]",
+                                           '["wait"]', "[1]"]
+
+
+class TestWriteTraceCycleCheck:
+    def test_self_containing_record_raises_before_its_line(self, tmp_path):
+        # the encoder's cycle check stays on: a record that contains itself
+        # is refused, and the lines before it are whole
+        loop = {"pos": [0, 0]}
+        loop["self"] = loop
+        good = ({"pos": [0, 0]},)
+        samples = [TraceSample(0, 0, good, (WAIT,), good),
+                   TraceSample(0, 1, good, (WAIT,), (loop,))]
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            write_trace(path, "hand", 1, samples)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and len(text.splitlines()) == 2
+        assert all(json.loads(line) for line in text.splitlines())
+
 
 class TestDomainDigests:
     # SHA-256 of json.dumps(domain_to_dict(get_domain(d))); any change to the
@@ -195,17 +228,43 @@ class TestBfsTree:
                     assert first_move(tree, start, goal) == expected, (start, goal)
 
     def test_worlds_of_one_config_share_cells_not_liveness(self):
+        # worlds of one run, as run_episodes builds them, share its tables
         config = GridConfig(1, 3, frozenset(), ((0, 0),),
                             (TaskSpec("t", (0, 1), "do", (("a",),)),))
-        first, second = GridWorld(config, ["a"]), GridWorld(config, ["a"])
-        assert first.neighbors((0, 0)) is second.neighbors((0, 0))
-        assert first.bfs_tree((0, 0)) is not second.bfs_tree((0, 0))
+        tables = {}
+        first, second = GridWorld(config, ["a"], tables), GridWorld(config, ["a"], tables)
+        assert first.bfs_tree((0, 0)) is second.bfs_tree((0, 0))
         first.resolve(["do"])
         assert first.passable((0, 1)) and not second.passable((0, 1))
         assert first.neighbors((0, 0)) == ((0, 1),)
         assert second.neighbors((0, 0)) == ()
         assert (0, 2) not in second.bfs_tree((0, 0))
-        assert GridWorld(config, ["a"]).neighbors((0, 0)) is second.neighbors((0, 0))
+        third = GridWorld(config, ["a"], tables)
+        third.resolve(["do"])
+        assert third.neighbors((0, 0)) is first.neighbors((0, 0))
+        assert third.bfs_tree((0, 0)) is first.bfs_tree((0, 0))
+        alone = GridWorld(config, ["a"])
+        alone.resolve(["do"])
+        assert alone.neighbors((0, 0)) is not first.neighbors((0, 0))
+        assert alone.bfs_tree((0, 0)) is not first.bfs_tree((0, 0))
+
+    def test_worlds_of_one_run_share_one_tree_per_liveness_and_start(self):
+        names, config = search_rescue.grid(5)
+        worlds, trees = [], []
+
+        class Spy(GenericScriptedPolicy):
+            def step(self, world, plans, rng):
+                if not worlds or worlds[-1] is not world:  # an episode's first step
+                    worlds.append(world)
+                    trees.append(world.bfs_tree(world.positions[0]))
+                return super().step(world, plans, rng)
+
+        samples = list(run_episodes(Spy(config, names), 5, 50, 42))
+        assert samples == list(simulate("sr5", episodes=5, seed=42))
+        assert len({id(w) for w in worlds}) == 5
+        assert all(tree is trees[0] for tree in trees)
+        alone = GridWorld(config, names).bfs_tree(config.starts[0])
+        assert alone == trees[0] and alone is not trees[0]
 
     def test_tree_shared_until_completion(self):
         config = GridConfig(1, 3, frozenset(), ((0, 0),),
@@ -218,6 +277,20 @@ class TestBfsTree:
         assert world.bfs_tree((0, 0)) is tree
         world.resolve(["do"])
         assert first_move(world.bfs_tree((0, 0)), (0, 0), (0, 2)) == (0, 1)
+
+
+class TestSharedRecords:
+    def test_records_never_change_once_yielded(self):
+        # records share task boards and flag dicts until a completion, which
+        # builds new ones: every sample still encodes as it did when yielded
+        samples, texts = [], []
+        for s in simulate("sr5", episodes=30, seed=42):
+            samples.append(s)
+            texts.append(json.dumps([s.joint_concrete_state, s.next_joint_concrete_state]))
+        assert any(s.joint_concrete_state[0]["tasks"] != s.next_joint_concrete_state[0]["tasks"]
+                   for s in samples)  # the run crosses completions
+        assert texts == [json.dumps([s.joint_concrete_state, s.next_joint_concrete_state])
+                         for s in samples]
 
 
 class TestScriptedSr3:
