@@ -138,7 +138,7 @@ def _load_config(path: str | None) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, big ints, deep nesting
             raise MapexError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MapexError(f"config file {path} must hold a JSON object")

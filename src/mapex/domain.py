@@ -457,6 +457,6 @@ def load_domain_file(path) -> DomainDefinition:
         text = fh.read()
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, big ints, deep nesting
         raise DomainFormatError(f"invalid JSON in {path}: {exc}") from None
     return domain_from_dict(data)

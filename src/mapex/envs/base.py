@@ -1,5 +1,6 @@
 """Grid-world plumbing shared by the built-in domains: trace records, trace
-file I/O, the domain builder every grid family uses, and one episode loop
+file I/O (the reader checks every record in one block, however it was
+decoded), the domain builder every grid family uses, and one episode loop
 that runs any scripted policy.
 
 Conventions: movement is 4-neighbor, one cell per step; task detection and
@@ -59,6 +60,7 @@ _TRACE_FORMAT = "mapex-trace"
 _TRACE_VERSION = 1
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # the trace layout
 _scan = json.JSONDecoder().raw_decode
+_ACTION, _NEXT = ',"action":', ',"next_state":'  # the writer's text before each
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,6 @@ def write_trace(path, domain_id: str, n_agents: int,
     each joint state is encoded once.
     """
     n = 0
-    action_texts: dict[tuple[str, ...], str] = {}  # joint action -> its text
     with open(path, "w", encoding="utf-8") as fh:
         header = {"format": _TRACE_FORMAT, "version": _TRACE_VERSION,
                   "domain": domain_id, "agents": n_agents}
@@ -92,15 +93,9 @@ def write_trace(path, domain_id: str, n_agents: int,
             state_text = next_text if state is previous_next else _encode(state)
             previous_next = s.next_joint_concrete_state
             next_text = _encode(previous_next)
-            try:  # keyed by tuples of strings only, as 1 == 1.0 == True encode apart
-                action_text = action_texts[action := s.joint_action]
-            except (KeyError, TypeError):  # new, or unhashable (a list)
-                action_text = _encode(action)
-                if type(action) is tuple and all(type(a) is str for a in action):
-                    action_texts[action] = action_text
             fh.write(f'{{"episode":{_encode(s.episode_id)},"step":{_encode(s.step)},'
-                     f'"state":{state_text},"action":{action_text},'
-                     f'"next_state":{next_text}}}\n')
+                     f'"state":{state_text}{_ACTION}{_encode(s.joint_action)}'
+                     f'{_NEXT}{next_text}}}\n')
             n += 1
     return n
 
@@ -115,10 +110,10 @@ def iter_trace(path) -> Iterator[Any]:
     """Read a trace file in one forward pass: yield its checked header, then
     each sample once its line is checked, so the first fault in file order is
     the one raised.  Steps run from 0 within each episode, each state must
-    equal its episode's previous next_state, and state, action and next_state
-    hold one entry per agent of the header.  A record in the writer's compact
-    layout whose state text repeats the previous record's next_state is decoded
-    only from ``"action"`` on, and its sample holds that next_state object."""
+    equal its episode's previous next_state (and is handed on as that object),
+    and state, action and next_state hold one entry per agent of the header.
+    Both decodes (``_compact_tail``, else ``json.loads``) feed one check block,
+    so a fault gives the same error whatever the record's layout."""
     with open(path, "r", encoding="utf-8") as fh:
         # splitting each line again keeps str.splitlines' line ends and numbers
         lines = enumerate((part for line in fh for part in line.splitlines()), start=1)
@@ -126,7 +121,7 @@ def iter_trace(path) -> Iterator[Any]:
             raise TraceFormatError(f"{path}: empty trace file")
         try:
             header = json.loads(first)
-        except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, big ints, deep nesting
             raise TraceFormatError(f"{path}: bad header: {exc}") from None
         if not isinstance(header, dict) or header.get("format") != _TRACE_FORMAT:
             raise TraceFormatError(f"{path}: missing mapex-trace header")
@@ -142,42 +137,42 @@ def iter_trace(path) -> Iterator[Any]:
             return TraceFormatError(f"{path}:{lineno}: {what}")
 
         last: dict[int, tuple[int, Any]] = {}  # episode -> (its next step, last next_state)
-        actions: dict[str, tuple[str, ...]] = {}  # compact action text -> its checked ids
         head = nxt_text = None  # how a continuing record starts; nxt's text if known
         for lineno, line in lines:
-            tail = head is not None and line.startswith(head) and _compact_tail(
-                line, len(head), nxt_text or _encode(nxt), actions, agents)
-            if tail:
-                action, nxt, nxt_text = tail
-                state, step = last[episode][1], step + 1
+            if head is not None and line.startswith(head) and (
+                    tail := _compact_tail(line, len(head), nxt_text or _encode(nxt))):
+                rec = {"episode": episode, "step": step + 1, "state": nxt,
+                       "action": tail[0], "next_state": tail[1]}
+                nxt_text = tail[2]
             elif not line.strip():
                 continue
             else:
                 try:
                     rec = json.loads(line)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise bad(f"bad record: {exc}") from None
-                try:
-                    episode, step = rec["episode"], rec["step"]
-                    state, action, nxt = (
-                        tuple(rec["state"]), tuple(rec["action"]), tuple(rec["next_state"]))
-                except (KeyError, TypeError):
-                    raise bad("record missing fields") from None
-                if type(episode) is not int or type(step) is not int:
-                    raise bad("episode and step must be integers")
-                if not _action_ids(rec["action"]):
-                    raise bad("action must be a list of strings without commas or spaces")
-                if not len(state) == len(action) == len(nxt) == agents:
-                    raise bad(f"state, action and next_state must hold {agents} agents, "
-                              f"as the header says")
-                want, previous = last.get(episode, (0, None))
-                if step != want:
-                    raise bad(f"episode {episode} step {step}, expected {want}")
-                if step > 0 and previous != state:
-                    raise bad(f"episode {episode} state at step {step} does not chain "
-                              f"from the previous next_state")
-                # hand on the previous next_state itself, so it is encoded once
-                state, nxt_text = previous if step else state, None
+                nxt_text = None
+            try:
+                episode, step = rec["episode"], rec["step"]
+                state, action, nxt = (
+                    tuple(rec["state"]), tuple(rec["action"]), tuple(rec["next_state"]))
+            except (KeyError, TypeError):
+                raise bad("record missing fields") from None
+            if type(episode) is not int or type(step) is not int:
+                raise bad("episode and step must be integers")
+            if not _action_ids(rec["action"]):
+                raise bad("action must be a list of strings without commas or spaces")
+            if not len(state) == len(action) == len(nxt) == agents:
+                raise bad(f"state, action and next_state must hold {agents} agents, "
+                          f"as the header says")
+            want, previous = last.get(episode, (0, None))
+            if step != want:
+                raise bad(f"episode {episode} step {step}, expected {want}")
+            if step > 0 and previous != state:
+                raise bad(f"episode {episode} state at step {step} does not chain "
+                          f"from the previous next_state")
+            # hand on the previous next_state itself, so it is encoded once
+            state = previous if step else state
             last[episode] = step + 1, nxt
             head = f'{{"episode":{episode},"step":{step + 1},"state":'
             yield TraceSample(episode, step, state, action, nxt)
@@ -189,25 +184,20 @@ def _action_ids(value) -> bool:
         type(a) is str and a.split() == [a] and "," not in a for a in value)
 
 
-def _compact_tail(line: str, at: int, state_text: str, actions: dict, agents: int):
-    """(action, next_state, next_state's text) of a compact record whose state
-    text at ``at`` is ``state_text``, a checked next_state, or None when the line
-    is laid out otherwise or would fail a check, which the full decode reports."""
-    start = at + len(state_text) + 10  # where the action's text starts
-    if not line.startswith(f'{state_text},"action":', at):
+def _compact_tail(line: str, at: int, state_text: str):
+    """(action, next_state, next_state's text) as decoded from a line in the
+    writer's layout whose state text at ``at`` is ``state_text``, else None.
+    It checks nothing: its result meets the checks a full decode's meets."""
+    if not line.startswith(state_text + _ACTION, at):
         return None
     try:
-        value, i = _scan(line, start)
-        nxt, end = _scan(line, i + 14)
-        nxt = tuple(nxt)
-    except (ValueError, TypeError):
+        action, i = _scan(line, at + len(state_text) + len(_ACTION))
+        nxt, end = _scan(line, i + len(_NEXT))
+    except (ValueError, RecursionError):
         return None
-    if line[i:i + 14] != ',"next_state":' or line[end:] != "}" or len(nxt) != agents:
-        return None
-    if (action := actions.get(line[start:i])) is None and (
-            _action_ids(value) and len(value) == agents):
-        action = actions[line[start:i]] = tuple(value)
-    return None if action is None else (action, nxt, line[i + 14:end])
+    if line.startswith(_NEXT, i) and line[end:] == "}":
+        return action, nxt, line[i + len(_NEXT):end]
+    return None
 
 
 def chebyshev(a: Cell, b: Cell) -> int:
@@ -222,6 +212,12 @@ class TaskSpec:
     cell: Cell
     action: str
     combos: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        # an empty combo completes its task with no agent acting, and a task
+        # with no combo leaves the policy none to draw
+        if not self.combos or not all(self.combos):
+            raise PreconditionError(f"task {self.id} needs combos, each naming an agent")
 
 
 @dataclass(frozen=True)

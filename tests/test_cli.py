@@ -305,6 +305,38 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: invalid JSON in {bad}: ")
 
+    @pytest.mark.parametrize("where", ["trace-header", "trace-record", "domain-file",
+                                       "config-file"])
+    def test_json_nested_too_deep_exits_2(self, pipeline, tmp_path, capsys, where):
+        # a RecursionError is no ValueError: it ended in a traceback and exit 1
+        _, trace, mmdp = pipeline
+        deep = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(RecursionError) as exc:
+            json.loads(deep)
+        bad = tmp_path / "deep.json"
+        header, *records = trace.read_text().splitlines()
+        abstract = ["abstract", "--trace", str(bad), "--domain", "sr3",
+                    "--out", str(tmp_path / "m.mmdp")]
+        if where == "trace-header":
+            bad.write_text("\n".join([deep, *records]) + "\n")
+            argv, line = abstract, f"{bad}: bad header: {exc.value}"
+        elif where == "trace-record":
+            # line 5 is in the writer's layout, after a repeated state
+            before, end = records[3].split('"action":')[0], records[3].index(',"next_state":')
+            records[3] = f'{before}"action":{deep}{records[3][end:]}'
+            bad.write_text("\n".join([header, *records]) + "\n")
+            argv, line = abstract, f"{bad}:5: bad record: {exc.value}"
+        elif where == "domain-file":
+            bad.write_text(deep)
+            argv = ["summarize", "--mmdp", str(mmdp), "--domain", str(bad)]
+            line = f"invalid JSON in {bad}: {exc.value}"
+        else:
+            bad.write_text(deep)
+            argv = ["explain", "--config", str(bad)]
+            line = f"config file {bad} is not valid JSON: {exc.value}"
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_MMDP))
     def test_malformed_mmdp_exits_2(self, pipeline, tmp_path, capsys, case):
         _, _, mmdp = pipeline

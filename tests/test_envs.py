@@ -212,6 +212,34 @@ def grid_worlds(draw):
     return world, cells
 
 
+class TestTaskCombos:
+    # an empty combo completed its task at the first step with no agent
+    # acting, and a task with no combo made the policy's draw raise ValueError
+    CASES = [(), ((),), (("a",), ())]
+
+    @pytest.mark.parametrize("combos", CASES, ids=["no-combo", "empty-combo",
+                                                   "one-empty-combo"])
+    def test_each_combo_must_name_an_agent(self, combos):
+        with pytest.raises(PreconditionError,
+                           match="^task t needs combos, each naming an agent$"):
+            TaskSpec("t", (0, 1), "do", combos)
+
+    def test_refused_under_optimize(self):
+        code = (
+            "from mapex.envs.base import TaskSpec\n"
+            "from mapex.errors import PreconditionError\n"
+            f"for combos in {self.CASES!r}:\n"
+            "    try:\n"
+            "        TaskSpec('t', (0, 1), 'do', combos)\n"
+            "    except PreconditionError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(mapex.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert run.stdout == "task t needs combos, each naming an agent\n" * 3, run.stderr
+
+
 class TestBfsTree:
     @given(grid_worlds())
     @settings(max_examples=150, deadline=None)
@@ -584,6 +612,54 @@ class TestStreamingReader:
         with pytest.raises(TraceFormatError) as exc:
             read_trace(bad)
         assert str(exc.value) == f"{bad}:{k + 2}: {message}"
+
+    # each fault as an edit of the decoded record, a text appended to its line,
+    # and the message; None is json.loads's own message for the line, and
+    # DEEP stands for an action nested too deep to decode
+    FAULTS = {
+        "trailing-text": (lambda r: None, " x", None),
+        "action-with-space": (lambda r: r["action"].insert(0, "a b"), "",
+                              "action must be a list of strings without commas or spaces"),
+        "number-next-state": (lambda r: r.update(next_state=7), "", "record missing fields"),
+        "no-next-state": (lambda r: r.pop("next_state"), "", "record missing fields"),
+        "action-cut": (lambda r: r["action"].pop(), "",
+                       "state, action and next_state must hold 3 agents, as the header says"),
+        "next-state-cut": (lambda r: r["next_state"].pop(), "",
+                           "state, action and next_state must hold 3 agents, "
+                           "as the header says"),
+        "string-action": (lambda r: r.update(action="ab"), "",
+                          "action must be a list of strings without commas or spaces"),
+        "number-action": (lambda r: r.update(action=5), "", "record missing fields"),
+        "deep-action": (lambda r: r.update(action="DEEP"), "", None),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("dump", [_compact, json.dumps], ids=["writer", "spaced"])
+    def test_fault_reads_alike_in_both_layouts(self, trace, tmp_path, fault, dump):
+        # the writer's layout takes the compact decode where it can, json.dumps's
+        # spacing the full decode; both must give the same error at the same line
+        header, records = trace
+        k = next(i for i, r in enumerate(records) if r["step"] == 4)
+        edit, suffix, message = self.FAULTS[fault]
+        edit(records[k])
+        lines = [header, *map(dump, records)]
+        lines[k + 1] = lines[k + 1].replace('"DEEP"', "[" * 100_000 + "]" * 100_000) + suffix
+        assert records[k]["state"] == records[k - 1]["next_state"]  # a repeated state
+        if message is None:
+            with pytest.raises((ValueError, RecursionError)) as exc:
+                json.loads(lines[k + 1])
+            message = f"bad record: {exc.value}"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(bad)
+        assert str(exc.value) == f"{bad}:{k + 2}: {message}"
+
+    def test_clean_trace_reads_alike_in_both_layouts(self, trace, tmp_path):
+        header, records = trace
+        compact = self.write(tmp_path / "compact.jsonl", header, records)
+        spaced = self.write(tmp_path / "spaced.jsonl", header, records, json.dumps)
+        assert read_trace(compact) == read_trace(spaced)
 
     @pytest.mark.parametrize("line", [0, 1], ids=["header", "record"])
     def test_integer_over_the_digit_limit(self, trace, tmp_path, line):
