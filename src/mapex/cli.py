@@ -353,8 +353,7 @@ def _bench_queries(domain: DomainDefinition, m) -> list[Query]:
     partners = tuple(sorted(entry.agents))
     # prefer a condition-style feature (detect) over a completion flag
     completion = set(domain.schema.task_completion_ids)
-    candidates = sorted(entry.features - completion) or sorted(entry.features)
-    detect = candidates[0] if candidates else None
+    detect = min(entry.features - completion or entry.features)
     pairs = tuple((p, action) for p in partners if action in domain.agent_spec(p).actions)
     _, _, withrf_criterion = relevancy_filter(pairs, domain.relevance)
     _, never = partition([frozenset(pairs), *withrf_criterion], m, domain)

@@ -73,11 +73,11 @@ _M, _W = MOVE, WAIT
 
 # branch weights: which UGV partners the UAV on the rescue, and who reaches
 # the victim first
-_SR3_BRANCHES = (
-    ("uav_first_ugv2", 0.6),
-    ("ugv2_first", 0.2),
-    ("ugv1_first", 0.2),
-)
+_SR3_BRANCHES = {
+    "uav_first_ugv2": 0.6,
+    "ugv2_first": 0.2,
+    "ugv1_first": 0.2,
+}
 
 _SR3_PLANS = {
     "uav_first_ugv2": {
@@ -126,16 +126,6 @@ _SR3_PLANS["ugv1_first"] = {
 }
 
 
-def _pick_branch(rng: random.Random) -> str:
-    x = rng.random()
-    acc = 0.0
-    for name, weight in _SR3_BRANCHES:
-        acc += weight
-        if x < acc:
-            return name
-    return _SR3_BRANCHES[-1][0]
-
-
 class Sr3Script:
     """The scripted 3-agent policy: ``assign`` draws a branch, and ``step``
     replays the branch's next step once it is legal in the world."""
@@ -143,7 +133,8 @@ class Sr3Script:
     agent_names, config = grid(3)
 
     def assign(self, rng: random.Random):
-        plans = _SR3_PLANS[_pick_branch(rng)]
+        [branch] = rng.choices(list(_SR3_BRANCHES), _SR3_BRANCHES.values())
+        plans = _SR3_PLANS[branch]
         # step k of every timeline: its (cell, action) and the entry after it
         return enumerate(zip(*(zip(plans[n], plans[n][1:]) for n in self.agent_names)))
 

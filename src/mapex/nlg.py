@@ -58,8 +58,6 @@ def _join_or(items: list[str]) -> str:
 def _join_and(items: list[str]) -> str:
     if len(items) == 1:
         return items[0]
-    if len(items) == 2:
-        return items[0] + " and " + items[1]
     return ", ".join(items[:-1]) + " and " + items[-1]
 
 

@@ -2,10 +2,12 @@
 abstraction and the task-sequence chart extracted from it.
 
 The path search converts each transition into an edge weighted by
-``-log(probability)`` and runs Dijkstra from the initial state to the nearest
-goal state (a state where every task-completion predicate holds for at least
-one agent).  Ties are broken deterministically: goal states settle in
-canonical state-index order, and between equal-distance routes to a node the
+``-log(probability)`` and runs Dijkstra to the nearest goal state (a state
+where every task-completion predicate holds for at least one agent) from
+every state of the initial distribution, each at ``-log`` of its share; the
+one initial state of a model without virtual init starts at ``-log 1 = 0``.
+Ties are broken deterministically: goal states settle in canonical
+state-index order, and between equal-distance routes to a node the
 predecessor with the lexicographically smaller (state index, action tuple)
 pair is kept.  Distances within ``TIE_TOLERANCE`` (1e-9) of each other are
 equal: equal-probability routes can sum their ``-log`` weights to floats a
@@ -45,7 +47,8 @@ class MostProbablePath:
 
 
 def most_probable_path(m: PolicyAbstraction) -> MostProbablePath:
-    """Highest-probability action-labeled path from the initial state to a goal."""
+    """Highest-probability action-labeled path to a goal from a state of
+    ``m.initial_distribution()``, whose share its probability includes."""
     goals = set(m.goal_states())
     if not goals:
         raise UnreachableGoalError(0)
@@ -55,15 +58,9 @@ def most_probable_path(m: PolicyAbstraction) -> MostProbablePath:
     settled: set[JointState] = set()
     heap: list[tuple[float, int, JointState]] = []
 
-    if m.has_virtual_init:
-        # virtual source: one zero-cost-from-nowhere edge per observed initial
-        # state, weighted by the empirical initial distribution
-        for s, p in m.initial_distribution().items():
-            dist[s] = -math.log(p)
-            heapq.heappush(heap, (dist[s], m.state_index[s], s))
-    else:
-        dist[m.initial_state] = 0.0
-        heapq.heappush(heap, (0.0, m.state_index[m.initial_state], m.initial_state))
+    for s, p in m.initial_distribution().items():
+        dist[s] = -math.log(p)
+        heapq.heappush(heap, (dist[s], m.state_index[s], s))
 
     goal: JointState | None = None
     while heap:
@@ -138,22 +135,15 @@ def summarize(m: PolicyAbstraction, path: MostProbablePath | None = None) -> Sum
     task_ids = m.schema.task_completion_ids
     if path is None:
         path = most_probable_path(m)
-    bit = {t: m.schema.index_of(t) for t in task_ids}
+    bits = {task: 1 << m.schema.index_of(task) for task in task_ids}
+    task_mask = sum(bits.values())
     columns = []
-    for t, state in enumerate(path.states):
-        y = []
-        for i in range(m.n_agents):
-            newly = set()
-            for task in task_ids:
-                now = bool(state[i] >> bit[task] & 1)
-                before = (
-                    bool(path.states[t - 1][i] >> bit[task] & 1) if t > 0 else False
-                )
-                if now and not before:
-                    newly.add(task)
-            y.append(frozenset(newly))
-        if any(y):
-            columns.append(tuple(y))
+    before = (0,) * m.n_agents
+    for now in path.states:
+        rises = [a & ~b & task_mask for a, b in zip(now, before)]
+        if any(rises):
+            columns.append(tuple(frozenset(t for t, b in bits.items() if r & b) for r in rises))
+        before = now
     labels = {t: m.schema.predicate(t).label or t for t in task_ids}
     return SummaryChart(tuple(columns), m.n_agents, labels)
 

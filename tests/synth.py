@@ -1,13 +1,15 @@
 """Synthetic fixtures: schemas with explicit-feature predicates, seeded
-random layered abstractions for path-search and latency checks, and
-malformed but well-checksummed .mmdp files."""
+random layered abstractions for path-search and latency checks, random
+domain definitions with traces, and malformed but well-checksummed .mmdp
+files."""
 
 from __future__ import annotations
 
 import hashlib
 import random
 
-from mapex import FeatureSchema, PolicyAbstraction, PredicateSpec
+from mapex import (ActionPhrases, AgentSpec, DomainDefinition, FeatureSchema,
+                   PolicyAbstraction, PredicateSpec, RelevanceEntry, RelevanceKnowledge)
 
 
 def plain_schema(n_features: int, task_ids=()) -> FeatureSchema:
@@ -86,6 +88,59 @@ def big_layered_abstraction(n_states: int = 1000) -> PolicyAbstraction:
                 key = (state, action, target)
                 counts[key] = counts.get(key, 0) + rng.randint(1, 9)
     return PolicyAbstraction(schema, 2, counts, (0, 0))
+
+
+_PHRASES = {"go": ActionPhrases("go", "goes"), "push": ActionPhrases("push", "pushes"),
+            "wait": ActionPhrases("wait", "waits")}
+
+
+def random_domain(seed: int):
+    """A random valid domain and a trace of it: 1-4 agents over 1-6 explicit
+    features, at least one of them a task, relevance entries with cooperation
+    sets, and trace lines (the header, then records with explicit
+    ``features`` valuations) whose 1-4 episodes may start in different states.
+    Returns (domain, trace lines as JSON values)."""
+    rng = random.Random(f"domain:{seed}")
+    n_features = rng.randint(1, 6)
+    tasks = sorted(rng.sample(range(n_features), rng.randint(1, n_features)))
+    schema = plain_schema(n_features, task_ids=[f"f{i}" for i in tasks])
+    agents = tuple(
+        AgentSpec(f"A{i}", tuple(a for a in _PHRASES if rng.random() < 0.6) or ("wait",))
+        for i in range(rng.randint(1, 4))
+    )
+    entries = {}
+    for spec in agents:
+        others = [a for a in agents if a is not spec]
+        for action in spec.actions:
+            sets = tuple(
+                frozenset({(spec.name, action),
+                           *((o.name, rng.choice(o.actions))
+                             for o in rng.sample(others, rng.randint(0, len(others))))})
+                for _ in range(rng.randint(1, 2)))
+            entries[(spec.name, action)] = RelevanceEntry(
+                frozenset(a for s in sets for a, _ in s),
+                frozenset(rng.sample(schema.predicate_ids, rng.randint(0, n_features))),
+                sets)
+    domain = DomainDefinition(
+        id=f"rand{seed}", agents=agents, schema=schema,
+        action_phrases={a: _PHRASES[a] for spec in agents for a in spec.actions},
+        relevance=RelevanceKnowledge(entries))
+
+    def valuation():
+        return [{"features": {f: rng.random() < 0.5 for f in schema.predicate_ids}}
+                for _ in agents]
+
+    lines = [{"format": "mapex-trace", "version": 1, "domain": domain.id,
+              "agents": len(agents)}]
+    for episode in range(rng.randint(1, 4)):
+        state = valuation()
+        for step in range(rng.randint(1, 5)):
+            nxt = valuation()
+            lines.append({"episode": episode, "step": step, "state": state,
+                          "action": [rng.choice(spec.actions) for spec in agents],
+                          "next_state": nxt})
+            state = nxt
+    return domain, lines
 
 
 def rewrite_mmdp(path, out, edit):
@@ -173,6 +228,13 @@ def _state_value(text):
     return edit
 
 
+def _header_line(key, text):
+    """An edit that replaces the header line starting with ``key``."""
+    def edit(lines):
+        lines[_first_row(lines, key) - 1] = text
+    return edit
+
+
 def _extra_state(lines):
     i = _first_row(lines, "states")
     lines[i - 1] = f"states {int(lines[i - 1].split(' ')[1]) + 1}"
@@ -205,6 +267,11 @@ MALFORMED_MMDP = {
                           "(ValueError: too many values to unpack (expected 5))"),
     "states-overrun": (_extra_state, "malformed line 27 (ValueError: invalid literal for "
                        "int() with base 10: 'transitions')"),
+    "renamed-key": (_header_line("agents", "agentz 3"), "expected 'agents' on line 3"),
+    "feature-count": (_header_line("features", "features 7"), "feature count disagrees "
+                      "with the supplied schema"),
+    "initial-out-of-range": (_header_line("initial", "initial 99"), "state index 99 on "
+                             "line 6 is outside the state table"),
 }
 
 # files the parser reads but whose model the constructor rejects, with the

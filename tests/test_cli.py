@@ -166,6 +166,17 @@ class TestPipelineComposability:
             assert main(["summarize", "--mmdp", str(shared), "--domain", "sr4"]) == 0
             assert capsys.readouterr().out == chart
 
+    def test_blank_line_between_records(self, pipeline, tmp_path, capsys):
+        _, trace, mmdp = pipeline
+        header, *records = trace.read_text().splitlines()
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n".join([header, *records[:2], "", *records[2:]]) + "\n")
+        out = tmp_path / "m.mmdp"
+        assert main(["abstract", "--trace", str(spaced), "--domain", "sr3",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == mmdp.read_bytes()
+
     def test_summarize_to_file(self, pipeline, tmp_path):
         _, _, mmdp = pipeline
         out = tmp_path / "chart.csv"
@@ -239,6 +250,36 @@ class TestExplain:
                      "--timeout", "5"])
         assert code == 3
         assert "partial progress" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--type", "when", "--agents", "UAV", "--actions", "rescue_victim,fight_fire"],
+         "--actions must name one action per agent (or a single action shared by all "
+         "queried agents)"),
+        (["--type", "whynot", "--agents", "UAV", "--actions", "rescue_victim"],
+         "missing required option --state"),
+        (["--type", "what", "--agents", "UAV", "--predicates", "nope"],
+         "unknown predicate id 'nope'"),
+    ], ids=["action-per-agent", "whynot-without-state", "unknown-predicate"])
+    def test_bad_query_is_one_error_line(self, pipeline, capsys, flags, message):
+        _, _, mmdp = pipeline
+        assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("timeout, primes", [(1, 0), (3, 1)])
+    def test_timeout_exits_3(self, pipeline, capsys, fake_clock, timeout, primes):
+        _, _, mmdp = pipeline
+        assert main(["explain", "--mmdp", str(mmdp), "--domain", "sr3",
+                     "--type", "when", "--agents", "UAV", "--actions", "rescue_victim",
+                     "--timeout", str(timeout)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"could not explain within resource limits: minimization timed out during "
+            f"prime generation; partial progress: {primes} prime implicant(s) found\n")
+        # one tick sets the deadline; the poll after ``timeout`` more ticks stops
+        assert next(fake_clock) == timeout + 2
 
     @pytest.mark.parametrize("state", ["999", "abc"])
     def test_bad_state_exits_2(self, pipeline, capsys, state):
@@ -336,6 +377,35 @@ class TestMalformedInputFiles:
             line = f"config file {bad} is not valid JSON: {exc.value}"
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+    def test_empty_trace_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["abstract", "--trace", str(empty), "--domain", "sr3",
+                     "--out", str(tmp_path / "m.mmdp")]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: empty trace file\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["agents"][1].update(name="UAV"),
+         "duplicate agent names: ['UAV', 'UAV', 'UGV_2']"),
+        (lambda d: d["relevance"].append(d["relevance"][0]),
+         "duplicate relevance entry for ('UAV', 'fight_fire')"),
+    ], ids=["agent-name", "relevance-entry"])
+    def test_domain_file_repeats_exits_2(self, pipeline, tmp_path, capsys, edit, message):
+        _, _, mmdp = pipeline
+        data = domain_to_dict(get_domain("sr3"))
+        edit(data)
+        bad = tmp_path / "repeat.json"
+        bad.write_text(json.dumps(data))
+        assert main(["summarize", "--mmdp", str(mmdp), "--domain", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_mmdp_without_checksum_exits_2(self, pipeline, tmp_path, capsys):
+        _, _, mmdp = pipeline
+        bad = tmp_path / "bare.mmdp"
+        bad.write_text("".join(mmdp.read_text().splitlines(keepends=True)[:-1]))
+        assert main(["summarize", "--mmdp", str(bad), "--domain", "sr3"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: missing checksum line\n"
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MMDP))
     def test_malformed_mmdp_exits_2(self, pipeline, tmp_path, capsys, case):
@@ -842,6 +912,13 @@ class TestConfigAndEnv:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: config file {config} ")
 
+    def test_config_of_a_list_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]")
+        assert main(["explain", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (f"error: config file {config} must hold "
+                                           f"a JSON object\n")
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "typo.json"
         config.write_text(json.dumps({"episode": 3, "sed": 7, "max-steps": 5}))
@@ -1015,6 +1092,41 @@ class TestBench:
         with pytest.raises(MapexError, match="no task actions"):
             _bench_queries(domain, None)
 
+    @staticmethod
+    def cells(out):
+        """The table's rows without the time_ms column."""
+        return [row[:3] + row[4:] for row in map(str.split, out.splitlines()[2:])]
+
+    def test_bench_reports_timeout_cells(self, capsys, fake_clock):
+        assert main(["bench", "--domain", "sr3", "--episodes", "20", "--timeout", "1"]) == 0
+        assert self.cells(capsys.readouterr().out) == [
+            ["when", "norf", "-", "timeout"],
+            ["when", "withrf", "-", "timeout"],
+            ["whynot", "norf", "1", "ok"],
+            ["whynot", "withrf", "-", "timeout"],
+            ["what", "norf", "3", "ok"],
+            ["what", "withrf", "1", "ok"],
+        ]
+
+    def test_bench_reports_contradiction_cells(self, capsys, monkeypatch):
+        # a why-not at a state where the team takes the asked action
+        from mapex.query import Query
+
+        def queries(domain, m):
+            pairs = (("UGV_1", "remove_obstacle"), ("UGV_2", "remove_obstacle"))
+            state = next(s for s in m.states
+                         if any(a[1:] == ("remove_obstacle",) * 2
+                                for a in m.enabled_actions(s)))
+            return [Query("whynot", ("UGV_1", "UGV_2"), method, pairs, state=state)
+                    for method in ("norf", "withrf")]
+
+        monkeypatch.setattr(cli, "_bench_queries", queries)
+        assert main(["bench", "--domain", "sr3", "--episodes", "20"]) == 0
+        assert self.cells(capsys.readouterr().out) == [
+            ["whynot", "norf", "-", "contradiction"],
+            ["whynot", "withrf", "-", "contradiction"],
+        ]
+
     def test_bench_reports_guardrail_cells(self, capsys):
         assert main(["bench", "--domain", "lbf9", "--episodes", "5"]) == 0
         out = capsys.readouterr().out
@@ -1107,6 +1219,12 @@ class TestBoolminDebug:
         table.write_text("2\n11 1\n")
         assert main(["boolmin-debug", "--table", str(table)]) == 0
         assert capsys.readouterr().out.strip() == "TRUE"
+
+    def test_no_ones_prints_false(self, tmp_path, capsys):
+        table = tmp_path / "tt.txt"
+        table.write_text("2\n00 0\n01 0\n")
+        assert main(["boolmin-debug", "--table", str(table)]) == 0
+        assert capsys.readouterr().out == "FALSE\n"
 
     @pytest.mark.parametrize("text", [
         "abc\n", "", "2\n11\n", "2\n111 1\n", "2\n1x 1\n", "2\n11 2\n",

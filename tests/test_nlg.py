@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import mapex
+from mapex import build_abstraction, get_domain, simulate
 from mapex.nlg import PhraseMap, format_dnf, render
 from mapex.query import Query, answer_what, answer_when, answer_whynot
 from mapex.errors import PhraseMapError
@@ -40,6 +41,25 @@ class TestWhenSentences:
         assert render(answer, phrases) == (
             "UGV_1 never fights the fire under the policy."
         )
+
+    def test_agents_with_different_actions(self, sr3_domain, sr3_abstraction, phrases):
+        # each agent gets its own verb, and the two subjects join with "and"
+        q = Query(kind="when", agents=("UAV", "UGV_1"), method="withrf",
+                  actions=(("UAV", RESCUE), ("UGV_1", REMOVE)))
+        answer = answer_when(q, sr3_abstraction, sr3_domain)
+        assert render(answer, phrases) == (
+            "UAV rescues the victim and UGV_1 removes the obstacle when UAV detects "
+            "the victim and UGV_1 detects the victim, UAV detects the victim and UGV_2 "
+            "detects the victim, or UAV has rescued the victim and UGV_1 has not "
+            "removed the obstacle."
+        )
+
+    def test_always_sentence(self, sr3_domain, sr3_abstraction, phrases):
+        # move names no relevant feature: no variables, and the DNF is TRUE
+        answer = when_answer(sr3_domain, sr3_abstraction, "UAV", "move")
+        assert answer.space.n_variables == 0
+        assert render(answer, phrases) == "UAV always moves."
+        assert format_dnf(answer) == "TRUE"
 
     def test_snapshot_stability(self, sr3_domain, sr3_abstraction, phrases):
         first = render(when_answer(sr3_domain, sr3_abstraction, "UAV", RESCUE), phrases)
@@ -103,6 +123,27 @@ class TestWhatSentences:
                   predicates=("obstacle_complete",))
         answer = answer_what(q, sr3_abstraction, sr3_domain)
         assert render(answer, phrases) == "No observed state satisfies this condition."
+
+    @pytest.mark.parametrize("method, predicate, sentence", [
+        ("withrf", "victim_complete",
+         "UAV takes no relevant action when it has rescued the victim."),
+        ("norf", "fire_complete", "UAV takes no action when it has extinguished the fire."),
+    ], ids=["withrf", "norf"])
+    def test_no_action_sentence(self, sr3_domain, sr3_abstraction, phrases, method,
+                                predicate, sentence):
+        q = Query(kind="what", agents=("UAV",), method=method, predicates=(predicate,))
+        answer = answer_what(q, sr3_abstraction, sr3_domain)
+        assert render(answer, phrases) == sentence
+
+    def test_three_agent_list(self):
+        domain = get_domain("sr4")
+        m = build_abstraction(simulate("sr4", episodes=30, seed=42), domain.schema)
+        q = Query(kind="what", agents=("UAV", "UGV_1", "UGV_2"), method="norf",
+                  predicates=("victim_detect",))
+        assert render(answer_what(q, m, domain), PhraseMap.from_domain(domain)) == (
+            "UAV can rescue the victim, UGV_1 can move, or wait and UGV_2 can rescue "
+            "the victim when they detect the victim."
+        )
 
     def test_plural_condition(self, sr3_domain, sr3_abstraction, phrases):
         q = Query(kind="what", agents=("UGV_1", "UGV_2"), method="norf",
