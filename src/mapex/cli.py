@@ -465,12 +465,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_OK
         return _COMMANDS[command][0](_resolve(command, given))
     except TooManyVariablesError as exc:
-        print(
-            f"could not explain within resource limits: {exc}\n"
-            f"partial progress: 0 prime implicants "
-            f"({exc.n_vars} variables > guardrail {exc.limit})",
-            file=sys.stderr,
-        )
+        print(f"could not explain within resource limits: {exc}; partial progress: "
+              f"0 prime implicants ({exc.n_vars} variables > guardrail {exc.limit})",
+              file=sys.stderr)
         return EXIT_TIMEOUT
     except MinimizationTimeout as exc:
         print(f"could not explain within resource limits: {exc}", file=sys.stderr)

@@ -20,14 +20,16 @@ combos once, in that ``GridConfig``: the world enforces them, and
 one with a ``config``, ``agent_names``, ``assign(rng)`` (once per episode)
 and ``step(world, assigned, rng)`` -> (joint action, each agent's next cell).
 
-Routing: each ``run_episodes`` call keeps, per task liveness, the open cells,
-a per-cell neighbour table and one breadth-first parent tree per start cell
-(``bfs_tree``); its worlds share them, a world built alone keeps its own, and
-nothing outlives the run.  Agents and worlds at one cell and liveness share
-its tree.  A world changes tables only when ``resolve`` completes a task, the
+Tables: each ``run_episodes`` call keeps, per task liveness, the open cells,
+a per-cell neighbour table, one breadth-first parent tree per start cell
+(``bfs_tree``), the task board and one agent record per (cell, flags); its
+worlds share them, a world built alone keeps its own, and nothing outlives
+the run.  A world changes tables only when ``resolve`` completes a task, the
 one event that changes which cells are passable.  The scripted policy answers
 staging reachability and its first move (``first_move``) from the tree of the
-agent's cell, so each (liveness, cell) costs at most one BFS per run.
+agent's cell, so each (liveness, cell) costs at most one BFS per run.  Each
+record's JSON text is made once, with the record, and ``write_trace`` joins
+those texts; it encodes every other record per sample.
 """
 
 from __future__ import annotations
@@ -74,13 +76,25 @@ class TraceSample:
     next_joint_concrete_state: tuple[Mapping[str, Any], ...]
 
 
+class _Record(dict):
+    """An agent record that ``GridWorld`` never changes, with its JSON text."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, **fields):
+        super().__init__(fields)
+        self.text = _encode(self)
+
+
 def write_trace(path, domain_id: str, n_agents: int,
                 samples: Iterable[TraceSample]) -> int:
     """Write samples as line-delimited JSON under a version header; returns count.
 
-    A sample whose state is the previous sample's next state (the same
-    object, as the simulator hands it on) reuses that state's JSON text, so
-    each joint state is encoded once.
+    Each joint state is encoded once: a sample whose state is the previous
+    sample's next state (the same object, as the simulator hands it on)
+    reuses that text.  A record the simulator made, one per (cell, liveness,
+    flags) in a run, brings its own text, made once; every other record is
+    encoded per sample, so a caller may change its dicts between samples.
     """
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
@@ -91,8 +105,10 @@ def write_trace(path, domain_id: str, n_agents: int,
         for s in samples:
             state = s.joint_concrete_state
             state_text = next_text if state is previous_next else _encode(state)
-            previous_next = s.next_joint_concrete_state
-            next_text = _encode(previous_next)
+            nxt = previous_next = s.next_joint_concrete_state
+            next_text = ("[" + ",".join(r.text if type(r) is _Record else _encode(r)
+                                        for r in nxt) + "]"
+                         if type(nxt) is tuple else _encode(nxt))
             fh.write(f'{{"episode":{_encode(s.episode_id)},"step":{_encode(s.step)},'
                      f'"state":{state_text}{_ACTION}{_encode(s.joint_action)}'
                      f'{_NEXT}{next_text}}}\n')
@@ -353,15 +369,15 @@ class GridWorld:
         self._refresh()
 
     def _refresh(self) -> None:
-        """Take the current liveness's routing tables; build the task board and
-        the flag snapshots that records share until the next completion."""
+        """Take the current liveness's tables: routing, the task board and the
+        records by (cell, flags); note each agent's flags until a completion."""
         live = tuple(t.id for t in self.config.tasks if self.alive[t.id])
         if (table := self._tables.get(live)) is None:
-            table = self._tables[live] = (*_open_cells(self.config, live), {})
-        self._open, self._neighbors, self._trees = table
-        self._board = {t.id: {"pos": [*t.cell], "present": self.alive[t.id]}
-                       for t in self.config.tasks}
-        self._flags = [dict(done) for done in self.done]
+            board = {t.id: {"pos": [*t.cell], "present": t.id in live}
+                     for t in self.config.tasks}
+            table = self._tables[live] = (*_open_cells(self.config, live), {}, board, {})
+        self._open, self._neighbors, self._trees, self._board, self._records = table
+        self._flags = [tuple(done.items()) for done in self.done]
 
     def passable(self, cell: Cell) -> bool:
         return cell in self._open
@@ -389,10 +405,13 @@ class GridWorld:
 
     def joint_record(self) -> tuple[dict[str, Any], ...]:
         """Self-contained per-agent records: position, task board, own flags.
-        Records share the board and each agent's flags until a completion
-        builds new ones; nothing mutates a record once built."""
-        return tuple({"pos": [r, c], "tasks": self._board, "done": done}
-                     for (r, c), done in zip(self.positions, self._flags))
+        Agents and worlds at one (cell, liveness, flags) share one record, made
+        once per table; nothing mutates a record once built."""
+        records = self._records
+        for key in zip(self.positions, self._flags):
+            if key not in records:
+                records[key] = _Record(pos=[*key[0]], tasks=self._board, done=dict(key[1]))
+        return tuple(map(records.__getitem__, zip(self.positions, self._flags)))
 
     def all_done(self) -> bool:
         return not any(self.alive.values())
@@ -401,7 +420,7 @@ class GridWorld:
         """Apply task completions for one step's joint action."""
         completed = False
         for task in self.config.tasks:
-            if not self.alive[task.id]:
+            if not self.alive[task.id] or task.action not in actions:
                 continue
             takers = {
                 self.agent_names[i]

@@ -122,14 +122,7 @@ class TestWriteTraceReuse:
         path = tmp_path / "t.jsonl"
         assert write_trace(path, "hand", 1, samples) == len(samples)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[1:] == [
-            json.dumps({"episode": s.episode_id, "step": s.step,
-                        "state": list(s.joint_concrete_state),
-                        "action": list(s.joint_action),
-                        "next_state": list(s.next_joint_concrete_state)},
-                       separators=(",", ":"))
-            for s in samples
-        ]
+        assert lines[1:] == [_line(s) for s in samples]
         assert '"step":3,"state":[{"pos":[0,1],' in lines[4]
 
     def test_action_text_reused_only_for_equal_encodings(self, tmp_path):
@@ -144,6 +137,41 @@ class TestWriteTraceReuse:
         assert [line.split('"action":')[1].split(',"next_state"')[0]
                 for line in lines[1:]] == ['["move"]'] * 3 + ["[1]", "[1.0]", "[true]",
                                            '["wait"]', "[1]"]
+
+    def test_dict_changed_between_samples_is_written_as_it_then_is(self, tmp_path):
+        # a caller may reuse one dict, changed in place, inside fresh tuples:
+        # its text is made per sample, never remembered by the dict's identity
+        record, expected = {"pos": [0, 0], "done": {"t": False}}, []
+
+        def samples():
+            for step in range(4):
+                record["pos"][1], record["done"]["t"] = step, step == 3
+                sample = TraceSample(0, step, (record,), (WAIT,), (record,))
+                expected.append(_line(sample))
+                yield sample
+
+        path = tmp_path / "t.jsonl"
+        assert write_trace(path, "hand", 1, samples()) == 4
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == expected
+        assert '"pos":[0,3],"done":{"t":true}' in expected[-1]
+
+    @pytest.mark.parametrize("domain_id,episodes", [
+        *((d, 30) for d in domain_ids()), ("sr5", 100), ("lbf9", 100), ("rware19", 100)])
+    def test_simulated_lines_match_json_dumps(self, domain_id, episodes, tmp_path):
+        samples = list(simulate(domain_id, episodes=episodes, seed=42))
+        path = tmp_path / "t.jsonl"
+        write_trace(path, domain_id, get_domain(domain_id).n_agents, samples)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [_line(s) for s in samples]
+
+
+def _line(s: TraceSample) -> str:
+    """A sample's trace line as the standard library encodes it."""
+    return json.dumps({"episode": s.episode_id, "step": s.step,
+                       "state": list(s.joint_concrete_state),
+                       "action": list(s.joint_action),
+                       "next_state": list(s.next_joint_concrete_state)},
+                      separators=(",", ":"))
 
 
 class TestWriteTraceCycleCheck:
@@ -319,6 +347,24 @@ class TestSharedRecords:
                    for s in samples)  # the run crosses completions
         assert texts == [json.dumps([s.joint_concrete_state, s.next_joint_concrete_state])
                          for s in samples]
+
+    @pytest.mark.parametrize("domain_id", ["sr5", "lbf9"])
+    def test_equal_records_of_one_run_are_one_object(self, domain_id):
+        # a record is equal to another only at the same cell, task liveness
+        # (its board) and flags, where the run hands out one shared object
+        runs = []
+        for _ in range(2):
+            by_text, episodes, n = {}, {}, 0
+            for s in simulate(domain_id, episodes=30, seed=42):
+                for rec in (*s.joint_concrete_state, *s.next_joint_concrete_state):
+                    text = json.dumps(rec, sort_keys=True)
+                    assert by_text.setdefault(text, rec) is rec
+                    episodes.setdefault(text, set()).add(s.episode_id)
+                    n += 1
+            assert max(map(len, episodes.values())) == 30  # shared across episodes
+            assert len(by_text) * 10 < n
+            runs.append(by_text)  # alive, so no id is reused in the second run
+        assert not {*map(id, runs[0].values())} & {*map(id, runs[1].values())}
 
 
 class TestScriptedSr3:
