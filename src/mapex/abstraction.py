@@ -20,8 +20,8 @@ from itertools import compress, groupby, islice
 from operator import attrgetter, itemgetter, lt, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .domain import FeatureSchema, JointAction, JointState, encode_joint_state
-from .envs.base import TraceSample
+from .domain import FeatureSchema, JointAction, JointState, encode_agent_state
+from .envs.base import TraceSample, _Record
 from .errors import (
     AbstractionFormatError,
     MultipleInitialStatesError,
@@ -252,8 +252,23 @@ def build_abstraction(
     MultipleInitialStatesError unless ``virtual_init`` is set, in which case
     the empirical initial distribution is kept and path search starts from it.
     Self-loops (identical abstract source and target) are recorded like any
-    other transition.
+    other transition.  A shared record (one that ``simulate`` or the trace
+    reader hands out) is encoded once per schema, and every other record
+    once per sample, as it then is.
     """
+
+    def encode(records) -> JointState:
+        bits = []
+        for rec in records:
+            if type(rec) is not _Record:
+                bits.append(encode_agent_state(rec, schema))
+            elif (done := rec.encoded)[0] is schema:
+                bits.append(done[1])
+            else:
+                rec.encoded = schema, (b := encode_agent_state(rec, schema))
+                bits.append(b)
+        return tuple(bits)
+
     counts: Counter = Counter()
     initial_counts: Counter = Counter()
     first_initial: JointState | None = None
@@ -265,9 +280,9 @@ def build_abstraction(
             if sample.joint_concrete_state is previous_next:
                 source = target
             else:
-                source = encode_joint_state(sample.joint_concrete_state, schema)
+                source = encode(sample.joint_concrete_state)
             previous_next = sample.next_joint_concrete_state
-            target = encode_joint_state(previous_next, schema)
+            target = encode(previous_next)
         except (KeyError, TypeError, IndexError) as exc:
             raise TraceFormatError(
                 f"episode {sample.episode_id} step {sample.step}: malformed agent "

@@ -28,8 +28,14 @@ the run.  A world changes tables only when ``resolve`` completes a task, the
 one event that changes which cells are passable.  The scripted policy answers
 staging reachability and its first move (``first_move``) from the tree of the
 agent's cell, so each (liveness, cell) costs at most one BFS per run.  Each
-record's JSON text is made once, with the record, and ``write_trace`` joins
-those texts; it encodes every other record per sample.
+record's JSON text is made once, when first written, and ``write_trace``
+joins those texts; it encodes every other record per sample.
+
+Reading: one ``iter_trace`` (or ``read_trace``) call hands out one shared
+record per distinct agent-record text of the writer's layout, and two calls
+share none; lines in any other layout give plain dicts.  Shared records, the
+simulator's and the reader's, must not be mutated: ``build_abstraction``
+encodes each once per schema.
 """
 
 from __future__ import annotations
@@ -63,6 +69,12 @@ _TRACE_VERSION = 1
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # the trace layout
 _scan = json.JSONDecoder().raw_decode
 _ACTION, _NEXT = ',"action":', ',"next_state":'  # the writer's text before each
+# The most agent records one reader call keeps by text; it clears them when
+# full, which changes no output.  A built-in trace holds at most 360 distinct
+# records (sr5 at 1000 episodes; 256 would clear it 27 times), and 512
+# decoded records of ~1 KB each keep the table near 0.5 MB, whatever the
+# trace length, when no record repeats.
+_RECORD_TABLE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -77,13 +89,27 @@ class TraceSample:
 
 
 class _Record(dict):
-    """An agent record that ``GridWorld`` never changes, with its JSON text."""
+    """A shared agent record that nothing changes once made: ``text`` is its
+    canonical JSON text, made on first use, and ``encoded`` the (schema, bits)
+    of its last encoding, which ``build_abstraction`` reuses for that schema."""
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "encoded")
 
-    def __init__(self, **fields):
-        super().__init__(fields)
-        self.text = _encode(self)
+    def __init__(self, fields: Mapping[str, Any]):
+        super().__init__(fields)  # a mapping, not **fields: a key may be "self"
+        self.encoded = (None, 0)
+
+    def __getattr__(self, name: str) -> str:
+        # reached only while a slot is unset: the text is made on first use,
+        # and from then on read from its slot
+        if name != "text":
+            raise AttributeError(name)
+        self.text = text = _encode(self)
+        return text
+
+    def __reduce__(self):
+        # a copy or a pickle is a caller's plain dict, without the cached bits
+        return dict, (dict(self),)
 
 
 def write_trace(path, domain_id: str, n_agents: int,
@@ -128,7 +154,7 @@ def iter_trace(path) -> Iterator[Any]:
     the one raised.  Steps run from 0 within each episode, each state must
     equal its episode's previous next_state (and is handed on as that object),
     and state, action and next_state hold one entry per agent of the header.
-    Both decodes (``_compact_tail``, else ``json.loads``) feed one check block,
+    Both decodes (``_compact``, else ``json.loads``) feed one check block,
     so a fault gives the same error whatever the record's layout."""
     with open(path, "r", encoding="utf-8") as fh:
         # splitting each line again keeps str.splitlines' line ends and numbers
@@ -153,13 +179,11 @@ def iter_trace(path) -> Iterator[Any]:
             return TraceFormatError(f"{path}:{lineno}: {what}")
 
         last: dict[int, tuple[int, Any]] = {}  # episode -> (its next step, last next_state)
-        head = nxt_text = None  # how a continuing record starts; nxt's text if known
+        nxt = nxt_text = None  # the last next_state, and its text if read compact
+        records: dict[str, _Record] = {}  # this call's agent records, by their text
         for lineno, line in lines:
-            if head is not None and line.startswith(head) and (
-                    tail := _compact_tail(line, len(head), nxt_text or _encode(nxt))):
-                rec = {"episode": episode, "step": step + 1, "state": nxt,
-                       "action": tail[0], "next_state": tail[1]}
-                nxt_text = tail[2]
+            if compact := _compact(line, records, nxt_text, nxt):
+                rec, nxt_text = compact
             elif not line.strip():
                 continue
             else:
@@ -190,7 +214,6 @@ def iter_trace(path) -> Iterator[Any]:
             # hand on the previous next_state itself, so it is encoded once
             state = previous if step else state
             last[episode] = step + 1, nxt
-            head = f'{{"episode":{episode},"step":{step + 1},"state":'
             yield TraceSample(episode, step, state, action, nxt)
 
 
@@ -200,20 +223,59 @@ def _action_ids(value) -> bool:
         type(a) is str and a.split() == [a] and "," not in a for a in value)
 
 
-def _compact_tail(line: str, at: int, state_text: str):
-    """(action, next_state, next_state's text) as decoded from a line in the
-    writer's layout whose state text at ``at`` is ``state_text``, else None.
-    It checks nothing: its result meets the checks a full decode's meets."""
-    if not line.startswith(state_text + _ACTION, at):
-        return None
+def _compact(line: str, records: dict[str, _Record], state_text: str | None, state):
+    """(record, next_state's text) as decoded from a line in the writer's
+    layout, else None.  A state whose text is ``state_text`` is ``state``
+    itself; each other agent list is read by ``_agents``.  It checks nothing:
+    its result meets the checks a full decode's meets."""
     try:
-        action, i = _scan(line, at + len(state_text) + len(_ACTION))
-        nxt, end = _scan(line, i + len(_NEXT))
+        episode, i = _scan(line, _after(line, '{"episode":', 0))
+        step, i = _scan(line, _after(line, ',"step":', i))
+        i = _after(line, ',"state":', i)
+        if state_text is not None and line.startswith(state_text, i):
+            i += len(state_text)
+        else:
+            state, i = _agents(line, i, line.find(_ACTION, i) - 1, records)
+        action, i = _scan(line, _after(line, _ACTION, i))
+        at = _after(line, _NEXT, i)
+        nxt, end = _agents(line, at, len(line) - 2, records)
     except (ValueError, RecursionError):
         return None
-    if line.startswith(_NEXT, i) and line[end:] == "}":
-        return action, nxt, line[i + len(_NEXT):end]
-    return None
+    if line[end:] != "}":
+        return None
+    return ({"episode": episode, "step": step, "state": state, "action": action,
+             "next_state": nxt}, line[at:end])
+
+
+def _after(line: str, text: str, at: int) -> int:
+    """Where ``text``, which must start at ``at``, ends."""
+    if not line.startswith(text, at):
+        raise ValueError(text)
+    return at + len(text)
+
+
+def _agents(line: str, at: int, stop: int, records: dict[str, _Record]):
+    """(the agent list at ``at``, where it ends).  Each record's text ends at
+    the next "},{", else at ``stop`` (where the writer's layout ends the last
+    one), and is looked up in ``records``; only a text not there is decoded,
+    and a dict decoded joins them as a shared ``_Record``.  A hit is sound
+    however its end was found: its text decoded once as one whole object, and
+    an object's end is unique, so it decodes alike at any position."""
+    items, end = [], _after(line, "[", at)
+    while True:
+        end = line.find("},{", start := end, stop) + 1 or stop
+        if (rec := records.get(line[start:end])) is None:
+            value, end = _scan(line, start)
+            if type(value) is not dict:  # any other agent entry stays as decoded
+                rec = value
+            elif (rec := records.get(text := line[start:end])) is None:
+                if len(records) >= _RECORD_TABLE_SIZE:
+                    records.clear()
+                rec = records[text] = _Record(value)
+        items.append(rec)
+        if not line.startswith(",", end):
+            return items, _after(line, "]", end)
+        end += 1
 
 
 def chebyshev(a: Cell, b: Cell) -> int:
@@ -410,7 +472,8 @@ class GridWorld:
         records = self._records
         for key in zip(self.positions, self._flags):
             if key not in records:
-                records[key] = _Record(pos=[*key[0]], tasks=self._board, done=dict(key[1]))
+                records[key] = _Record({"pos": [*key[0]], "tasks": self._board,
+                                         "done": dict(key[1])})
         return tuple(map(records.__getitem__, zip(self.positions, self._flags)))
 
     def all_done(self) -> bool:

@@ -2,9 +2,10 @@
 
 All phrasing comes from the domain's phrase maps; the templates only arrange
 it.  Clause lists join as "A, or B" (matching the no-Oxford-comma style of the
-target explanations), literals inside a clause join with "and", and literal
-order follows the Boolean-variable order of the answer, so identical answers
-always render byte-identically.
+target explanations), literals inside a clause join with "and", a what
+answer's per-agent parts join with "; " and "; and " once one of them lists
+several verbs, and literal order follows the Boolean-variable order of the
+answer, so identical answers always render byte-identically.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ def _join_and(items: list[str]) -> str:
     if len(items) == 1:
         return items[0]
     return ", ".join(items[:-1]) + " and " + items[-1]
+
+
+def _join_and_semicolons(items: list[str]) -> str:
+    if len(items) == 1:
+        return items[0]
+    return "; ".join(items[:-1]) + "; and " + items[-1]
 
 
 def _subject(query: Query, phrases: PhraseMap) -> str:
@@ -147,6 +154,7 @@ def render_what(answer: WhatAnswer, phrases: PhraseMap) -> str:
         return "No observed state satisfies this condition."
     condition = _condition_text(query, phrases)
     parts = []
+    join = _join_and
     if query.method == "norf":
         for name in query.agents:
             verbs = [phrases.action(a).base for a in answer.actions[name]]
@@ -154,6 +162,8 @@ def render_what(answer: WhatAnswer, phrases: PhraseMap) -> str:
                 parts.append(f"{phrases.agent(name)} can {_join_or(verbs)}")
             else:
                 parts.append(f"{phrases.agent(name)} takes no action")
+            if len(verbs) > 1:  # an "or" list's commas: the agents take semicolons
+                join = _join_and_semicolons
     else:
         for name in query.agents:
             action = answer.actions[name]
@@ -162,7 +172,7 @@ def render_what(answer: WhatAnswer, phrases: PhraseMap) -> str:
             else:
                 verb = phrases.action(action).base
                 parts.append(f"{phrases.agent(name)} is most likely to {verb}")
-    return f"{_join_and(parts)} when {condition}."
+    return f"{join(parts)} when {condition}."
 
 
 def render(answer: ConditionAnswer | WhatAnswer, phrases: PhraseMap) -> str:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import os
 import random
@@ -15,8 +17,10 @@ import mapex
 
 from mapex import (
     PolicyAbstraction,
+    abstraction,
     build_abstraction,
     load_abstraction,
+    read_trace,
     save_abstraction,
 )
 from mapex.abstraction import NORMALIZATIONS
@@ -78,6 +82,42 @@ class TestBuild:
         # the first sample has no previous next state to share an encoding with
         with pytest.raises(TraceFormatError):
             build_abstraction([TraceSample(0, 0, None, ("a",), (rec(),))], tiny_schema)
+
+    def test_dicts_changed_between_samples_count_as_they_then_were(self, tiny_schema):
+        # a caller's plain dicts are encoded per sample: the same two dicts,
+        # changed in place between samples inside fresh tuples, count as
+        # they were when each sample was handed on
+        state, nxt = rec(), rec()
+        snapshots = []
+
+        def samples():
+            for step, flags in enumerate([(1, 0), (1, 1), (0, 1), (0, 0)]):
+                nxt["features"].update(zip(("f0", "f1"), map(bool, flags)))
+                snapshots.append(sample(0, step, copy.deepcopy(state), "a",
+                                        copy.deepcopy(nxt)))
+                yield sample(0, step, state, "a", nxt)
+                state["features"].update(nxt["features"])
+
+        m = build_abstraction(samples(), tiny_schema)
+        assert m.n_transitions == 4
+        assert m == build_abstraction(snapshots, tiny_schema)
+
+    def test_shared_records_encoded_once_per_schema(self, sr3_domain, sr3_trace_path,
+                                                    monkeypatch):
+        calls = []
+        encode = abstraction.encode_agent_state
+        monkeypatch.setattr(abstraction, "encode_agent_state",
+                            lambda r, schema: calls.append(r) or encode(r, schema))
+        _, samples = read_trace(sr3_trace_path)
+        records = {id(r) for s in samples
+                   for r in (*s.joint_concrete_state, *s.next_joint_concrete_state)}
+        m = build_abstraction(samples, sr3_domain.schema)
+        assert len(calls) == len({*map(id, calls)}) == len(records)
+        assert build_abstraction(samples, sr3_domain.schema) == m
+        assert len(calls) == len(records)  # the bits stay on the records
+        equal_schema = dataclasses.replace(sr3_domain.schema)
+        assert build_abstraction(samples, equal_schema).counts == m.counts
+        assert len(calls) == 2 * len(records)  # another schema encodes again
 
     def test_counts_order_insensitive(self, sr3_domain, sr3_samples):
         shuffled = list(sr3_samples)

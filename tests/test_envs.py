@@ -1,7 +1,9 @@
+import copy
 import gc
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -16,7 +18,7 @@ from mapex import (
 )
 from mapex.domain import domain_to_dict
 from mapex.envs import domain_ids, iter_trace
-from mapex.envs import search_rescue
+from mapex.envs import base, search_rescue
 from mapex.envs.base import (
     WAIT,
     GenericScriptedPolicy,
@@ -348,6 +350,15 @@ class TestSharedRecords:
         assert texts == [json.dumps([s.joint_concrete_state, s.next_joint_concrete_state])
                          for s in samples]
 
+    def test_encoded_records_copy_and_pickle_as_plain_dicts(self, sr3_trace_path):
+        samples = list(simulate("sr3", episodes=2, seed=42))
+        _, read = read_trace(sr3_trace_path)
+        for run in (samples, read):
+            build_abstraction(run, get_domain("sr3").schema)
+            for copied in (pickle.loads(pickle.dumps(run)), copy.deepcopy(run)):
+                assert copied == run
+                assert {type(r) for s in copied for r in s.next_joint_concrete_state} == {dict}
+
     @pytest.mark.parametrize("domain_id", ["sr5", "lbf9"])
     def test_equal_records_of_one_run_are_one_object(self, domain_id):
         # a record is equal to another only at the same cell, task liveness
@@ -365,6 +376,61 @@ class TestSharedRecords:
             assert len(by_text) * 10 < n
             runs.append(by_text)  # alive, so no id is reused in the second run
         assert not {*map(id, runs[0].values())} & {*map(id, runs[1].values())}
+
+
+def _fields(s: TraceSample) -> list:
+    """A sample as the list of its line's decoded values, in the writer's key order."""
+    return [s.episode_id, s.step, list(s.joint_concrete_state), list(s.joint_action),
+            list(s.next_joint_concrete_state)]
+
+
+class TestReaderRecords:
+    """One reader call hands out one record per distinct agent-record text."""
+
+    @pytest.mark.parametrize("domain_id", domain_ids())
+    def test_samples_equal_json_loads_of_their_lines(self, domain_id, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, domain_id, get_domain(domain_id).n_agents,
+                    simulate(domain_id, episodes=30, seed=42))
+        header, *lines = path.read_text().splitlines()
+        samples = iter_trace(path)
+        assert next(samples) == json.loads(header)
+        assert [*map(_fields, samples)] == [[*json.loads(line).values()] for line in lines]
+
+    def test_equal_record_texts_of_one_call_are_one_object(self, sr3_trace_path):
+        calls = []
+        for _ in range(2):
+            by_text, n = {}, 0
+            samples = iter_trace(sr3_trace_path)
+            next(samples)
+            for s in samples:
+                for rec in (*s.joint_concrete_state, *s.next_joint_concrete_state):
+                    assert by_text.setdefault(json.dumps(rec), rec) is rec
+                    n += 1
+            assert len(by_text) * 100 < n
+            calls.append(by_text)  # alive, so no id is reused in the second call
+        assert not {*map(id, calls[0].values())} & {*map(id, calls[1].values())}
+
+    @pytest.mark.parametrize("domain_id", ["sr5", "lbf9"])
+    def test_a_smaller_table_gives_the_same_model(self, domain_id, tmp_path, monkeypatch):
+        # the table is cleared whenever it is full, which changes no output
+        trace = tmp_path / "t.jsonl"
+        write_trace(trace, domain_id, get_domain(domain_id).n_agents,
+                    simulate(domain_id, episodes=30, seed=42))
+
+        def model(out):
+            samples = iter_trace(trace)
+            next(samples)
+            save_abstraction(build_abstraction(samples, get_domain(domain_id).schema), out)
+            return out.read_bytes()
+
+        full = model(tmp_path / "full.mmdp")
+        monkeypatch.setattr(base, "_RECORD_TABLE_SIZE", 3)
+        _, samples = read_trace(trace)
+        records = {id(r) for s in samples for r in s.next_joint_concrete_state}
+        texts = {json.dumps(r) for s in samples for r in s.next_joint_concrete_state}
+        assert len(records) > len(texts)  # cleared: equal texts, several objects
+        assert model(tmp_path / "small.mmdp") == full
 
 
 class TestScriptedSr3:
@@ -555,12 +621,12 @@ class TestStreamingReader:
         return path
 
     def test_writer_output_decodes_each_state_once(self, sr3_trace_path, monkeypatch):
-        # only the header and each episode's first record take a full decode
+        # only the header takes a full decode
         loads = json.loads
         full = []
         monkeypatch.setattr(json, "loads", lambda text: full.append(text) or loads(text))
         _, samples = read_trace(sr3_trace_path)
-        assert len(full) == 1 + sum(s.step == 0 for s in samples)
+        assert len(full) == 1
         assert all(s.joint_concrete_state is p.next_joint_concrete_state
                    for p, s in zip(samples, samples[1:]) if s.step)
 
@@ -700,6 +766,46 @@ class TestStreamingReader:
         with pytest.raises(TraceFormatError) as exc:
             read_trace(bad)
         assert str(exc.value) == f"{bad}:{k + 2}: {message}"
+
+    # each case as an edit of the agent list that is record k's next_state
+    # and record k + 1's state, and an edit of record k + 1's line
+    AGENT_CASES = {
+        "list-of-dicts": (  # two records alike up to the "},{" inside them
+            lambda agents: agents.__setitem__(slice(2), [{"items": [{"a": 1}, {"b": 2}]},
+                                                         {"items": [{"a": 1}, {"c": 3}]}]),
+            str),
+        "self-and-text-keys": (lambda agents: agents[1].update({"self": 1, "text": "x"}), str),
+        "spaced-inside-a-record": (lambda agents: None,
+                                   lambda line: line.replace('"pos":[', '"pos": [')),
+        "spaced-between-records": (lambda agents: None,
+                                   lambda line: line.replace('},{"pos"', '}, {"pos"')),
+        "non-dict-agent": (
+            lambda agents: agents.__setitem__(2, [{"pos": [0, 0]}, {"pos": [1, 1]}]), str),
+        "cut-record": (lambda agents: None, lambda line: line.replace("}", "", 1)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(AGENT_CASES))
+    @pytest.mark.parametrize("dump", [_compact, json.dumps], ids=["writer", "spaced"])
+    def test_agent_records_read_alike_in_both_layouts(self, trace, tmp_path, case, dump):
+        # every layout reads as a full decode of each line does: the same
+        # samples, or json.loads's error at the same line
+        header, records = trace
+        k = next(i for i, r in enumerate(records) if r["step"] == 4)
+        edit, edit_line = self.AGENT_CASES[case]
+        edit(records[k]["next_state"])
+        edit(records[k + 1]["state"])
+        lines = [header, *map(dump, records)]
+        lines[k + 2] = edit_line(lines[k + 2])
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            full = [[*json.loads(line).values()] for line in lines[1:]]
+        except ValueError as exc:
+            with pytest.raises(TraceFormatError) as err:
+                read_trace(path)
+            assert str(err.value) == f"{path}:{k + 3}: bad record: {exc}"
+        else:
+            assert [*map(_fields, read_trace(path)[1])] == full
 
     def test_clean_trace_reads_alike_in_both_layouts(self, trace, tmp_path):
         header, records = trace

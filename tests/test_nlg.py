@@ -141,7 +141,7 @@ class TestWhatSentences:
         q = Query(kind="what", agents=("UAV", "UGV_1", "UGV_2"), method="norf",
                   predicates=("victim_detect",))
         assert render(answer_what(q, m, domain), PhraseMap.from_domain(domain)) == (
-            "UAV can rescue the victim, UGV_1 can move, or wait and UGV_2 can rescue "
+            "UAV can rescue the victim; UGV_1 can move, or wait; and UGV_2 can rescue "
             "the victim when they detect the victim."
         )
 
