@@ -20,8 +20,7 @@ from itertools import compress, groupby, islice
 from operator import attrgetter, itemgetter, lt, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .domain import FeatureSchema, JointAction, JointState, encode_agent_state
-from .envs.base import TraceSample, _Record
+from .domain import FeatureSchema, JointAction, JointState
 from .errors import (
     AbstractionFormatError,
     MultipleInitialStatesError,
@@ -29,6 +28,7 @@ from .errors import (
     SchemaMismatchError,
     TraceFormatError,
 )
+from .trace import TraceSample, state_encoder
 
 _PROB_TOLERANCE = 1e-9
 
@@ -49,7 +49,7 @@ _ACTION = attrgetter("action")
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _select(items: Sequence, mask: int) -> Iterator:
+def select_bits(items: Sequence, mask: int) -> Iterator:
     """The items at the set bits of ``mask`` (bit k selects ``items[k]``), in
     order; the scan over the bits runs in C."""
     bits = bin(mask)[:1:-1].encode("ascii")
@@ -101,7 +101,7 @@ class QueryIndex:
     def enabled_by(self, actions: int) -> int:
         """The states enabling any of the masked action positions."""
         states = 0
-        for mask in _select(self.state_masks, actions):
+        for mask in select_bits(self.state_masks, actions):
             states |= mask
         return states
 
@@ -210,7 +210,7 @@ class PolicyAbstraction:
         return mask
 
     def states_of(self, mask: int) -> frozenset[JointState]:
-        return frozenset(_select(self.states, mask))
+        return frozenset(select_bits(self.states, mask))
 
     def enabled_actions(self, state: JointState) -> tuple[JointAction, ...]:
         """The state's distinct enabled joint actions, in first-seen order."""
@@ -252,23 +252,11 @@ def build_abstraction(
     MultipleInitialStatesError unless ``virtual_init`` is set, in which case
     the empirical initial distribution is kept and path search starts from it.
     Self-loops (identical abstract source and target) are recorded like any
-    other transition.  A shared record (one that ``simulate`` or the trace
-    reader hands out) is encoded once per schema, and every other record
-    once per sample, as it then is.
+    other transition.  Records go through ``trace.state_encoder``, which
+    encodes a shared record (one that ``simulate`` or the trace reader hands
+    out) once per schema.
     """
-
-    def encode(records) -> JointState:
-        bits = []
-        for rec in records:
-            if type(rec) is not _Record:
-                bits.append(encode_agent_state(rec, schema))
-            elif (done := rec.encoded)[0] is schema:
-                bits.append(done[1])
-            else:
-                rec.encoded = schema, (b := encode_agent_state(rec, schema))
-                bits.append(b)
-        return tuple(bits)
-
+    encode = state_encoder(schema)
     counts: Counter = Counter()
     initial_counts: Counter = Counter()
     first_initial: JointState | None = None

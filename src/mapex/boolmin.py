@@ -24,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from operator import and_, or_
 from typing import Iterable, Sequence
 
-from .abstraction import _select
+from .abstraction import select_bits
 from .errors import MintermConflictError, MinimizationTimeout, TooManyVariablesError
 
 # Guardrail: problems wider than this are refused outright; the relevancy
@@ -123,7 +123,7 @@ def _minimal_transversals(
             found.append(chosen)
             return
         fewest = n_vars + 1  # the first edge of fewest candidates
-        for f in _select(edges, uncov):
+        for f in select_bits(edges, uncov):
             if (f & cand).bit_count() < fewest:
                 branch, fewest = f & cand, (f & cand).bit_count()
         cand &= ~branch
@@ -191,7 +191,7 @@ def _cover(
     digits = "".join([bin(mask | 1 << width)[3:] for mask in reversed(masks)])
     rows = [int(digits[c::width], 2) for c in reversed(range(width))]
     essential = reduce(or_, [a for a in rows if not a & (a - 1)], 0)  # lone primes
-    forced = list(_select(range(len(masks)), essential))
+    forced = list(select_bits(range(len(masks)), essential))
     # the uncovered ones, in the order their first primes come
     live = sorted((j for j, a in enumerate(rows) if not a & essential),
                   key=lambda j: rows[j] & -rows[j])
@@ -218,9 +218,9 @@ def _cover(
         live = [j for j in kept if rows[j] & (rows[j] - 1)]
         uncovered = sum(1 << j for j in live)
         seen = set()  # a prime goes if a cheaper open one covers all it does
-        for i in _select(range(len(masks)), open_primes):
+        for i in select_bits(range(len(masks)), open_primes):
             hit = masks[i] & uncovered
-            if hit in seen or reduce(and_, _select(rows, hit), open_primes) & ((1 << i) - 1):
+            if hit in seen or reduce(and_, select_bits(rows, hit), open_primes) & ((1 << i) - 1):
                 open_primes ^= 1 << i
             seen.add(hit)
         rows = [a & open_primes for a in rows]
@@ -254,7 +254,7 @@ def _cover(
             return clauses
         # branch on the fewest open primes, each closed to its later siblings
         closed = 0
-        for i in sorted(_select(range(len(masks)), rows[0]),
+        for i in sorted(select_bits(range(len(masks)), rows[0]),
                         key=lambda i: -sum(1 for r in rows if r >> i & 1)):
             search([r & ~closed for r in rows if not r >> i & 1], chosen + [i],
                    n_lits + len(keys[i]))

@@ -30,7 +30,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from . import boolmin
 from .abstraction import NORMALIZATIONS, build_abstraction, load_abstraction, save_abstraction
 from .domain import DomainDefinition, JointState, load_domain_file
-from .envs import DEFAULT_MAX_STEPS, get_domain, iter_trace, simulate, write_trace
+from .envs import DEFAULT_MAX_STEPS, get_domain, simulate
 from .errors import (
     ContradictionNotice,
     MapexError,
@@ -40,6 +40,7 @@ from .errors import (
 from .nlg import PhraseMap, format_dnf, render
 from .query import KINDS, METHODS, Query, answer, partition, relevancy_filter
 from .summarize import CHART_FORMATS, most_probable_path, render_chart, summarize, text_grid
+from .trace import iter_trace, write_trace
 
 ENV_PREFIX = "MAPEX_"
 
@@ -273,7 +274,10 @@ def _cmd_abstract(o: SimpleNamespace) -> int:
     out = _file_out(o)
     domain = _resolve_domain(o.domain)
     samples = iter_trace(o.trace)  # yields the header first, before any sample
-    _check_agents(f"trace {o.trace}", next(samples).get("agents"), domain)
+    header = next(samples)
+    _check_agents(f"trace {o.trace}", header.get("agents"), domain)
+    if (recorded := header.get("domain")) != domain.id:
+        raise MapexError(f"trace {o.trace} is from domain {recorded!r}, not {domain.id}")
     m = build_abstraction(
         samples, domain.schema, normalization=o.normalize, virtual_init=o.virtual_init
     )

@@ -15,16 +15,9 @@ from typing import Iterator
 
 from ..domain import DomainDefinition
 from ..errors import UnknownDomainError
+from ..trace import TraceSample, iter_trace, read_trace, write_trace
 from . import foraging, search_rescue, warehouse
-from .base import (
-    GenericScriptedPolicy,
-    TraceSample,
-    grid_domain,
-    iter_trace,
-    read_trace,
-    run_episodes,
-    write_trace,
-)
+from .base import GenericScriptedPolicy, grid_domain, run_episodes
 
 DEFAULT_MAX_STEPS = 50
 

@@ -17,14 +17,14 @@ import mapex
 
 from mapex import (
     PolicyAbstraction,
-    abstraction,
     build_abstraction,
     load_abstraction,
     read_trace,
     save_abstraction,
+    trace,
 )
 from mapex.abstraction import NORMALIZATIONS
-from mapex.envs.base import TraceSample
+from mapex.trace import TraceSample
 from mapex.errors import (
     AbstractionFormatError,
     MultipleInitialStatesError,
@@ -105,8 +105,8 @@ class TestBuild:
     def test_shared_records_encoded_once_per_schema(self, sr3_domain, sr3_trace_path,
                                                     monkeypatch):
         calls = []
-        encode = abstraction.encode_agent_state
-        monkeypatch.setattr(abstraction, "encode_agent_state",
+        encode = trace.encode_agent_state
+        monkeypatch.setattr(trace, "encode_agent_state",
                             lambda r, schema: calls.append(r) or encode(r, schema))
         _, samples = read_trace(sr3_trace_path)
         records = {id(r) for s in samples

@@ -491,6 +491,19 @@ class TestAgentCount:
         assert err == [f"error: trace {bad} has 3 agents but domain sr5 has 5"]
         assert not out.exists()
 
+    def test_trace_of_another_domain_exits_2(self, tmp_path, capsys):
+        # sr4 and lbf4 both have 4 agents; a broken line shows no sample is read
+        trace, out = tmp_path / "sr4.jsonl", tmp_path / "m.mmdp"
+        assert main(["simulate", "--domain", "sr4", "--episodes", "2",
+                     "--out", str(trace)]) == 0
+        trace.write_text(trace.read_text() + "{bad\n")
+        capsys.readouterr()
+        assert main(["abstract", "--trace", str(trace), "--domain", "lbf4",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: trace {trace} is from domain 'sr4', not lbf4"]
+        assert not out.exists()
+
     def test_first_fault_in_file_order(self, pipeline, tmp_path, capsys):
         # the samples stream into the model, so a bad agent record in the
         # first sample is found before a broken last line

@@ -18,14 +18,13 @@ from mapex import (
 )
 from mapex.domain import domain_to_dict
 from mapex.envs import domain_ids, iter_trace
-from mapex.envs import base, search_rescue
+from mapex.envs import search_rescue
 from mapex.envs.base import (
     WAIT,
     GenericScriptedPolicy,
     GridConfig,
     GridWorld,
     TaskSpec,
-    TraceSample,
     chebyshev,
     first_move,
     run_episodes,
@@ -35,6 +34,7 @@ from mapex.errors import (
     TraceFormatError,
     UnknownDomainError,
 )
+from mapex.trace import TraceSample
 from oracles import bfs_first_move
 
 ALL_DOMAINS = [
@@ -425,7 +425,7 @@ class TestReaderRecords:
             return out.read_bytes()
 
         full = model(tmp_path / "full.mmdp")
-        monkeypatch.setattr(base, "_RECORD_TABLE_SIZE", 3)
+        monkeypatch.setattr("mapex.trace._RECORD_TABLE_SIZE", 3)
         _, samples = read_trace(trace)
         records = {id(r) for s in samples for r in s.next_joint_concrete_state}
         texts = {json.dumps(r) for s in samples for r in s.next_joint_concrete_state}

@@ -3,7 +3,8 @@ virtual init), ``summarize`` and every kind and method of ``explain`` end in
 exit 0, 2 or 3, with one stderr line on 2 and 3.  The model is checked
 against a recount of the trace, and the summary against brute force: the
 path's probability against every simple path, and each chart column against
-a per-task recomputation of the rises."""
+a per-task recomputation of the rises.  A when or why-not answer is checked
+against the partition oracle and, when small, the minimal-cover oracle."""
 
 import contextlib
 import io
@@ -17,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 from mapex import (load_abstraction, most_probable_path, render_chart, save_domain_file,
                    summarize)
 from mapex.cli import main
-from mapex.query import KINDS, METHODS
+from mapex.nlg import PhraseMap, render
+from mapex.query import KINDS, METHODS, Query, answer, relevancy_filter
+import oracles
 from oracles import best_path_product, recount_trace
 from synth import random_domain
 
@@ -49,16 +52,42 @@ def task_rises(path, schema):
     return tuple(columns)
 
 
-def explain_argv(kind, method, domain, m, rng):
-    agents = rng.sample(domain.agents, rng.randint(1, len(domain.agents)))
-    argv = ["--type", kind, "--method", method, "--agents", ",".join(a.name for a in agents)]
+def explain_query(kind, method, domain, m, rng):
+    """A random query of ``kind`` and ``method``, and its ``explain`` flags."""
+    specs = rng.sample(domain.agents, rng.randint(1, len(domain.agents)))
+    agents = tuple(a.name for a in specs)
+    argv = ["--type", kind, "--method", method, "--agents", ",".join(agents)]
     if kind == "what":
         ids = domain.schema.predicate_ids
-        return argv + ["--predicates", ",".join(rng.sample(ids, rng.randint(1, len(ids))))]
-    argv += ["--actions", ",".join(rng.choice(a.actions) for a in agents)]
-    if kind == "whynot":
-        argv += ["--state", str(rng.randrange(m.n_states))]
-    return argv
+        predicates = tuple(rng.sample(ids, rng.randint(1, len(ids))))
+        return (Query(kind, agents, method, predicates=predicates),
+                argv + ["--predicates", ",".join(predicates)])
+    actions = tuple((a.name, rng.choice(a.actions)) for a in specs)
+    argv += ["--actions", ",".join(action for _, action in actions)]
+    if kind == "when":
+        return Query(kind, agents, method, actions=actions), argv
+    index = rng.randrange(m.n_states)
+    return (Query(kind, agents, method, actions=actions, state=m.states[index]),
+            argv + ["--state", str(index)])
+
+
+def check_condition_answer(query, m, domain, out):
+    """A when or why-not answer the CLI printed, against the oracles: its
+    target/non-target partition and, on at most 4 variables (the brute-force
+    limit), a minimal answer's clause count."""
+    result = answer(query, m, domain)
+    assert out.startswith(render(result, PhraseMap.from_domain(domain)) + "\n")
+    criterion = (frozenset(query.actions) if query.method == "norf"
+                 else relevancy_filter(query.actions, domain.relevance)[2])
+    taking, not_taking = oracles.partition(criterion, m, domain)
+    expected = (taking, not_taking) if query.kind == "when" else ({query.state}, taking)
+    assert (set(result.target_states), set(result.nontarget_states)) == expected
+    space = result.space
+    if space.n_variables <= 4 and result.minimal:
+        ones = {space.minterm(s, m.schema) for s in result.target_states}
+        zeros = {space.minterm(s, m.schema) for s in result.nontarget_states} - ones
+        assert result.n_clauses == oracles.minimal_cover_size(ones, zeros,
+                                                              space.n_variables)
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,7 +123,7 @@ def test_random_domain_end_to_end(seed):
 
         for kind in KINDS:
             for method in METHODS:
-                argv = explain_argv(kind, method, domain, m, rng)
+                query, argv = explain_query(kind, method, domain, m, rng)
                 code, out, err = run(["explain", "--mmdp", mmdp, "--domain", domain_path,
                                       *argv])
                 assert code in (0, 2, 3), (argv, code, err)
@@ -102,3 +131,5 @@ def test_random_domain_end_to_end(seed):
                     assert len(err.splitlines()) == 1 and out == "", (argv, err)
                 else:
                     assert err == "" and out.endswith("\n"), (argv, out)
+                    if kind != "what" and not out.startswith("notice: "):
+                        check_condition_answer(query, m, domain, out)
