@@ -20,7 +20,7 @@ from itertools import compress, groupby, islice
 from operator import attrgetter, itemgetter, lt, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .domain import FeatureSchema, JointAction, JointState
+from .domain import FeatureSchema, JointAction, JointState, is_action_id
 from .errors import (
     AbstractionFormatError,
     MultipleInitialStatesError,
@@ -190,10 +190,6 @@ class PolicyAbstraction:
     def n_transitions(self) -> int:
         return len(self.counts)
 
-    @property
-    def has_virtual_init(self) -> bool:
-        return len(self.initial_counts) > 1
-
     @cached_property
     def query_index(self) -> QueryIndex:
         """The model's query index, built on first use, so building, loading
@@ -290,8 +286,11 @@ def build_abstraction(
                     f"episodes at {first_initial}; rerun with virtual-init to "
                     f"model an empirical initial distribution"
                 )
-    if not counts or first_initial is None or n_agents is None:
+    if not counts:
         raise PreconditionError("cannot build an abstraction from an empty sample stream")
+    if first_initial is None:
+        raise PreconditionError("cannot build an abstraction with no sample at step 0, "
+                                "so no initial state")
     return PolicyAbstraction(
         schema,
         n_agents,
@@ -315,6 +314,10 @@ _MMDP_VERSION = 1
 def save_abstraction(m: PolicyAbstraction, path) -> None:
     if m.n_transitions == 0:
         raise PreconditionError("refusing to save an empty abstraction")
+    for action in dict.fromkeys(a for _, joint, _ in m.counts for a in joint):
+        if not is_action_id(action):
+            raise PreconditionError(f"cannot save action id {action!r}: it must be a "
+                                    f"word, with no whitespace and no comma")
     lines = [
         f"{_MMDP_FORMAT} {_MMDP_VERSION}",
         f"schema {m.schema.schema_hash()}",

@@ -51,10 +51,6 @@ class Implicant:
     def covers(self, minterm: int) -> bool:
         return (minterm & self.care_mask) == self.values
 
-    @property
-    def n_literals(self) -> int:
-        return bin(self.care_mask).count("1")
-
     def literals(self) -> tuple[tuple[int, bool], ...]:
         """(variable index, polarity) pairs in ascending variable order."""
         found, rest = [], self.care_mask

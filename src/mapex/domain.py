@@ -163,6 +163,12 @@ def variable_index(
     return a * len(feature_order) + f
 
 
+def is_action_id(value: Any) -> bool:
+    """An action id is a word, a string with no whitespace and no comma: a
+    model file writes a joint action comma-joined in a space-split line."""
+    return type(value) is str and value.split() == [value] and "," not in value
+
+
 @dataclass(frozen=True)
 class ActionPhrases:
     """Verb phrase of an action: base form and third-person singular."""
@@ -272,6 +278,9 @@ class DomainDefinition:
             raise DomainFormatError(f"duplicate agent names: {names}")
         for spec in self.agents:
             for action in spec.actions:
+                if not is_action_id(action):
+                    raise DomainFormatError(f"action id {action!r} of agent {spec.name!r} "
+                                            f"must be a word, with no whitespace and no comma")
                 if action not in self.action_phrases:
                     raise DomainFormatError(f"missing phrases for action {action!r}")
         self.relevance.validate(self)

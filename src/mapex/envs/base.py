@@ -19,13 +19,14 @@ one with a ``config``, ``agent_names``, ``assign(rng)`` (once per episode)
 and ``step(world, assigned, rng)`` -> (joint action, each agent's next cell).
 
 Tables: each ``run_episodes`` call keeps, per task liveness, the open cells,
-a per-cell neighbour table, one breadth-first parent tree per start cell
-(``bfs_tree``), the task board and one agent record per (cell, flags); its
-worlds share them, a world built alone keeps its own, and nothing outlives
-the run.  A world changes tables only when ``resolve`` completes a task, the
-one event that changes which cells are passable.  The scripted policy answers
-staging reachability and its first move (``first_move``) from the tree of the
-agent's cell, so each (liveness, cell) costs at most one BFS per run.
+a per-cell neighbour table, one breadth-first map per start cell from each
+reachable cell to the first step toward it (``first_steps``), the task board
+and one agent record per (cell, flags); its worlds share them, a world built
+alone keeps its own, and nothing outlives the run.  A world changes tables
+only when ``resolve`` completes a task, the one event that changes which
+cells are passable.  The scripted policy reads staging reachability and its
+first move off the map of the agent's cell, so each (liveness, cell) costs at
+most one BFS per run.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ class GridWorld:
             board = {t.id: {"pos": [*t.cell], "present": t.id in live}
                      for t in self.config.tasks}
             table = self._tables[live] = (*_open_cells(self.config, live), {}, board, {})
-        self._open, self._neighbors, self._trees, self._board, self._records = table
+        self._open, self._neighbors, self._steps, self._board, self._records = table
         self._flags = [tuple(done.items()) for done in self.done]
 
     def passable(self, cell: Cell) -> bool:
@@ -224,23 +225,22 @@ class GridWorld:
     def neighbors(self, cell: Cell) -> tuple[Cell, ...]:
         return self._neighbors[cell]
 
-    def bfs_tree(self, start: Cell) -> dict[Cell, Cell]:
-        """Parent of every cell reachable from ``start`` (``start`` maps to
-        itself) in breadth-first order; shared by every caller with the same
-        start and task liveness that shares this world's tables."""
-        tree = self._trees.get(start)
-        if tree is None:
-            tree = {start: start}
+    def first_steps(self, start: Cell) -> dict[Cell, Cell]:
+        """The first cell of the breadth-first path from ``start`` to every
+        cell it reaches (``start`` maps to itself); shared by every caller with
+        the same start and task liveness that shares this world's tables."""
+        steps = self._steps.get(start)
+        if steps is None:
+            steps = self._steps[start] = {start: start}
             queue = deque([start])
             neighbors = self._neighbors
             while queue:
                 cur = queue.popleft()
                 for nxt in neighbors[cur]:
-                    if nxt not in tree:
-                        tree[nxt] = cur
+                    if nxt not in steps:
+                        steps[nxt] = nxt if cur == start else steps[cur]
                         queue.append(nxt)
-            self._trees[start] = tree
-        return tree
+        return steps
 
     def joint_record(self) -> tuple[dict[str, Any], ...]:
         """Self-contained per-agent records: position, task board, own flags.
@@ -292,6 +292,10 @@ class GenericScriptedPolicy:
     def __init__(self, config: GridConfig, agent_names: Sequence[str]):
         self.config = config
         self.agent_names = tuple(agent_names)
+        # the eight Chebyshev neighbours of each task's cell, in sorted order
+        self._rings = {(r, c): [(r + dr, c + dc)
+                                for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
+                       for r, c in (t.cell for t in config.tasks)}
 
     def assign(self, rng: random.Random) -> tuple[tuple[tuple[TaskSpec, int], ...], ...]:
         """Each agent's plan for the episode: the tasks whose drawn combo names
@@ -320,38 +324,15 @@ class GenericScriptedPolicy:
                 actions.append(task.action)
                 targets.append(pos)
                 continue
-            # a staging cell in the tree is open and reachable: only the
-            # start joins the tree unchecked, and an agent on a staging cell
+            # a staging cell in the map is open and reachable: only the start
+            # joins the map unchecked, and an agent on a staging cell
             # (Chebyshev distance 1) took the task action above
-            tree = world.bfs_tree(pos)
-            staging = [c for c in _around(task.cell) if c in tree]
-            if staging:
-                step_to = first_move(tree, pos, staging[rank % len(staging)])
-            else:
-                step_to = pos
+            steps = world.first_steps(pos)
+            staging = [c for c in self._rings[task.cell] if c in steps] or [pos]
+            step_to = steps[staging[rank % len(staging)]]
             actions.append(MOVE if step_to != pos else WAIT)
             targets.append(step_to)
         return actions, targets
-
-
-def first_move(tree: Mapping[Cell, Cell], start: Cell, goal: Cell) -> Cell:
-    """First cell of the shortest path start -> goal recorded in ``tree``, a
-    ``bfs_tree(start)`` that holds ``goal``; ``start`` itself when
-    goal == start."""
-    while tree[goal] != start:
-        goal = tree[goal]
-    return goal
-
-
-def _around(cell: Cell) -> list[Cell]:
-    """The eight Chebyshev neighbours of ``cell`` in sorted order."""
-    r, c = cell
-    return [
-        (r + dr, c + dc)
-        for dr in (-1, 0, 1)
-        for dc in (-1, 0, 1)
-        if not (dr == 0 and dc == 0)
-    ]
 
 
 def run_episodes(policy, episodes: int, max_steps: int,

@@ -50,26 +50,15 @@ class PhraseMap:
         return self.actions[action_id]
 
 
-def _join_or(items: list[str]) -> str:
+def _join(items: list[str], last: str, sep: str = ", ") -> str:
+    """``items`` joined by ``sep``, the last one by ``last``: "a, b, or c"."""
     if len(items) == 1:
         return items[0]
-    return ", ".join(items[:-1]) + ", or " + items[-1]
-
-
-def _join_and(items: list[str]) -> str:
-    if len(items) == 1:
-        return items[0]
-    return ", ".join(items[:-1]) + " and " + items[-1]
-
-
-def _join_and_semicolons(items: list[str]) -> str:
-    if len(items) == 1:
-        return items[0]
-    return "; ".join(items[:-1]) + "; and " + items[-1]
+    return sep.join(items[:-1]) + last + items[-1]
 
 
 def _subject(query: Query, phrases: PhraseMap) -> str:
-    return _join_and([phrases.agent(a) for a in query.agents])
+    return _join([phrases.agent(a) for a in query.agents], " and ")
 
 
 def _subject_verb(query: Query, phrases: PhraseMap, adverb: str = "") -> str:
@@ -84,7 +73,7 @@ def _subject_verb(query: Query, phrases: PhraseMap, adverb: str = "") -> str:
         f"{phrases.agent(agent)} {adverb}{phrases.action(action).third}"
         for agent, action in query.actions
     ]
-    return _join_and(parts)
+    return _join(parts, " and ")
 
 
 def _ordered(clause, answer: ConditionAnswer) -> list:
@@ -108,7 +97,7 @@ def _clause_text(clause, answer: ConditionAnswer, phrases: PhraseMap) -> str:
 
 
 def _clauses_text(answer: ConditionAnswer, phrases: PhraseMap) -> str:
-    return _join_or([_clause_text(c, answer, phrases) for c in answer.dnf.clauses])
+    return _join([_clause_text(c, answer, phrases) for c in answer.dnf.clauses], ", or ")
 
 
 def _condition_text(query: Query, phrases: PhraseMap) -> str:
@@ -154,16 +143,16 @@ def render_what(answer: WhatAnswer, phrases: PhraseMap) -> str:
         return "No observed state satisfies this condition."
     condition = _condition_text(query, phrases)
     parts = []
-    join = _join_and
+    last, sep = " and ", ", "
     if query.method == "norf":
         for name in query.agents:
             verbs = [phrases.action(a).base for a in answer.actions[name]]
             if verbs:
-                parts.append(f"{phrases.agent(name)} can {_join_or(verbs)}")
+                parts.append(f"{phrases.agent(name)} can {_join(verbs, ', or ')}")
             else:
                 parts.append(f"{phrases.agent(name)} takes no action")
             if len(verbs) > 1:  # an "or" list's commas: the agents take semicolons
-                join = _join_and_semicolons
+                last, sep = "; and ", "; "
     else:
         for name in query.agents:
             action = answer.actions[name]
@@ -172,7 +161,7 @@ def render_what(answer: WhatAnswer, phrases: PhraseMap) -> str:
             else:
                 verb = phrases.action(action).base
                 parts.append(f"{phrases.agent(name)} is most likely to {verb}")
-    return f"{join(parts)} when {condition}."
+    return f"{_join(parts, last, sep)} when {condition}."
 
 
 def render(answer: ConditionAnswer | WhatAnswer, phrases: PhraseMap) -> str:

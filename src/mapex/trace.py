@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .domain import FeatureSchema, JointState, encode_agent_state
+from .domain import FeatureSchema, JointState, encode_agent_state, is_action_id
 from .errors import TraceFormatError
 
 _TRACE_FORMAT = "mapex-trace"
@@ -174,7 +174,7 @@ def iter_trace(path) -> Iterator[Any]:
                 raise bad("record missing fields") from None
             if type(episode) is not int or type(step) is not int:
                 raise bad("episode and step must be integers")
-            if not _action_ids(rec["action"]):
+            if type(rec["action"]) is not list or not all(map(is_action_id, action)):
                 raise bad("action must be a list of strings without commas or spaces")
             if not len(state) == len(action) == len(nxt) == agents:
                 raise bad(f"state, action and next_state must hold {agents} agents, "
@@ -189,12 +189,6 @@ def iter_trace(path) -> Iterator[Any]:
             state = previous if step else state
             last[episode] = step + 1, nxt
             yield TraceSample(episode, step, state, action, nxt)
-
-
-def _action_ids(value) -> bool:
-    # action ids are words: a model file writes a joint action comma-joined
-    return type(value) is list and all(
-        type(a) is str and a.split() == [a] and "," not in a for a in value)
 
 
 def _compact(line: str, records: dict[str, Record], state_text: str | None, state):

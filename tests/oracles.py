@@ -45,7 +45,7 @@ def best_path_product(m, max_len: int = 12):
             walk(e.target, product_so_far * e.probability,
                  visited | {e.target}, depth + 1)
 
-    if m.has_virtual_init:
+    if len(m.initial_counts) > 1:
         for s, p in m.initial_distribution().items():
             walk(s, p, {s}, 0)
     else:

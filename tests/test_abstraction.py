@@ -78,6 +78,13 @@ class TestBuild:
         with pytest.raises(PreconditionError):
             build_abstraction([], tiny_schema)
 
+    def test_no_step_zero_rejected(self, tiny_schema):
+        # samples without a step 0 give no initial state; the stream is not empty
+        with pytest.raises(PreconditionError,
+                           match="^cannot build an abstraction with no sample at step 0, "
+                                 "so no initial state$"):
+            build_abstraction([sample(0, 3, rec(), "a", rec())], tiny_schema)
+
     def test_missing_first_state_rejected(self, tiny_schema):
         # the first sample has no previous next state to share an encoding with
         with pytest.raises(TraceFormatError):
@@ -152,7 +159,7 @@ class TestInitialStates:
             sample(2, 0, rec(), "a", rec("f1")),
         ]
         m = build_abstraction(samples, tiny_schema, virtual_init=True)
-        assert m.has_virtual_init
+        assert len(m.initial_counts) > 1
         assert m.initial_distribution() == {(0,): 2 / 3, (1,): 1 / 3}
 
 
@@ -232,6 +239,18 @@ class TestFiles:
         assert self.records(loaded) == self.records(m)
         # the constructor puts any insertion order into canonical order
         assert self.records(make(dict(reversed(m.counts.items())))) == self.records(m)
+
+    @pytest.mark.parametrize("action", ["pick up", "a,b"], ids=["whitespace", "comma"])
+    def test_save_refuses_action_id_not_a_word(self, tmp_path, tiny_schema, action):
+        # its line would not read back: "pick up" splits into one field too
+        # many, and "a,b" reads as a two-agent joint action
+        m = build_abstraction([sample(0, 0, rec(), action, rec("f0"))], tiny_schema)
+        path = tmp_path / "m.mmdp"
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"cannot save action id {action!r}: it must "
+                                           f"be a word, with no whitespace and no comma")):
+            save_abstraction(m, path)
+        assert not path.exists()
 
     def test_loaded_model_shares_action_tuples(self, tmp_path):
         # one tuple per distinct action text: sr5 at 30 episodes has 211 in 585 lines

@@ -97,7 +97,7 @@ class TestSmallFunctions:
     def test_or_function(self):
         dnf = minimize({0b01, 0b10, 0b11}, {0b00}, 2)
         assert dnf == [Implicant(0b01, 0b01), Implicant(0b10, 0b10)]
-        assert all(imp.n_literals == 1 for imp in dnf)
+        assert all(imp.care_mask.bit_count() == 1 for imp in dnf)
 
     def test_tautology_when_no_zeros(self):
         assert minimize({0b01}, set(), 2) == [Implicant(0, 0)]
@@ -109,7 +109,7 @@ class TestSmallFunctions:
         # ones {00}, zeros {11}: either single-literal cube works; cover size 1
         dnf = minimize({0b00}, {0b11}, 2)
         assert len(dnf) == 1
-        assert dnf[0].n_literals == 1
+        assert dnf[0].care_mask.bit_count() == 1
 
 
 class TestOracle:
@@ -178,7 +178,7 @@ class TestPrimeImplicants:
         zeros = [3 << 2 * i for i in range(13)]
         assert len(_prime_implicants([0], zeros, None)) == 2 ** 13
         dnf = minimize([0], zeros, 26, max_vars=26)
-        assert dnf.minimal and len(dnf) == 1 and dnf[0].n_literals == 13
+        assert dnf.minimal and len(dnf) == 1 and dnf[0].care_mask.bit_count() == 13
         assert dnf_truth(dnf, 0) and not any(dnf_truth(dnf, z) for z in zeros)
 
 
@@ -363,7 +363,7 @@ class TestExactCoverScale:
         # literals; the budgeted search may not close, and then says so
         ones, zeros, n_vars = when_norf_problem("lbf9", 50, "F_1", "collect_food_1")
         dnf = minimize(ones, zeros, n_vars, max_vars=64)
-        assert (len(dnf), sum(p.n_literals for p in dnf)) <= (20, 92)
+        assert (len(dnf), sum(p.care_mask.bit_count() for p in dnf)) <= (20, 92)
         assert dnf.lower_bound <= len(dnf)
 
     def test_node_budget_marks_unproven_covers(self, monkeypatch):

@@ -400,6 +400,20 @@ class TestMalformedInputFiles:
         assert main(["summarize", "--mmdp", str(mmdp), "--domain", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("action", ["rescue victim", "rescue,victim"],
+                             ids=["whitespace", "comma"])
+    def test_domain_file_action_id_not_a_word_exits_2(self, pipeline, tmp_path, capsys,
+                                                       action):
+        # a model file writes a joint action comma-joined in a space-split line
+        _, _, mmdp = pipeline
+        bad = tmp_path / "action.json"
+        text = json.dumps(domain_to_dict(get_domain("sr3")))
+        bad.write_text(text.replace('"rescue_victim"', json.dumps(action)))
+        assert main(["summarize", "--mmdp", str(mmdp), "--domain", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: action id {action!r} of agent 'UAV' must be a word, "
+            f"with no whitespace and no comma\n")
+
     def test_mmdp_without_checksum_exits_2(self, pipeline, tmp_path, capsys):
         _, _, mmdp = pipeline
         bad = tmp_path / "bare.mmdp"

@@ -26,7 +26,6 @@ from mapex.envs.base import (
     GridWorld,
     TaskSpec,
     chebyshev,
-    first_move,
     run_episodes,
 )
 from mapex.errors import (
@@ -236,7 +235,7 @@ def grid_worlds(draw):
     config = GridConfig(rows, cols, walls, starts, tasks)
     world = GridWorld(config, [f"a{i}" for i in range(len(tasks))])
     for cell in cells:
-        world.bfs_tree(cell)
+        world.first_steps(cell)
     world.resolve([t.action if done else WAIT for t, done in zip(tasks, completed)])
     assert [not world.alive[t.id] for t in tasks] == completed
     return world, cells
@@ -276,14 +275,14 @@ class TestBfsTree:
     def test_tree_matches_per_goal_bfs(self, case):
         world, cells = case
         for start in cells:
-            tree = world.bfs_tree(start)
-            assert first_move(tree, start, start) == start
+            tree = world.first_steps(start)
+            assert tree[start] == start
             for goal in cells:
                 expected = bfs_first_move(world, start, goal)
                 if expected is None:
                     assert goal not in tree, (start, goal)
                 else:
-                    assert first_move(tree, start, goal) == expected, (start, goal)
+                    assert tree[goal] == expected, (start, goal)
 
     def test_worlds_of_one_config_share_cells_not_liveness(self):
         # worlds of one run, as run_episodes builds them, share its tables
@@ -291,20 +290,20 @@ class TestBfsTree:
                             (TaskSpec("t", (0, 1), "do", (("a",),)),))
         tables = {}
         first, second = GridWorld(config, ["a"], tables), GridWorld(config, ["a"], tables)
-        assert first.bfs_tree((0, 0)) is second.bfs_tree((0, 0))
+        assert first.first_steps((0, 0)) is second.first_steps((0, 0))
         first.resolve(["do"])
         assert first.passable((0, 1)) and not second.passable((0, 1))
         assert first.neighbors((0, 0)) == ((0, 1),)
         assert second.neighbors((0, 0)) == ()
-        assert (0, 2) not in second.bfs_tree((0, 0))
+        assert (0, 2) not in second.first_steps((0, 0))
         third = GridWorld(config, ["a"], tables)
         third.resolve(["do"])
         assert third.neighbors((0, 0)) is first.neighbors((0, 0))
-        assert third.bfs_tree((0, 0)) is first.bfs_tree((0, 0))
+        assert third.first_steps((0, 0)) is first.first_steps((0, 0))
         alone = GridWorld(config, ["a"])
         alone.resolve(["do"])
         assert alone.neighbors((0, 0)) is not first.neighbors((0, 0))
-        assert alone.bfs_tree((0, 0)) is not first.bfs_tree((0, 0))
+        assert alone.first_steps((0, 0)) is not first.first_steps((0, 0))
 
     def test_worlds_of_one_run_share_one_tree_per_liveness_and_start(self):
         names, config = search_rescue.grid(5)
@@ -314,27 +313,27 @@ class TestBfsTree:
             def step(self, world, plans, rng):
                 if not worlds or worlds[-1] is not world:  # an episode's first step
                     worlds.append(world)
-                    trees.append(world.bfs_tree(world.positions[0]))
+                    trees.append(world.first_steps(world.positions[0]))
                 return super().step(world, plans, rng)
 
         samples = list(run_episodes(Spy(config, names), 5, 50, 42))
         assert samples == list(simulate("sr5", episodes=5, seed=42))
         assert len({id(w) for w in worlds}) == 5
         assert all(tree is trees[0] for tree in trees)
-        alone = GridWorld(config, names).bfs_tree(config.starts[0])
+        alone = GridWorld(config, names).first_steps(config.starts[0])
         assert alone == trees[0] and alone is not trees[0]
 
     def test_tree_shared_until_completion(self):
         config = GridConfig(1, 3, frozenset(), ((0, 0),),
                             (TaskSpec("t", (0, 1), "do", (("a",),)),))
         world = GridWorld(config, ["a"])
-        tree = world.bfs_tree((0, 0))
+        tree = world.first_steps((0, 0))
         assert tree == {(0, 0): (0, 0)}
-        assert world.bfs_tree((0, 0)) is tree
+        assert world.first_steps((0, 0)) is tree
         world.resolve([WAIT])
-        assert world.bfs_tree((0, 0)) is tree
+        assert world.first_steps((0, 0)) is tree
         world.resolve(["do"])
-        assert first_move(world.bfs_tree((0, 0)), (0, 0), (0, 2)) == (0, 1)
+        assert world.first_steps((0, 0))[(0, 2)] == (0, 1)
 
 
 class TestSharedRecords:
