@@ -7,17 +7,30 @@ probability is its count divided by the total outgoing samples of its source
 state, so the product of edge probabilities along a path equals the empirical
 probability of that action-labeled trajectory.  ``"state-action"`` divides by
 the (state, action) count instead.
+
+A model holds its sorted state table, ``states``, and its transitions as
+``columns``: the source state index, joint action, target state index and
+count lists of an ``.mmdp`` file's transition table, in its order.
+``build_abstraction`` and ``load_abstraction`` both end in those columns.
+Everything else is built from them on first use and then kept:
+``state_index``, the tuple-keyed ``counts``, ``out_edges`` (the
+``Transition`` objects with their probabilities, read by ``summarize`` and
+``save_abstraction``), ``action_counts`` (each state's (joint action, count)
+rows, read by what answers), the query index of when and why-not answers,
+and each per-(agent, feature) state mask.  So an answer builds no per-edge
+object.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, groupby, islice
-from operator import attrgetter, itemgetter, lt, or_
+from itertools import chain, compress, groupby, islice, repeat
+from operator import lt, methodcaller, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import FeatureSchema, JointAction, JointState, is_action_id
@@ -44,7 +57,6 @@ class Transition:
     probability: float
 
 
-_ACTION = attrgetter("action")
 # bin() digits '0'/'1' -> bytes 0/1, so a reversed bin() string selects items
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
@@ -61,8 +73,9 @@ class QueryIndex:
 
     ``actions`` holds each distinct enabled joint action in first-seen
     canonical order, and ``state_masks[k]`` has bit j set when ``states[j]``
-    enables ``actions[k]``; both come from the one pass over the states that
-    builds ``enabled``.  A mask over action positions selects joint actions:
+    enables ``actions[k]``; both come from the one pass over each state's
+    rows of the model's action column that builds ``enabled``.  A mask over
+    action positions selects joint actions:
     ``requirement`` selects those meeting one (agent index, action)
     requirement, derived the first time a query asks for it and then
     memoised, and ``every_action`` selects all.  ``enabled_by`` turns a
@@ -71,17 +84,17 @@ class QueryIndex:
     come from the model's per-(agent, feature) ``state_mask`` instead.
     """
 
-    def __init__(self, states: tuple[JointState, ...],
-                 out_edges: Mapping[JointState, tuple[Transition, ...]]):
+    def __init__(self, states: tuple[JointState, ...], actions: Sequence[JointAction],
+                 rows: Sequence[slice]):
         enabled: dict[JointState, tuple[JointAction, ...]] = {}
         masks: dict[JointAction, int] = {}
         enabling = 0
-        for j, s in enumerate(states):
-            actions = enabled[s] = tuple(dict.fromkeys(map(_ACTION, out_edges[s])))
-            if actions:
+        for j, (s, state_rows) in enumerate(zip(states, rows)):
+            distinct = enabled[s] = tuple(dict.fromkeys(actions[state_rows]))
+            if distinct:
                 bit = 1 << j
                 enabling |= bit
-                for a in actions:
+                for a in distinct:
                     masks[a] = masks.get(a, 0) | bit
         self.enabled = enabled
         self.actions = tuple(masks)
@@ -106,11 +119,21 @@ class QueryIndex:
         return states
 
 
+# source state index, joint action, target state index and count per
+# transition, in canonical (source, action, target) order
+Columns = tuple[list[int], list[JointAction], list[int], list[int]]
+
+
 class PolicyAbstraction:
     """Immutable-after-build abstraction: states, actions, counted transitions.
 
     Every stored transition was witnessed by at least one sample (counts are
     always >= 1) and the probabilities out of each source state sum to one.
+
+    ``columns`` holds the transitions (see the module docstring), and
+    ``states[j]``'s rows of them are ``_rows[j]``.  The constructor turns its
+    counts into the columns and ``load_abstraction`` reads them; both then
+    share ``_setup``.
     """
 
     def __init__(
@@ -123,9 +146,38 @@ class PolicyAbstraction:
         normalization: str = "state",
         initial_counts: Mapping[JointState, int] | None = None,
     ):
+        # counts out of canonical order, such as a build's Counter, are sorted first
+        keys = list(transition_counts)
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            keys.sort()
+        sources, actions, targets = zip(*keys) if keys else ((), (), ())
+        initial_counts = dict(initial_counts or {initial_state: 1})
+        states = tuple(sorted({*sources, *targets, *initial_counts}))
+        index = dict(zip(states, range(len(states))))
+        columns = (list(map(index.__getitem__, sources)), list(actions),
+                   list(map(index.__getitem__, targets)),
+                   list(map(transition_counts.__getitem__, keys)))
+        self._setup(schema, n_agents, states, columns, initial_state, normalization,
+                    initial_counts)
+        self.state_index = index
+
+    @classmethod
+    def _of_columns(cls, *args) -> PolicyAbstraction:
+        """A model read as its columns; ``_setup``'s arguments."""
+        m = cls.__new__(cls)
+        m._setup(*args)
+        return m
+
+    def _setup(self, schema: FeatureSchema, n_agents: int, states: tuple[JointState, ...],
+               columns: Columns, initial_state: JointState, normalization: str,
+               initial_counts: dict[JointState, int]) -> None:
+        """Check and keep a model given as its sorted state table and its
+        transition columns.  Soundness checks are explicit raises, so they
+        also run under python -O."""
         if normalization not in NORMALIZATIONS:
             raise PreconditionError(f"unknown normalization {normalization!r}")
-        if not transition_counts:
+        _, actions, _, counts = columns
+        if not counts:
             raise PreconditionError("abstraction needs at least one transition")
         self.schema = schema
         self.n_agents = n_agents
@@ -135,51 +187,27 @@ class PolicyAbstraction:
             self._goal_mask |= 1 << schema.index_of(pred_id)
         self.normalization = normalization
         self.initial_state = initial_state
-        self.initial_counts = dict(initial_counts or {initial_state: 1})
-        if initial_state not in self.initial_counts:
+        self.initial_counts = initial_counts
+        if initial_state not in initial_counts:
             raise PreconditionError(f"initial state {initial_state} has no initial count")
-        for s, c in self.initial_counts.items():
+        for s, c in initial_counts.items():
             if c < 1:
                 raise PreconditionError(f"initial count {c} < 1 for {s}")
-
-        # one pass over the ((source, action, target), count) items in canonical
-        # order, grouped by probability denominator (the source, or the source and
-        # action); counts out of that order (a build's, not a load's) are sorted
-        # first.  Soundness checks are explicit raises, so they also run under python -O
-        in_order = all(map(lt, transition_counts, islice(transition_counts, 1, None)))
-        self.counts = dict(transition_counts if in_order else sorted(transition_counts.items()))
-        edges: dict[JointState, list[Transition]] = {}
-        denominator = ((lambda item: item[0][0]) if normalization == "state"
-                       else (lambda item: item[0][:2]))
-        for key, group in groupby(self.counts.items(), denominator):
-            group = list(group)
-            total = 0
-            for (s, a, t), c in group:
+        # the columns pass as a whole, or the first bad row raises
+        if min(counts) < 1 or {*map(len, states), *map(len, actions)} != {n_agents}:
+            for s_i, a, t_i, c in zip(*columns):
+                s, t = states[s_i], states[t_i]
                 if c < 1:
                     raise PreconditionError(f"transition count {c} < 1 for {(s, a, t)}")
                 if len(s) != n_agents or len(t) != n_agents or len(a) != n_agents:
                     raise SchemaMismatchError(f"transition arity mismatch for "
                                               f"{(s, a, t)}; expected {n_agents}")
-                total += c
-            out = edges.setdefault(s, [])
-            mass = 0.0
-            for (s, a, t), c in group:
-                out.append(edge := Transition(s, a, t, c, c / total))
-                mass += edge.probability
-            if not math.isclose(mass, 1.0, abs_tol=_PROB_TOLERANCE):
-                raise AssertionError(f"outgoing probability mass {mass} != 1 for {key}")
-
-        # canonical ordering by agent-major bit values; the sources come in order
-        others = {*self.initial_counts, *map(itemgetter(2), self.counts)}.difference(edges)
-        self.states: tuple[JointState, ...] = tuple(sorted([*edges, *others]))
         max_states = (1 << schema.n_features) ** n_agents
-        if len(self.states) > max_states:
-            raise AssertionError(f"state count {len(self.states)} exceeds the "
+        if len(states) > max_states:
+            raise AssertionError(f"state count {len(states)} exceeds the "
                                  f"2^|F|^N bound {max_states}")
-        self.state_index: dict[JointState, int] = {s: i for i, s in enumerate(self.states)}
-        self.out_edges: dict[JointState, tuple[Transition, ...]] = dict.fromkeys(
-            self.state_index, ())
-        self.out_edges.update(zip(edges, map(tuple, edges.values())))
+        self.states = states
+        self.columns = columns
         self._state_masks: dict[tuple[int, int], int] = {}
 
     @property
@@ -188,13 +216,65 @@ class PolicyAbstraction:
 
     @property
     def n_transitions(self) -> int:
-        return len(self.counts)
+        return len(self.columns[3])
+
+    @cached_property
+    def _rows(self) -> list[slice]:
+        """Each state's rows of the columns, which list the sources in order."""
+        bounds = list(map(bisect_left, repeat(self.columns[0]), range(len(self.states) + 1)))
+        return list(map(slice, bounds, islice(bounds, 1, None)))
+
+    @cached_property
+    def state_index(self) -> dict[JointState, int]:
+        return dict(zip(self.states, range(len(self.states))))
+
+    @cached_property
+    def counts(self) -> dict[tuple[JointState, JointAction, JointState], int]:
+        """(source, action, target) -> count, in canonical order."""
+        sources, actions, targets, counts = self.columns
+        state = self.states.__getitem__
+        return dict(zip(zip(map(state, sources), actions, map(state, targets)), counts))
+
+    @cached_property
+    def out_edges(self) -> dict[JointState, tuple[Transition, ...]]:
+        """Each state's transitions in canonical order.  A probability is the
+        count over its denominator's total: the source's, or the source and
+        action's; each denominator's probabilities are checked to sum to one
+        before any is handed out."""
+        _, actions, targets, counts = self.columns
+        states = self.states
+        out: dict[JointState, tuple[Transition, ...]] = dict.fromkeys(states, ())
+        for s, rows in zip(states, map(range(len(counts)).__getitem__, self._rows)):
+            if not rows:
+                continue
+            groups = ([((s, a), list(g)) for a, g in groupby(rows, actions.__getitem__)]
+                      if self.normalization == "state-action" else [(s, rows)])
+            edges = []
+            for key, group in groups:
+                total = sum(map(counts.__getitem__, group))
+                mass = 0.0
+                for k in group:
+                    edges.append(edge := Transition(s, actions[k], states[targets[k]],
+                                                    counts[k], counts[k] / total))
+                    mass += edge.probability
+                if not math.isclose(mass, 1.0, abs_tol=_PROB_TOLERANCE):
+                    raise AssertionError(f"outgoing probability mass {mass} != 1 for {key}")
+            out[s] = tuple(edges)
+        return out
 
     @cached_property
     def query_index(self) -> QueryIndex:
         """The model's query index, built on first use, so building, loading
         and summarizing a model never pay for it."""
-        return QueryIndex(self.states, self.out_edges)
+        return QueryIndex(self.states, self.columns[1], self._rows)
+
+    @cached_property
+    def action_counts(self) -> dict[JointState, list[tuple[JointAction, int]]]:
+        """Each state's (joint action, count) rows of the columns, in state order."""
+        _, actions, _, counts = self.columns
+        rows = self._rows
+        return dict(zip(self.states, map(list, map(zip, map(actions.__getitem__, rows),
+                                                       map(counts.__getitem__, rows)))))
 
     def state_mask(self, agent: int, feature: int) -> int:
         """Positions of the states in which agent ``agent`` has the one-bit
@@ -229,7 +309,8 @@ class PolicyAbstraction:
             self.schema.schema_hash() == other.schema.schema_hash()
             and self.n_agents == other.n_agents
             and self.normalization == other.normalization
-            and self.counts == other.counts
+            and self.states == other.states
+            and self.columns == other.columns
             and self.initial_state == other.initial_state
             and self.initial_counts == other.initial_counts
         )
@@ -347,17 +428,72 @@ def save_abstraction(m: PolicyAbstraction, path) -> None:
         fh.write(f"checksum {digest}\n")
 
 
+def _state_table(rows: list[str], n: int, limit: int) -> list[JointState] | None:
+    """The ``n`` state rows as states, each distinct value text read once;
+    None when some row is bad: missing, numbered out of place, with a value
+    that is not an int in [0, limit), or not after the row before it."""
+    if len(rows) != n:
+        return None
+    if not rows:
+        return []
+    split = list(map(methodcaller("split", " ", 1), rows))
+    if set(map(len, split)) != {2}:
+        return None
+    nums, texts = zip(*split)
+    values = list(map(methodcaller("split", ","), texts))
+    distinct = set(chain.from_iterable(values))
+    try:
+        if list(map(int, nums)) != list(range(n)):
+            return None
+        value_of = dict(zip(distinct, map(int, distinct)))
+    except ValueError:
+        return None
+    if min(value_of.values()) < 0 or max(value_of.values()) >= limit:
+        return None
+    states = list(map(tuple, map(map, repeat(value_of.__getitem__), values)))
+    return states if all(map(lt, states, islice(states, 1, None))) else None
+
+
+def _transition_columns(rows: list[str], n: int, index_of: Mapping[str, int]
+                        ) -> Columns | None:
+    """The ``n`` transition rows as columns, one tuple per action text; None
+    when some row is bad: missing, not five fields, naming a state index
+    outside the table, not after the row before it, or with a count that is
+    not an int.  The probability field is not read."""
+    if len(rows) != n or set(map(str.count, rows, repeat(" "))) - {4}:
+        return None
+    fields = " ".join(rows).split(" ") if rows else []
+    sources = list(map(index_of.get, fields[0::5]))
+    targets = list(map(index_of.get, fields[2::5]))
+    texts = fields[1::5]
+    table = {text: tuple(text.split(",")) for text in set(texts)}
+    actions = list(map(table.__getitem__, texts))
+    keys = list(zip(sources, actions, targets))
+    if None in sources or None in targets or not all(map(lt, keys, islice(keys, 1, None))):
+        return None
+    try:
+        return sources, actions, targets, list(map(int, fields[3::5]))
+    except ValueError:
+        return None
+
+
 def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
+    """The model saved at ``path``.  Each table is read and checked as whole
+    columns; when a check fails, its rows are read one by one, which names the
+    first bad row and its line.  Both readers accept the same rows, and the
+    tests check that they agree."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
-    lines = raw.splitlines()
-    if not lines or not lines[-1].startswith("checksum "):
+    # the checksum line is the last; it covers the text before it
+    end = raw.rfind("\n", 0, len(raw) - 1) + 1
+    body, last = raw[:end], raw[end:]
+    if not last.startswith("checksum "):
         raise AbstractionFormatError(f"{path}: missing checksum line")
-    body = "\n".join(lines[:-1]) + "\n"
-    expected = lines[-1].split(" ", 1)[1].strip()
+    expected = last.split(" ", 1)[1].strip()
     actual = hashlib.sha256(body.encode()).hexdigest()
     if actual != expected:
         raise AbstractionFormatError(f"{path}: checksum mismatch (file corrupted?)")
+    lines = raw.splitlines()  # the checksum line last, so a table overrun reads it
 
     def fail(msg: str):
         raise AbstractionFormatError(f"{path}: {msg}")
@@ -405,55 +541,68 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
             index = ordered(index, int(s_i), "init-counts entries")
             init_counts.append((s_i, int(c)))
 
-        # agent values are bit sets over the schema's features; each text is read once
+        # agent values are bit sets over the schema's features
         limit = 1 << schema.n_features
-        value_of: dict[str, int] = {}
-        states: list[JointState] = []
-        row = ()
-        for k in range(int(take("states"))):
-            idx += 1
-            num, bits = lines[idx].split(" ", 1)
-            texts = bits.split(",")
-            try:
-                values, read = tuple(map(value_of.__getitem__, texts)), ()
-            except KeyError:
-                values = read = tuple(map(int, texts))
-            if int(num) != k:
-                fail(f"state rows out of order at line {idx + 1}")
-            if read and (min(read) < 0 or max(read) >= limit):
-                fail(f"state {k} on line {idx + 1} has an agent value outside [0, {limit})")
-            value_of.update(zip(texts, read))
-            states.append(row := values if values > row else ordered(row, values, "state rows"))
-        by_index = {str(i): s for i, s in enumerate(states)}
+        n = int(take("states"))
+        states = _state_table(lines[idx + 1:idx + 1 + max(n, 0)], n, limit)
+        if states is not None:
+            idx += n
+        else:  # the rows one by one, each distinct value text read once
+            states, value_of, row = [], {}, ()
+            for k in range(n):
+                idx += 1
+                num, bits = lines[idx].split(" ", 1)
+                texts = bits.split(",")
+                try:
+                    values, read = tuple(map(value_of.__getitem__, texts)), ()
+                except KeyError:
+                    values = read = tuple(map(int, texts))
+                if int(num) != k:
+                    fail(f"state rows out of order at line {idx + 1}")
+                if read and (min(read) < 0 or max(read) >= limit):
+                    fail(f"state {k} on line {idx + 1} has an agent value outside "
+                         f"[0, {limit})")
+                value_of.update(zip(texts, read))
+                states.append(row := values if values > row
+                              else ordered(row, values, "state rows"))
+        index_of = dict(zip(map(str, range(len(states))), range(len(states))))
 
-        actions: dict[str, JointAction] = {}  # one tuple per action text
-        counts = {}
-        key = ()
-        for _ in range(int(take("transitions"))):
-            idx += 1
-            s_i, action, t_i, count, _prob = lines[idx].split(" ")
-            if (s := by_index.get(s_i)) is None or (t := by_index.get(t_i)) is None:
-                fail(f"transition {s_i} -> {t_i} on line {idx + 1} names a state "
-                     f"index outside the state table")
-            a = actions.get(action) or actions.setdefault(action, tuple(action.split(",")))
-            row = (s, a, t)
-            key = row if row > key else ordered(key, row, "transition lines")
-            counts[key] = int(count)
+        n = int(take("transitions"))
+        columns = _transition_columns(lines[idx + 1:idx + 1 + max(n, 0)], n, index_of)
+        if columns is not None:
+            idx += n
+        else:  # the rows one by one, one tuple per action text
+            columns, table, key = ([], [], [], []), {}, ()
+            for _ in range(n):
+                idx += 1
+                s_i, action, t_i, count, _prob = lines[idx].split(" ")
+                if (s := index_of.get(s_i)) is None or (t := index_of.get(t_i)) is None:
+                    fail(f"transition {s_i} -> {t_i} on line {idx + 1} names a state "
+                         f"index outside the state table")
+                a = table.get(action) or table.setdefault(action, tuple(action.split(",")))
+                key = (s, a, t) if (s, a, t) > key else ordered(key, (s, a, t),
+                                                                "transition lines")
+                for column, value in zip(columns, (s, a, t, int(count))):
+                    column.append(value)
         if idx != len(lines) - 2:
             fail(f"unexpected line {idx + 2} after the transition table")
     except (ValueError, IndexError) as exc:
         fail(f"malformed line {idx + 1} ({type(exc).__name__}: {exc})")
 
-    def state(text: str, line: int) -> JointState:
-        if text not in by_index:
+    def state(text: str, line: int) -> int:
+        if text not in index_of:
             fail(f"state index {text} on line {line} is outside the state table")
-        return by_index[text]
+        return index_of[text]
 
     # the header's state indices (lines 6 and 7), now that the state table is read
-    m = PolicyAbstraction(schema, n_agents, counts, state(initial, 6),
-                          normalization=normalization,
-                          initial_counts={state(s_i, 7): c for s_i, c in init_counts})
-    if m.n_states != len(states):  # saved files list only the states the model names
-        k = next(k for k, s in enumerate(states) if s not in m.state_index)
+    states = tuple(states)
+    initial_state = states[state(initial, 6)]
+    counted = {state(s_i, 7): c for s_i, c in init_counts}
+    m = PolicyAbstraction._of_columns(schema, n_agents, states, columns, initial_state,
+                                      normalization, {states[i]: c for i, c in counted.items()})
+    # saved files list only the states the model names
+    named = {*columns[0], *columns[2], *counted}
+    if len(named) != len(states):
+        k = next(k for k in range(len(states)) if k not in named)
         fail(f"state {k} on line {9 + k} is named by no transition or initial count")
     return m

@@ -153,12 +153,14 @@ def grid_domain(domain_id: str, agent_names: Sequence[str], config: GridConfig,
     entries = {}
     for task in config.tasks:
         features = frozenset({f"{task.id}_detect", f"{task.id}_complete"})
+        # each combo's action set, shared by the entries of its members
+        action_sets = {c: frozenset((m, task.action) for m in c) for c in task.combos}
         for name in agent_names:
             combos = [c for c in task.combos if name in c]
             if combos:
                 entries[(name, task.action)] = RelevanceEntry(
                     frozenset(m for c in combos for m in c), features,
-                    tuple(frozenset((m, task.action) for m in c) for c in combos))
+                    tuple(map(action_sets.__getitem__, combos)))
     agents = []
     for name in agent_names:
         verbs = [v for v in verb_phrases if (name, v) in entries]

@@ -11,7 +11,8 @@ withrf), and hand the resulting on/off-sets to the minimizer.  States in both
 partitions count as targets: explanations describe the target states, and the
 minimizer needs disjoint sets; the same rule is applied again after projection,
 where distinct states may collapse onto one minterm.  A what answer's states
-are the AND of the queried agents' predicate masks.
+are the AND of the queried agents' predicate masks, and its actions are read
+from those states' (joint action, count) rows, the model's ``action_counts``.
 """
 
 from __future__ import annotations
@@ -426,7 +427,7 @@ def answer_what(
     if query.method == "norf":
         listed = {}
         for name, i in indices.items():
-            observed = {e.action[i] for s in satisfying for e in m.out_edges[s]}
+            observed = {a[i] for s in satisfying for a, _ in m.action_counts[s]}
             listed[name] = tuple(
                 a for a in domain.agent_spec(name).actions if a in observed
             )
@@ -441,9 +442,9 @@ def answer_what(
                     if domain.relevance.get(name, a).features & wanted}
         weights: Counter = Counter()
         for s in satisfying:
-            for e in m.out_edges[s]:
-                if e.action[i] in relevant:
-                    weights[e.action[i]] += e.count
+            for a, count in m.action_counts[s]:
+                if a[i] in relevant:
+                    weights[a[i]] += count
         best[name] = min(weights, key=lambda a: (-weights[a], a)) if weights else None
     return WhatAnswer(query, best, satisfying)
 

@@ -240,6 +240,12 @@ def _extra_state(lines):
     lines[i - 1] = f"states {int(lines[i - 1].split(' ')[1]) + 1}"
 
 
+def _extra_transition(lines):
+    # the table's last row is then the checksum line
+    i = _first_row(lines, "transitions")
+    lines[i - 1] = f"transitions {int(lines[i - 1].split(' ')[1]) + 1}"
+
+
 def _short_state(lines):
     # state row 0 loses its last agent; it still sorts first
     i = _first_row(lines, "states")
@@ -267,6 +273,8 @@ MALFORMED_MMDP = {
                           "(ValueError: too many values to unpack (expected 5))"),
     "states-overrun": (_extra_state, "malformed line 27 (ValueError: invalid literal for "
                        "int() with base 10: 'transitions')"),
+    "transitions-overrun": (_extra_transition, "malformed line 51 (ValueError: not enough "
+                            "values to unpack (expected 5, got 2))"),
     "renamed-key": (_header_line("agents", "agentz 3"), "expected 'agents' on line 3"),
     "feature-count": (_header_line("features", "features 7"), "feature count disagrees "
                       "with the supplied schema"),

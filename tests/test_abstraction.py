@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import json
 import os
 import random
 import re
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ import mapex
 
 from mapex import (
     PolicyAbstraction,
+    abstraction,
     build_abstraction,
     load_abstraction,
     read_trace,
@@ -24,16 +27,20 @@ from mapex import (
     trace,
 )
 from mapex.abstraction import NORMALIZATIONS
+from mapex.envs import domain_ids
+from mapex.nlg import PhraseMap, render
+from mapex.query import METHODS, Query, answer
 from mapex.trace import TraceSample
 from mapex.errors import (
     AbstractionFormatError,
+    MapexError,
     MultipleInitialStatesError,
     PreconditionError,
     SchemaMismatchError,
     TraceFormatError,
 )
 from oracles import recount_trace
-from synth import (BAD_MODEL_MMDP, MALFORMED_MMDP, plain_schema,
+from synth import (BAD_MODEL_MMDP, MALFORMED_MMDP, plain_schema, random_domain,
                    random_layered_abstraction, rewrite_mmdp)
 
 
@@ -341,6 +348,81 @@ class TestFiles:
             load_abstraction(bad, sr3_domain.schema)
 
 
+class TestRoundTripEquality:
+    # a saved and loaded model equals the model it was built as in every part
+    # a reader sees, and answers every query with the same text
+
+    @staticmethod
+    def parts(m):
+        index = m.query_index
+        return {
+            "states": m.states,
+            "state_index": list(m.state_index.items()),
+            "counts": list(m.counts.items()),
+            "out_edges": [(s, [(e.source, e.action, e.target, e.count,
+                                e.probability.hex()) for e in edges])
+                          for s, edges in m.out_edges.items()],
+            "initial_counts": m.initial_counts,  # a build keeps first-seen order
+            "enabled": list(index.enabled.items()),
+            "actions": index.actions,
+            "state_masks": index.state_masks,
+        }
+
+    @staticmethod
+    def answers(m, domain):
+        """The rendered text, or the error, of when, why-not and what queries
+        of both methods on every relevance entry."""
+        phrases = PhraseMap.from_domain(domain)
+        state = m.states[len(m.states) // 2]
+        texts = []
+        for (agent, action), entry in sorted(domain.relevance.entries.items()):
+            predicates = tuple(sorted(entry.features)) or domain.schema.predicate_ids[:1]
+            for method in METHODS:
+                for q in (Query("when", (agent,), method, actions=((agent, action),)),
+                          Query("whynot", (agent,), method, actions=((agent, action),),
+                                state=state),
+                          Query("what", (agent,), method, predicates=predicates)):
+                    try:
+                        texts.append(render(answer(q, m, domain, max_vars=18), phrases))
+                    except MapexError as exc:
+                        texts.append(f"{type(exc).__name__}: {exc}")
+        return texts
+
+    def check(self, m, tmp_path, domain=None):
+        path = tmp_path / "m.mmdp"
+        save_abstraction(m, path)
+        loaded = load_abstraction(path, m.schema)
+        assert self.parts(loaded) == self.parts(m)
+        if domain is not None:
+            assert self.answers(loaded, domain) == self.answers(m, domain)
+
+    @pytest.mark.parametrize("virtual_init", [False, True], ids=["init", "virtual-init"])
+    @pytest.mark.parametrize("domain_id", domain_ids())
+    def test_builtin(self, tmp_path, domain_id, virtual_init):
+        domain = mapex.get_domain(domain_id)
+        m = build_abstraction(mapex.simulate(domain_id, episodes=30, seed=42),
+                              domain.schema, virtual_init=virtual_init)
+        self.check(m, tmp_path, domain)
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_domain(self, tmp_path, seed, normalization):
+        domain, lines = random_domain(seed)
+        trace_path = tmp_path / "t.jsonl"
+        trace_path.write_text("".join(json.dumps(ln) + "\n" for ln in lines))
+        m = build_abstraction(read_trace(trace_path)[1], domain.schema,
+                              normalization=normalization, virtual_init=True)
+        self.check(m, tmp_path, domain)
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_layered(self, tmp_path, seed, normalization):
+        built = random_layered_abstraction(seed)
+        m = PolicyAbstraction(built.schema, 2, built.counts, built.initial_state,
+                              normalization=normalization)
+        self.check(m, tmp_path)
+
+
 class TestMalformedFiles:
     # well-checksummed files the parser must still reject
     @pytest.mark.parametrize("case", sorted(MALFORMED_MMDP))
@@ -351,6 +433,48 @@ class TestMalformedFiles:
         bad = rewrite_mmdp(path, tmp_path / "bad.mmdp", edit)
         with pytest.raises(AbstractionFormatError, match=re.escape(message)):
             load_abstraction(bad, sr3_domain.schema)
+
+
+    @staticmethod
+    def outcome(path, schema):
+        try:
+            m = load_abstraction(path, schema)
+        except (MapexError, AssertionError) as exc:
+            return type(exc).__name__, str(exc)
+        return TestRoundTripEquality.parts(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_column_reader_agrees_with_row_reader(self, data):
+        # any edit of a saved file loads to the same model, or fails with the
+        # same error, whether the tables are read as columns or row by row
+        domain = mapex.get_domain("sr3")
+        m = build_abstraction(mapex.simulate("sr3", episodes=30, seed=42), domain.schema)
+
+        def edit(lines):
+            k = data.draw(st.integers(1, len(lines) - 1), label="line")
+            how = data.draw(st.sampled_from(["word", "delete", "copy", "swap"]), label="edit")
+            if how == "word":
+                words = lines[k].split(" ")
+                w = data.draw(st.integers(0, len(words)), label="word")
+                text = data.draw(st.text("0123456789,-+_x .\u0663", max_size=4),
+                                 label="text")
+                lines[k] = " ".join(words[:w] + [text] + words[w + 1:])
+            elif how == "delete":
+                del lines[k]
+            elif how == "copy":
+                lines.insert(k, lines[k])
+            elif k + 1 < len(lines):
+                lines[k], lines[k + 1] = lines[k + 1], lines[k]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.mmdp")
+            save_abstraction(m, path)
+            bad = rewrite_mmdp(path, Path(tmp, "bad.mmdp"), edit)
+            by_columns = self.outcome(bad, domain.schema)
+            with mock.patch.object(abstraction, "_state_table", lambda *args: None), \
+                    mock.patch.object(abstraction, "_transition_columns", lambda *args: None):
+                assert self.outcome(bad, domain.schema) == by_columns
 
 
 class TestMmdpDigests:
@@ -381,20 +505,21 @@ class TestMmdpDigests:
 
 
 class TestSoundnessChecksSurviveOptimize:
-    # each snippet breaks an invariant the constructor checks; the check must
-    # still raise with assert statements compiled out
+    # each snippet breaks an invariant the constructor checks, or the
+    # probability mass that out_edges checks as it builds the edges; the check
+    # must still raise with assert statements compiled out
     @pytest.mark.parametrize("code,message", [
         ("PolicyAbstraction(plain_schema(1), 1,\n"
          "    {((0,), ('a',), (1,)): 1, ((1,), ('a',), (2,)): 1}, (0,))\n",
          "state count 3 exceeds the 2^|F|^N bound 2"),
         ("real = abstraction.Transition\n"
          "abstraction.Transition = lambda s, a, t, c, p: real(s, a, t, c, p / 2)\n"
-         "PolicyAbstraction(plain_schema(1), 1, {((0,), ('a',), (1,)): 1}, (0,))\n",
+         "PolicyAbstraction(plain_schema(1), 1, {((0,), ('a',), (1,)): 1}, (0,)).out_edges\n",
          "outgoing probability mass 0.5 != 1 for (0,)"),
         ("real = abstraction.Transition\n"
          "abstraction.Transition = lambda s, a, t, c, p: real(s, a, t, c, p / 2)\n"
          "PolicyAbstraction(plain_schema(1), 1, {((0,), ('a',), (1,)): 1}, (0,),\n"
-         "    normalization='state-action')\n",
+         "    normalization='state-action').out_edges\n",
          "outgoing probability mass 0.5 != 1 for ((0,), ('a',))"),
     ], ids=["state-bound", "state-mass", "state-action-mass"])
     def test_raises_under_optimize(self, code, message):

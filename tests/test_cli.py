@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mapex import (boolmin, build_abstraction, get_domain, render_chart, save_abstraction,
-                   simulate, summarize)
+from mapex import (abstraction, boolmin, build_abstraction, get_domain, load_abstraction,
+                   render_chart, save_abstraction, simulate, summarize)
 from mapex import cli
 from mapex.cli import main
 from mapex.domain import domain_to_dict
@@ -319,6 +319,39 @@ class TestExplain:
                      "--type", "when"]) == 2
 
 
+class TestExplainReadsColumns:
+    # an explain command answers from the loaded model's transition columns;
+    # only summarize (and save) build the per-edge Transition objects
+    QUERIES = [
+        ["--type", "when", "--agents", "UAV", "--actions", "rescue_victim"],
+        ["--type", "whynot", "--agents", "UGV_1,UGV_2", "--actions", "remove_obstacle",
+         "--state", "0"],
+        ["--type", "what", "--agents", "UAV", "--predicates", "victim_detect"],
+    ]
+
+    class EdgeBuilt(Exception):
+        pass
+
+    def test_explain_builds_no_transition(self, pipeline, capsys, monkeypatch):
+        _, _, mmdp = pipeline
+        argvs = [["explain", "--mmdp", str(mmdp), "--domain", "sr3", "--method", method,
+                  *query] for query in self.QUERIES for method in ("withrf", "norf")]
+        expected = []
+        for argv in argvs:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr().out)
+
+        def edge(*args):
+            raise self.EdgeBuilt(args)
+
+        monkeypatch.setattr(abstraction, "Transition", edge)
+        for argv, out in zip(argvs, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+        with pytest.raises(self.EdgeBuilt):
+            main(["summarize", "--mmdp", str(mmdp), "--domain", "sr3"])
+
+
 class TestMalformedInputFiles:
     @pytest.mark.parametrize("reader", ["abstract-trace", "summarize-mmdp",
                                         "domain-file", "boolmin-table"])
@@ -413,6 +446,22 @@ class TestMalformedInputFiles:
         assert capsys.readouterr().err == (
             f"error: action id {action!r} of agent 'UAV' must be a word, "
             f"with no whitespace and no comma\n")
+
+    def test_crlf_mmdp_loads_as_saved(self, pipeline, tmp_path, capsys):
+        # text mode reads \r\n line ends as \n, so the checksum still holds
+        _, _, mmdp = pipeline
+        crlf = tmp_path / "crlf.mmdp"
+        crlf.write_bytes(mmdp.read_bytes().replace(b"\n", b"\r\n"))
+        outputs = []
+        for path in (mmdp, crlf):
+            for argv in (["summarize"],
+                         ["explain", "--type", "what", "--agents", "UAV",
+                          "--predicates", "victim_detect"]):
+                assert main([*argv, "--mmdp", str(path), "--domain", "sr3"]) == 0
+                outputs.append(capsys.readouterr())
+        assert outputs[:2] == outputs[2:]
+        schema = get_domain("sr3").schema
+        assert load_abstraction(crlf, schema) == load_abstraction(mmdp, schema)
 
     def test_mmdp_without_checksum_exits_2(self, pipeline, tmp_path, capsys):
         _, _, mmdp = pipeline
