@@ -15,10 +15,10 @@ count lists of an ``.mmdp`` file's transition table, in its order.
 Everything else is built from them on first use and then kept:
 ``state_index``, the tuple-keyed ``counts``, ``out_edges`` (the
 ``Transition`` objects with their probabilities, read by ``summarize`` and
-``save_abstraction``), ``action_counts`` (each state's (joint action, count)
-rows, read by what answers), the query index of when and why-not answers,
-and each per-(agent, feature) state mask.  So an answer builds no per-edge
-object.
+``save_abstraction``), the query index of when and why-not answers, and each
+per-(agent, feature) state mask.  What answers read only their states' own
+ranges of the columns, through ``action_counts``, and keep each state's
+(joint action, count) rows.  So an answer builds no per-edge object.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, groupby, islice, repeat
-from operator import lt, methodcaller, or_
+from itertools import compress, groupby, islice, repeat
+from operator import lt, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import FeatureSchema, JointAction, JointState, is_action_id
@@ -161,13 +161,6 @@ class PolicyAbstraction:
                     initial_counts)
         self.state_index = index
 
-    @classmethod
-    def _of_columns(cls, *args) -> PolicyAbstraction:
-        """A model read as its columns; ``_setup``'s arguments."""
-        m = cls.__new__(cls)
-        m._setup(*args)
-        return m
-
     def _setup(self, schema: FeatureSchema, n_agents: int, states: tuple[JointState, ...],
                columns: Columns, initial_state: JointState, normalization: str,
                initial_counts: dict[JointState, int]) -> None:
@@ -209,6 +202,7 @@ class PolicyAbstraction:
         self.states = states
         self.columns = columns
         self._state_masks: dict[tuple[int, int], int] = {}
+        self._action_counts: dict[int, list[tuple[JointAction, int]]] = {}
 
     @property
     def n_states(self) -> int:
@@ -268,13 +262,20 @@ class PolicyAbstraction:
         and summarizing a model never pay for it."""
         return QueryIndex(self.states, self.columns[1], self._rows)
 
-    @cached_property
-    def action_counts(self) -> dict[JointState, list[tuple[JointAction, int]]]:
-        """Each state's (joint action, count) rows of the columns, in state order."""
-        _, actions, _, counts = self.columns
-        rows = self._rows
-        return dict(zip(self.states, map(list, map(zip, map(actions.__getitem__, rows),
-                                                       map(counts.__getitem__, rows)))))
+    def action_counts(self, mask: int) -> list[tuple[JointAction, int]]:
+        """The (joint action, count) rows of the masked states.  Each state's
+        are read from its own range of the columns on first use, then kept."""
+        sources, actions, _, counts = self.columns
+        rows = []
+        for j in select_bits(range(len(self.states)), mask):
+            state_rows = self._action_counts.get(j)
+            if state_rows is None:
+                start = bisect_left(sources, j)
+                end = bisect_left(sources, j + 1, start)
+                state_rows = self._action_counts[j] = list(zip(actions[start:end],
+                                                               counts[start:end]))
+            rows += state_rows
+        return rows
 
     def state_mask(self, agent: int, feature: int) -> int:
         """Positions of the states in which agent ``agent`` has the one-bit
@@ -395,7 +396,7 @@ _MMDP_VERSION = 1
 def save_abstraction(m: PolicyAbstraction, path) -> None:
     if m.n_transitions == 0:
         raise PreconditionError("refusing to save an empty abstraction")
-    for action in dict.fromkeys(a for _, joint, _ in m.counts for a in joint):
+    for action in dict.fromkeys(a for joint in dict.fromkeys(m.columns[1]) for a in joint):
         if not is_action_id(action):
             raise PreconditionError(f"cannot save action id {action!r}: it must be a "
                                     f"word, with no whitespace and no comma")
@@ -428,60 +429,9 @@ def save_abstraction(m: PolicyAbstraction, path) -> None:
         fh.write(f"checksum {digest}\n")
 
 
-def _state_table(rows: list[str], n: int, limit: int) -> list[JointState] | None:
-    """The ``n`` state rows as states, each distinct value text read once;
-    None when some row is bad: missing, numbered out of place, with a value
-    that is not an int in [0, limit), or not after the row before it."""
-    if len(rows) != n:
-        return None
-    if not rows:
-        return []
-    split = list(map(methodcaller("split", " ", 1), rows))
-    if set(map(len, split)) != {2}:
-        return None
-    nums, texts = zip(*split)
-    values = list(map(methodcaller("split", ","), texts))
-    distinct = set(chain.from_iterable(values))
-    try:
-        if list(map(int, nums)) != list(range(n)):
-            return None
-        value_of = dict(zip(distinct, map(int, distinct)))
-    except ValueError:
-        return None
-    if min(value_of.values()) < 0 or max(value_of.values()) >= limit:
-        return None
-    states = list(map(tuple, map(map, repeat(value_of.__getitem__), values)))
-    return states if all(map(lt, states, islice(states, 1, None))) else None
-
-
-def _transition_columns(rows: list[str], n: int, index_of: Mapping[str, int]
-                        ) -> Columns | None:
-    """The ``n`` transition rows as columns, one tuple per action text; None
-    when some row is bad: missing, not five fields, naming a state index
-    outside the table, not after the row before it, or with a count that is
-    not an int.  The probability field is not read."""
-    if len(rows) != n or set(map(str.count, rows, repeat(" "))) - {4}:
-        return None
-    fields = " ".join(rows).split(" ") if rows else []
-    sources = list(map(index_of.get, fields[0::5]))
-    targets = list(map(index_of.get, fields[2::5]))
-    texts = fields[1::5]
-    table = {text: tuple(text.split(",")) for text in set(texts)}
-    actions = list(map(table.__getitem__, texts))
-    keys = list(zip(sources, actions, targets))
-    if None in sources or None in targets or not all(map(lt, keys, islice(keys, 1, None))):
-        return None
-    try:
-        return sources, actions, targets, list(map(int, fields[3::5]))
-    except ValueError:
-        return None
-
-
 def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
-    """The model saved at ``path``.  Each table is read and checked as whole
-    columns; when a check fails, its rows are read one by one, which names the
-    first bad row and its line.  Both readers accept the same rows, and the
-    tests check that they agree."""
+    """The model saved at ``path``, read into its columns.  A bad row fails
+    with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     # the checksum line is the last; it covers the text before it
@@ -541,49 +491,43 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
             index = ordered(index, int(s_i), "init-counts entries")
             init_counts.append((s_i, int(c)))
 
-        # agent values are bit sets over the schema's features
+        # agent values are bit sets over the schema's features; each text is read once
         limit = 1 << schema.n_features
-        n = int(take("states"))
-        states = _state_table(lines[idx + 1:idx + 1 + max(n, 0)], n, limit)
-        if states is not None:
-            idx += n
-        else:  # the rows one by one, each distinct value text read once
-            states, value_of, row = [], {}, ()
-            for k in range(n):
-                idx += 1
-                num, bits = lines[idx].split(" ", 1)
-                texts = bits.split(",")
-                try:
-                    values, read = tuple(map(value_of.__getitem__, texts)), ()
-                except KeyError:
-                    values = read = tuple(map(int, texts))
-                if int(num) != k:
-                    fail(f"state rows out of order at line {idx + 1}")
-                if read and (min(read) < 0 or max(read) >= limit):
-                    fail(f"state {k} on line {idx + 1} has an agent value outside "
-                         f"[0, {limit})")
-                value_of.update(zip(texts, read))
-                states.append(row := values if values > row
-                              else ordered(row, values, "state rows"))
+        value_of: dict[str, int] = {}
+        states: list[JointState] = []
+        row = ()
+        for k in range(int(take("states"))):
+            idx += 1
+            num, bits = lines[idx].split(" ", 1)
+            texts = bits.split(",")
+            try:
+                values, read = tuple(map(value_of.__getitem__, texts)), ()
+            except KeyError:
+                values = read = tuple(map(int, texts))
+            if int(num) != k:
+                fail(f"state rows out of order at line {idx + 1}")
+            if read and (min(read) < 0 or max(read) >= limit):
+                fail(f"state {k} on line {idx + 1} has an agent value outside [0, {limit})")
+            value_of.update(zip(texts, read))
+            states.append(row := values if values > row else ordered(row, values, "state rows"))
         index_of = dict(zip(map(str, range(len(states))), range(len(states))))
 
-        n = int(take("transitions"))
-        columns = _transition_columns(lines[idx + 1:idx + 1 + max(n, 0)], n, index_of)
-        if columns is not None:
-            idx += n
-        else:  # the rows one by one, one tuple per action text
-            columns, table, key = ([], [], [], []), {}, ()
-            for _ in range(n):
-                idx += 1
-                s_i, action, t_i, count, _prob = lines[idx].split(" ")
-                if (s := index_of.get(s_i)) is None or (t := index_of.get(t_i)) is None:
-                    fail(f"transition {s_i} -> {t_i} on line {idx + 1} names a state "
-                         f"index outside the state table")
-                a = table.get(action) or table.setdefault(action, tuple(action.split(",")))
-                key = (s, a, t) if (s, a, t) > key else ordered(key, (s, a, t),
-                                                                "transition lines")
-                for column, value in zip(columns, (s, a, t, int(count))):
-                    column.append(value)
+        sources, actions, targets, counts = columns = ([], [], [], [])
+        table: dict[str, JointAction] = {}  # one tuple per action text
+        key = ()
+        for _ in range(int(take("transitions"))):
+            idx += 1
+            s_i, action, t_i, count, _prob = lines[idx].split(" ")
+            if (s := index_of.get(s_i)) is None or (t := index_of.get(t_i)) is None:
+                fail(f"transition {s_i} -> {t_i} on line {idx + 1} names a state "
+                     f"index outside the state table")
+            a = table.get(action) or table.setdefault(action, tuple(action.split(",")))
+            row = (s, a, t)
+            key = row if row > key else ordered(key, row, "transition lines")
+            sources.append(s)
+            actions.append(a)
+            targets.append(t)
+            counts.append(int(count))
         if idx != len(lines) - 2:
             fail(f"unexpected line {idx + 2} after the transition table")
     except (ValueError, IndexError) as exc:
@@ -598,8 +542,9 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
     states = tuple(states)
     initial_state = states[state(initial, 6)]
     counted = {state(s_i, 7): c for s_i, c in init_counts}
-    m = PolicyAbstraction._of_columns(schema, n_agents, states, columns, initial_state,
-                                      normalization, {states[i]: c for i, c in counted.items()})
+    m = PolicyAbstraction.__new__(PolicyAbstraction)
+    m._setup(schema, n_agents, states, columns, initial_state, normalization,
+             {states[i]: c for i, c in counted.items()})
     # saved files list only the states the model names
     named = {*columns[0], *columns[2], *counted}
     if len(named) != len(states):

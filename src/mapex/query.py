@@ -12,7 +12,7 @@ partitions count as targets: explanations describe the target states, and the
 minimizer needs disjoint sets; the same rule is applied again after projection,
 where distinct states may collapse onto one minterm.  A what answer's states
 are the AND of the queried agents' predicate masks, and its actions are read
-from those states' (joint action, count) rows, the model's ``action_counts``.
+from those states' own (joint action, count) rows, ``action_counts``.
 """
 
 from __future__ import annotations
@@ -423,11 +423,12 @@ def answer_what(
     satisfying = m.states_of(mask)
     if not satisfying:
         return WhatAnswer(query, {}, frozenset())
+    rows = m.action_counts(mask)
 
     if query.method == "norf":
         listed = {}
         for name, i in indices.items():
-            observed = {a[i] for s in satisfying for a, _ in m.action_counts[s]}
+            observed = {a[i] for a, _ in rows}
             listed[name] = tuple(
                 a for a in domain.agent_spec(name).actions if a in observed
             )
@@ -441,10 +442,9 @@ def answer_what(
         relevant = {a for a in domain.agent_spec(name).actions
                     if domain.relevance.get(name, a).features & wanted}
         weights: Counter = Counter()
-        for s in satisfying:
-            for a, count in m.action_counts[s]:
-                if a[i] in relevant:
-                    weights[a[i]] += count
+        for a, count in rows:
+            if a[i] in relevant:
+                weights[a[i]] += count
         best[name] = min(weights, key=lambda a: (-weights[a], a)) if weights else None
     return WhatAnswer(query, best, satisfying)
 

@@ -10,7 +10,6 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +18,6 @@ import mapex
 
 from mapex import (
     PolicyAbstraction,
-    abstraction,
     build_abstraction,
     load_abstraction,
     read_trace,
@@ -433,48 +431,6 @@ class TestMalformedFiles:
         bad = rewrite_mmdp(path, tmp_path / "bad.mmdp", edit)
         with pytest.raises(AbstractionFormatError, match=re.escape(message)):
             load_abstraction(bad, sr3_domain.schema)
-
-
-    @staticmethod
-    def outcome(path, schema):
-        try:
-            m = load_abstraction(path, schema)
-        except (MapexError, AssertionError) as exc:
-            return type(exc).__name__, str(exc)
-        return TestRoundTripEquality.parts(m)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_column_reader_agrees_with_row_reader(self, data):
-        # any edit of a saved file loads to the same model, or fails with the
-        # same error, whether the tables are read as columns or row by row
-        domain = mapex.get_domain("sr3")
-        m = build_abstraction(mapex.simulate("sr3", episodes=30, seed=42), domain.schema)
-
-        def edit(lines):
-            k = data.draw(st.integers(1, len(lines) - 1), label="line")
-            how = data.draw(st.sampled_from(["word", "delete", "copy", "swap"]), label="edit")
-            if how == "word":
-                words = lines[k].split(" ")
-                w = data.draw(st.integers(0, len(words)), label="word")
-                text = data.draw(st.text("0123456789,-+_x .\u0663", max_size=4),
-                                 label="text")
-                lines[k] = " ".join(words[:w] + [text] + words[w + 1:])
-            elif how == "delete":
-                del lines[k]
-            elif how == "copy":
-                lines.insert(k, lines[k])
-            elif k + 1 < len(lines):
-                lines[k], lines[k + 1] = lines[k + 1], lines[k]
-
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp, "m.mmdp")
-            save_abstraction(m, path)
-            bad = rewrite_mmdp(path, Path(tmp, "bad.mmdp"), edit)
-            by_columns = self.outcome(bad, domain.schema)
-            with mock.patch.object(abstraction, "_state_table", lambda *args: None), \
-                    mock.patch.object(abstraction, "_transition_columns", lambda *args: None):
-                assert self.outcome(bad, domain.schema) == by_columns
 
 
 class TestMmdpDigests:
