@@ -130,10 +130,8 @@ class PolicyAbstraction:
     Every stored transition was witnessed by at least one sample (counts are
     always >= 1) and the probabilities out of each source state sum to one.
 
-    ``columns`` holds the transitions (see the module docstring), and
-    ``states[j]``'s rows of them are ``_rows[j]``.  The constructor turns its
-    counts into the columns and ``load_abstraction`` reads them; both then
-    share ``_setup``.
+    ``columns`` holds the transitions (see the module docstring); the
+    constructor and ``load_abstraction`` both end in ``_setup``.
     """
 
     def __init__(
