@@ -13,12 +13,14 @@ A model holds its sorted state table, ``states``, and its transitions as
 count lists of an ``.mmdp`` file's transition table, in its order.
 ``build_abstraction`` and ``load_abstraction`` both end in those columns.
 Everything else is built from them on first use and then kept:
-``state_index``, the tuple-keyed ``counts``, ``out_edges`` (the
-``Transition`` objects with their probabilities, read by ``summarize`` and
+``state_index``, each state's ``rows`` of the columns, the tuple-keyed
+``counts``, ``probabilities`` (one per row, the only place the
+normalization is applied and its mass checked, read by path search and
 ``save_abstraction``), the query index of when and why-not answers, and each
 per-(agent, feature) state mask.  What answers read only their states' own
 ranges of the columns, through ``action_counts``, and keep each state's
-(joint action, count) rows.  So an answer builds no per-edge object.
+(joint action, count) rows.  ``out_edges`` is the per-edge ``Transition``
+view of the columns for outside readers; no command builds it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, groupby, islice, repeat
-from operator import lt, or_
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import FeatureSchema, JointAction, JointState, is_action_id
@@ -128,7 +130,7 @@ class PolicyAbstraction:
     """Immutable-after-build abstraction: states, actions, counted transitions.
 
     Every stored transition was witnessed by at least one sample (counts are
-    always >= 1) and the probabilities out of each source state sum to one.
+    always >= 1) and each normalization denominator's probabilities sum to one.
 
     ``columns`` holds the transitions (see the module docstring); the
     constructor and ``load_abstraction`` both end in ``_setup``.
@@ -144,12 +146,9 @@ class PolicyAbstraction:
         normalization: str = "state",
         initial_counts: Mapping[JointState, int] | None = None,
     ):
-        # counts out of canonical order, such as a build's Counter, are sorted first
-        keys = list(transition_counts)
-        if not all(map(lt, keys, islice(keys, 1, None))):
-            keys.sort()
+        keys = sorted(transition_counts)
         sources, actions, targets = zip(*keys) if keys else ((), (), ())
-        initial_counts = dict(initial_counts or {initial_state: 1})
+        initial_counts = dict(sorted((initial_counts or {initial_state: 1}).items()))
         states = tuple(sorted({*sources, *targets, *initial_counts}))
         index = dict(zip(states, range(len(states))))
         columns = (list(map(index.__getitem__, sources)), list(actions),
@@ -211,7 +210,7 @@ class PolicyAbstraction:
         return len(self.columns[3])
 
     @cached_property
-    def _rows(self) -> list[slice]:
+    def rows(self) -> list[slice]:
         """Each state's rows of the columns, which list the sources in order."""
         bounds = list(map(bisect_left, repeat(self.columns[0]), range(len(self.states) + 1)))
         return list(map(slice, bounds, islice(bounds, 1, None)))
@@ -228,37 +227,42 @@ class PolicyAbstraction:
         return dict(zip(zip(map(state, sources), actions, map(state, targets)), counts))
 
     @cached_property
+    def probabilities(self) -> list[float]:
+        """Each transition row's probability, in column order: its count over
+        its denominator's total, the source's or, under "state-action", the
+        source and action's.  Each denominator's probabilities are checked to
+        sum to one before any is handed out."""
+        sources, actions, _, counts = self.columns
+        by_action = self.normalization == "state-action"
+        probabilities: list[float] = []
+        end = 0
+        for key, group in groupby(zip(sources, actions) if by_action else sources):
+            start, end = end, end + len(list(group))
+            total = sum(counts[start:end])
+            column = [c / total for c in counts[start:end]]
+            mass = math.fsum(column)
+            if not math.isclose(mass, 1.0, abs_tol=_PROB_TOLERANCE):
+                named = (self.states[key[0]], key[1]) if by_action else self.states[key]
+                raise AssertionError(f"outgoing probability mass {mass} != 1 for {named}")
+            probabilities += column
+        return probabilities
+
+    @cached_property
     def out_edges(self) -> dict[JointState, tuple[Transition, ...]]:
-        """Each state's transitions in canonical order.  A probability is the
-        count over its denominator's total: the source's, or the source and
-        action's; each denominator's probabilities are checked to sum to one
-        before any is handed out."""
+        """Each state's transitions in canonical order, as ``Transition``
+        objects: the per-edge view of the columns and ``probabilities`` for
+        readers outside the package; no command builds it."""
         _, actions, targets, counts = self.columns
-        states = self.states
-        out: dict[JointState, tuple[Transition, ...]] = dict.fromkeys(states, ())
-        for s, rows in zip(states, map(range(len(counts)).__getitem__, self._rows)):
-            if not rows:
-                continue
-            groups = ([((s, a), list(g)) for a, g in groupby(rows, actions.__getitem__)]
-                      if self.normalization == "state-action" else [(s, rows)])
-            edges = []
-            for key, group in groups:
-                total = sum(map(counts.__getitem__, group))
-                mass = 0.0
-                for k in group:
-                    edges.append(edge := Transition(s, actions[k], states[targets[k]],
-                                                    counts[k], counts[k] / total))
-                    mass += edge.probability
-                if not math.isclose(mass, 1.0, abs_tol=_PROB_TOLERANCE):
-                    raise AssertionError(f"outgoing probability mass {mass} != 1 for {key}")
-            out[s] = tuple(edges)
-        return out
+        states, probabilities = self.states, self.probabilities
+        return {s: tuple(map(Transition, repeat(s), actions[r],
+                             map(states.__getitem__, targets[r]), counts[r], probabilities[r]))
+                for s, r in zip(states, self.rows)}
 
     @cached_property
     def query_index(self) -> QueryIndex:
         """The model's query index, built on first use, so building, loading
         and summarizing a model never pay for it."""
-        return QueryIndex(self.states, self.columns[1], self._rows)
+        return QueryIndex(self.states, self.columns[1], self.rows)
 
     def action_counts(self, mask: int) -> list[tuple[JointAction, int]]:
         """The (joint action, count) rows of the masked states.  Each state's
@@ -299,7 +303,7 @@ class PolicyAbstraction:
 
     def initial_distribution(self) -> dict[JointState, float]:
         total = sum(self.initial_counts.values())
-        return {s: c / total for s, c in sorted(self.initial_counts.items())}
+        return {s: c / total for s, c in self.initial_counts.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolicyAbstraction):
@@ -398,28 +402,21 @@ def save_abstraction(m: PolicyAbstraction, path) -> None:
         if not is_action_id(action):
             raise PreconditionError(f"cannot save action id {action!r}: it must be a "
                                     f"word, with no whitespace and no comma")
+    index = m.state_index
     lines = [
         f"{_MMDP_FORMAT} {_MMDP_VERSION}",
         f"schema {m.schema.schema_hash()}",
         f"agents {m.n_agents}",
         f"features {m.schema.n_features}",
         f"normalization {m.normalization}",
-        f"initial {m.state_index[m.initial_state]}",
-        "init-counts "
-        + ",".join(
-            f"{m.state_index[s]}:{c}" for s, c in sorted(m.initial_counts.items())
-        ),
+        f"initial {index[m.initial_state]}",
+        f"init-counts {','.join(f'{index[s]}:{c}' for s, c in m.initial_counts.items())}",
         f"states {m.n_states}",
     ]
-    for i, s in enumerate(m.states):
-        lines.append(f"{i} {','.join(str(b) for b in s)}")
+    lines += (f"{i} {','.join(map(str, s))}" for i, s in enumerate(m.states))
     lines.append(f"transitions {m.n_transitions}")
-    for s in m.states:
-        for e in m.out_edges[s]:
-            lines.append(
-                f"{m.state_index[s]} {','.join(e.action)} "
-                f"{m.state_index[e.target]} {e.count} {e.probability!r}"
-            )
+    for s_i, a, t_i, c, p in zip(*m.columns, m.probabilities):
+        lines.append(f"{s_i} {','.join(a)} {t_i} {c} {p!r}")
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode()).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:

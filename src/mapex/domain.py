@@ -274,6 +274,12 @@ class DomainDefinition:
 
     def __post_init__(self):
         names = [a.name for a in self.agents]
+        # --agents and --predicates split on commas, and a CSV chart joins its cells with them
+        for what, name in [*(("agent name", n) for n in names),
+                           *(("predicate id", p.id) for p in self.schema.predicates),
+                           *(("label", p.label) for p in self.schema.predicates)]:
+            if "," in name:
+                raise DomainFormatError(f"{what} {name!r} must not contain a comma")
         if len(set(names)) != len(names):
             raise DomainFormatError(f"duplicate agent names: {names}")
         for spec in self.agents:

@@ -1,18 +1,18 @@
 """Policy summarization: the most probable initial-to-goal path through the
 abstraction and the task-sequence chart extracted from it.
 
-The path search converts each transition into an edge weighted by
-``-log(probability)`` and runs Dijkstra to the nearest goal state (a state
-where every task-completion predicate holds for at least one agent) from
-every state of the initial distribution, each at ``-log`` of its share; the
-one initial state of a model without virtual init starts at ``-log 1 = 0``.
-Ties are broken deterministically: goal states settle in canonical
-state-index order, and between equal-distance routes to a node the
-predecessor with the lexicographically smaller (state index, action tuple)
-pair is kept.  Distances within ``TIE_TOLERANCE`` (1e-9) of each other are
-equal: equal-probability routes can sum their ``-log`` weights to floats a
-few units in the last place apart (1/3 * 1/6 against 1/18), and rounding
-must not decide a tie.
+The path search runs Dijkstra over state indices and the model's columns,
+each transition row an edge weighted by ``-log`` of its entry in
+``probabilities``, to the nearest goal state (a state where every
+task-completion predicate holds for at least one agent) from every state of
+the initial distribution, each at ``-log`` of its share; the one initial
+state of a model without virtual init starts at ``-log 1 = 0``.  Ties are
+broken deterministically: goal states settle in canonical state-index order,
+and between equal-distance routes to a node the predecessor with the smaller
+(state index, joint action) pair is kept.  Distances within
+``TIE_TOLERANCE`` (1e-9) of each other are equal: equal-probability routes
+can sum their ``-log`` weights to floats a few units in the last place apart
+(1/3 * 1/6 against 1/18), and rounding must not decide a tie.
 """
 
 from __future__ import annotations
@@ -49,60 +49,54 @@ class MostProbablePath:
 def most_probable_path(m: PolicyAbstraction) -> MostProbablePath:
     """Highest-probability action-labeled path to a goal from a state of
     ``m.initial_distribution()``, whose share its probability includes."""
-    goals = set(m.goal_states())
+    index = m.state_index
+    goals = set(map(index.__getitem__, m.goal_states()))
     if not goals:
         raise UnreachableGoalError(0)
+    _, actions, targets, _ = m.columns
+    probabilities, rows = m.probabilities, m.rows
 
-    dist: dict[JointState, float] = {}
-    pred: dict[JointState, tuple[JointState, JointAction]] = {}
-    settled: set[JointState] = set()
-    heap: list[tuple[float, int, JointState]] = []
+    # states by index; a predecessor is an (index, joint action) pair
+    dist = {index[s]: -math.log(p) for s, p in m.initial_distribution().items()}
+    pred: dict[int, tuple[int, JointAction]] = {}
+    settled: set[int] = set()
+    heap = [(d, i) for i, d in dist.items()]
+    heapq.heapify(heap)
 
-    for s, p in m.initial_distribution().items():
-        dist[s] = -math.log(p)
-        heapq.heappush(heap, (dist[s], m.state_index[s], s))
-
-    goal: JointState | None = None
+    goal: int | None = None
     while heap:
-        _, _, u = heapq.heappop(heap)
+        _, u = heapq.heappop(heap)
         if u in settled:
             continue
         settled.add(u)
         d = dist[u]
         if u in goals:
-            near = [v for _, _, v in heap if v in goals and dist[v] <= d + TIE_TOLERANCE]
-            goal = min([u, *near], key=m.state_index.__getitem__)
+            goal = min([u, *(v for _, v in heap
+                             if v in goals and dist[v] <= d + TIE_TOLERANCE)])
             break
-        for e in m.out_edges.get(u, ()):
-            nd = d - math.log(e.probability)
-            v = e.target
+        r = rows[u]
+        for a, v, p in zip(actions[r], targets[r], probabilities[r]):
             if v in settled:
                 continue
+            nd = d - math.log(p)
             old = dist.get(v)
             if old is not None and nd >= old - TIE_TOLERANCE:
                 # not shorter: a tie only trades for a smaller predecessor
-                tie = v in pred and nd <= old + TIE_TOLERANCE
-                if not tie or ((m.state_index[u], e.action)
-                               >= (m.state_index[pred[v][0]], pred[v][1])):
+                if v not in pred or nd > old + TIE_TOLERANCE or (u, a) >= pred[v]:
                     continue
             dist[v] = nd
-            pred[v] = (u, e.action)
+            pred[v] = (u, a)
             if old is None or nd < old:
-                heapq.heappush(heap, (nd, m.state_index[v], v))
+                heapq.heappush(heap, (nd, v))
     if goal is None:
         raise UnreachableGoalError(len(settled))
 
-    states = [goal]
-    actions: list[JointAction] = []
-    cur = goal
-    while cur in pred:
-        prev, action = pred[cur]
-        states.append(prev)
-        actions.append(action)
-        cur = prev
-    states.reverse()
-    actions.reverse()
-    return MostProbablePath(tuple(states), tuple(actions), -dist[goal])
+    steps = [(goal, None)]  # (state index, action to the next state), goal first
+    while steps[-1][0] in pred:
+        steps.append(pred[steps[-1][0]])
+    steps.reverse()
+    return MostProbablePath(tuple(m.states[i] for i, _ in steps),
+                            tuple(a for _, a in steps[:-1]), -dist[goal])
 
 
 @dataclass(frozen=True)

@@ -360,7 +360,7 @@ class TestRoundTripEquality:
             "out_edges": [(s, [(e.source, e.action, e.target, e.count,
                                 e.probability.hex()) for e in edges])
                           for s, edges in m.out_edges.items()],
-            "initial_counts": m.initial_counts,  # a build keeps first-seen order
+            "initial_counts": list(m.initial_counts.items()),
             "enabled": list(index.enabled.items()),
             "actions": index.actions,
             "state_masks": index.state_masks,
@@ -462,24 +462,25 @@ class TestMmdpDigests:
 
 class TestSoundnessChecksSurviveOptimize:
     # each snippet breaks an invariant the constructor checks, or the
-    # probability mass that out_edges checks as it builds the edges; the check
-    # must still raise with assert statements compiled out
+    # probability mass that the probability column checks as it is computed
+    # (a shadowed ``sum`` doubles each denominator's total); the check must
+    # still raise with assert statements compiled out
     @pytest.mark.parametrize("code,message", [
         ("PolicyAbstraction(plain_schema(1), 1,\n"
          "    {((0,), ('a',), (1,)): 1, ((1,), ('a',), (2,)): 1}, (0,))\n",
          "state count 3 exceeds the 2^|F|^N bound 2"),
-        ("real = abstraction.Transition\n"
-         "abstraction.Transition = lambda s, a, t, c, p: real(s, a, t, c, p / 2)\n"
-         "PolicyAbstraction(plain_schema(1), 1, {((0,), ('a',), (1,)): 1}, (0,)).out_edges\n",
+        ("abstraction.sum = lambda values: 2 * builtins.sum(values)\n"
+         "PolicyAbstraction(plain_schema(1), 1, {((0,), ('a',), (1,)): 1}, (0,))"
+         ".probabilities\n",
          "outgoing probability mass 0.5 != 1 for (0,)"),
-        ("real = abstraction.Transition\n"
-         "abstraction.Transition = lambda s, a, t, c, p: real(s, a, t, c, p / 2)\n"
+        ("abstraction.sum = lambda values: 2 * builtins.sum(values)\n"
          "PolicyAbstraction(plain_schema(1), 1, {((0,), ('a',), (1,)): 1}, (0,),\n"
-         "    normalization='state-action').out_edges\n",
+         "    normalization='state-action').probabilities\n",
          "outgoing probability mass 0.5 != 1 for ((0,), ('a',))"),
     ], ids=["state-bound", "state-mass", "state-action-mass"])
     def test_raises_under_optimize(self, code, message):
-        prelude = ("from mapex import abstraction\n"
+        prelude = ("import builtins\n"
+                   "from mapex import abstraction\n"
                    "from mapex.abstraction import PolicyAbstraction\n"
                    "from synth import plain_schema\n")
         wrapped = (prelude + "try:\n"

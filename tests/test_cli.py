@@ -320,8 +320,9 @@ class TestExplain:
 
 
 class TestExplainReadsColumns:
-    # an explain command answers from the loaded model's transition columns;
-    # only summarize (and save) build the per-edge Transition objects
+    # every command reads a model through its transition columns: explain,
+    # abstract and summarize build no per-edge Transition object, which only
+    # the out_edges view makes
     QUERIES = [
         ["--type", "when", "--agents", "UAV", "--actions", "rescue_victim"],
         ["--type", "whynot", "--agents", "UGV_1,UGV_2", "--actions", "remove_obstacle",
@@ -332,10 +333,14 @@ class TestExplainReadsColumns:
     class EdgeBuilt(Exception):
         pass
 
-    def test_explain_builds_no_transition(self, pipeline, capsys, monkeypatch):
-        _, _, mmdp = pipeline
+    def test_explain_builds_no_transition(self, pipeline, tmp_path, capsys, monkeypatch):
+        _, trace, mmdp = pipeline
+        saved = tmp_path / "m.mmdp"
         argvs = [["explain", "--mmdp", str(mmdp), "--domain", "sr3", "--method", method,
                   *query] for query in self.QUERIES for method in ("withrf", "norf")]
+        argvs += [["abstract", "--trace", str(trace), "--domain", "sr3", "--out", str(saved)],
+                  *(["summarize", "--mmdp", str(mmdp), "--domain", "sr3", "--format", fmt]
+                    for fmt in ("chart", "csv"))]
         expected = []
         for argv in argvs:
             assert main(argv) == 0
@@ -348,8 +353,9 @@ class TestExplainReadsColumns:
         for argv, out in zip(argvs, expected):
             assert main(argv) == 0
             assert capsys.readouterr().out == out
+        assert saved.read_bytes() == mmdp.read_bytes()
         with pytest.raises(self.EdgeBuilt):
-            main(["summarize", "--mmdp", str(mmdp), "--domain", "sr3"])
+            load_abstraction(mmdp, get_domain("sr3").schema).out_edges
 
 
 class TestMalformedInputFiles:
@@ -446,6 +452,22 @@ class TestMalformedInputFiles:
         assert capsys.readouterr().err == (
             f"error: action id {action!r} of agent 'UAV' must be a word, "
             f"with no whitespace and no comma\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"UAV"', '"U,AV"', "agent name 'U,AV'"),
+        ('"victim_detect"', '"victim,detect"', "predicate id 'victim,detect'"),
+        ('"label": "fire"', '"label": "fire,smoke"', "label 'fire,smoke'"),
+    ], ids=["agent", "predicate", "label"])
+    def test_domain_file_name_with_comma_exits_2(self, pipeline, tmp_path, capsys,
+                                                 old, new, message):
+        # --agents and --predicates split on commas, and a CSV chart joins on them
+        _, _, mmdp = pipeline
+        bad = tmp_path / "comma.json"
+        bad.write_text(json.dumps(domain_to_dict(get_domain("sr3"))).replace(old, new))
+        assert main(["summarize", "--mmdp", str(mmdp), "--domain", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} must not contain a comma\n"
 
     def test_crlf_mmdp_loads_as_saved(self, pipeline, tmp_path, capsys):
         # text mode reads \r\n line ends as \n, so the checksum still holds

@@ -1,11 +1,15 @@
+import hashlib
 import math
 
 import pytest
 
 from mapex import (
     PolicyAbstraction,
+    build_abstraction,
+    get_domain,
     most_probable_path,
     render_chart,
+    simulate,
     summarize,
 )
 from mapex.errors import PreconditionError, UnreachableGoalError
@@ -104,6 +108,72 @@ class TestMostProbablePath:
         path = most_probable_path(m)
         assert path.states[0] == (1,)
         assert math.isclose(path.probability, 0.75)
+
+
+class TestPathPins:
+    # the most probable path of every built-in at seed 42: its length, the repr
+    # of its log probability, and the first 16 hex digits of the sha256 of the
+    # reprs of its states and actions
+    PINS = {
+        ("lbf2", 30, False): (6, "-6.026569051416515", "e6d67c04432dd547"),
+        ("lbf2", 30, True): (6, "-6.026569051416515", "e6d67c04432dd547"),
+        ("lbf2", 100, False): (6, "-6.405897249018411", "d0a71a3d2611a2ab"),
+        ("lbf2", 100, True): (6, "-6.405897249018411", "d0a71a3d2611a2ab"),
+        ("lbf4", 30, False): (7, "-5.938854596835685", "e880e48efc7863f6"),
+        ("lbf4", 30, True): (7, "-5.938854596835685", "e880e48efc7863f6"),
+        ("lbf4", 100, False): (5, "-7.5965178612242585", "566519ea71553feb"),
+        ("lbf4", 100, True): (5, "-7.5965178612242585", "566519ea71553feb"),
+        ("lbf9", 30, False): (15, "-5.049856007249537", "30a94ca487e2b41f"),
+        ("lbf9", 30, True): (15, "-5.049856007249537", "30a94ca487e2b41f"),
+        ("lbf9", 100, False): (4, "-5.934894195619588", "e8f430bca20ec4b7"),
+        ("lbf9", 100, True): (4, "-5.934894195619588", "e8f430bca20ec4b7"),
+        ("rware19", 30, False): (7, "-3.4011973816621555", "5da2474bc8a8a437"),
+        ("rware19", 30, True): (7, "-3.4011973816621555", "5da2474bc8a8a437"),
+        ("rware19", 100, False): (7, "-4.624972813284271", "5da2474bc8a8a437"),
+        ("rware19", 100, True): (7, "-4.624972813284271", "5da2474bc8a8a437"),
+        ("rware2", 30, False): (6, "-4.3125822410286245", "b879840da62a7be2"),
+        ("rware2", 30, True): (6, "-4.3125822410286245", "b879840da62a7be2"),
+        ("rware2", 100, False): (6, "-4.558907874333919", "b879840da62a7be2"),
+        ("rware2", 100, True): (6, "-4.558907874333919", "b879840da62a7be2"),
+        ("rware4", 30, False): (5, "-4.980012433882273", "b37b244c7f61e966"),
+        ("rware4", 30, True): (5, "-4.980012433882273", "b37b244c7f61e966"),
+        ("rware4", 100, False): (5, "-6.214419250804369", "bdf5cfa39855ea3e"),
+        ("rware4", 100, True): (5, "-6.214419250804369", "bdf5cfa39855ea3e"),
+        ("sr3", 30, False): (8, "-2.4849066497880004", "d8301e224f8c542b"),
+        ("sr3", 30, True): (8, "-2.4849066497880004", "d8301e224f8c542b"),
+        ("sr3", 100, False): (8, "-2.494956985641502", "d8301e224f8c542b"),
+        ("sr3", 100, True): (8, "-2.494956985641502", "d8301e224f8c542b"),
+        ("sr4", 30, False): (7, "-8.956307967628227", "d7e4b3b4383324dc"),
+        ("sr4", 30, True): (7, "-8.956307967628227", "d7e4b3b4383324dc"),
+        ("sr4", 100, False): (7, "-12.43969444113201", "d7e4b3b4383324dc"),
+        ("sr4", 100, True): (7, "-12.43969444113201", "d7e4b3b4383324dc"),
+        ("sr5", 30, False): (6, "-7.426549072397304", "5f6d1a903dee0058"),
+        ("sr5", 30, True): (6, "-7.426549072397304", "5f6d1a903dee0058"),
+        ("sr5", 100, False): (7, "-9.974411890872828", "cebf5f0b25ad0ab1"),
+        ("sr5", 100, True): (7, "-9.974411890872828", "cebf5f0b25ad0ab1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINS), ids=lambda c: "{}-{}-{}".format(
+        c[0], c[1], "virtual" if c[2] else "single"))
+    def test_builtin_path_pinned(self, case):
+        domain_id, episodes, virtual_init = case
+        m = build_abstraction(simulate(domain_id, episodes=episodes, seed=42),
+                              get_domain(domain_id).schema, virtual_init=virtual_init)
+        path = most_probable_path(m)
+        digest = hashlib.sha256(f"{path.states!r}\n{path.actions!r}".encode()).hexdigest()
+        assert (len(path), repr(path.log_probability), digest[:16]) == self.PINS[case]
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_abstraction(simulate("sr5", episodes=3, max_steps=2, seed=42),
+                                   get_domain("sr5").schema),
+         "no goal state reachable from the initial state (search settled 0 states)"),
+        (lambda: single_agent_mmdp({((0,), ("a",), (1,)): 1, ((2,), ("a",), (3,)): 1}),
+         "no goal state reachable from the initial state (search settled 2 states)"),
+    ], ids=["no-goal", "goal-out-of-reach"])
+    def test_refused_model_pinned(self, build, message):
+        with pytest.raises(UnreachableGoalError) as exc:
+            most_probable_path(build())
+        assert str(exc.value) == message
 
 
 class TestSummarize:
