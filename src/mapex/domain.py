@@ -295,7 +295,7 @@ class DomainDefinition:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    @property
+    @cached_property
     def agent_ids(self) -> tuple[AgentId, ...]:
         return tuple(AgentId(i, a.name) for i, a in enumerate(self.agents))
 
@@ -303,17 +303,17 @@ class DomainDefinition:
     def _agent_index(self) -> dict[str, int]:
         return {a.name: i for i, a in enumerate(self.agents)}
 
-    def _index_of(self, name: str) -> int:
+    def agent_index(self, name: str) -> int:
         try:
             return self._agent_index[name]
         except KeyError:
             raise DomainFormatError(f"unknown agent {name!r}") from None
 
     def agent_spec(self, name: str) -> AgentSpec:
-        return self.agents[self._index_of(name)]
+        return self.agents[self.agent_index(name)]
 
     def agent_id(self, name: str) -> AgentId:
-        return AgentId(self._index_of(name), name)
+        return AgentId(self.agent_index(name), name)
 
 
 def encode_joint_state(

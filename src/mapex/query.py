@@ -247,8 +247,8 @@ Compiled = tuple[tuple[tuple[int, str], ...], ...]
 def _compile(criterion, domain: DomainDefinition) -> Compiled:
     """A norf set (one alternative) or withrf list of sets (one each)."""
     sets = criterion if isinstance(criterion, (list, tuple)) else (criterion,)
-    return tuple(tuple((domain.agent_id(agent).index, act) for agent, act in s)
-                 for s in sets)
+    index = domain.agent_index
+    return tuple(tuple((index(agent), act) for agent, act in s) for s in sets)
 
 
 def compatible(action: JointAction, criterion, domain: DomainDefinition) -> bool:
@@ -256,10 +256,16 @@ def compatible(action: JointAction, criterion, domain: DomainDefinition) -> bool
 
     A set of (agent, action) pairs (norf) is satisfied when every pair is
     contained in the joint action; a list of such sets (withrf) when at least
-    one member set is fully contained.
+    one member set is fully contained.  Every alternative's agent names are
+    resolved and checked before any alternative is tested.
     """
-    return any(all(action[i] == act for i, act in alt)
-               for alt in _compile(criterion, domain))
+    for alt in _compile(criterion, domain):
+        for i, act in alt:
+            if action[i] != act:
+                break
+        else:
+            return True
+    return False
 
 
 def _condition_space(

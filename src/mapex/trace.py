@@ -95,8 +95,10 @@ def write_trace(path, domain_id: str, n_agents: int,
     reuses that text.  A record the simulator made, one per (cell, liveness,
     flags) in a run, brings its own text, made once; every other record is
     encoded per sample, so a caller may change its dicts between samples.
+    A joint action of exact ``str`` items is encoded once per call: equal
+    tuples of other items, such as (1,) and (1.0,), encode apart.
     """
-    n = 0
+    n, action_texts = 0, {}
     with open(path, "w", encoding="utf-8") as fh:
         header = {"format": _TRACE_FORMAT, "version": _TRACE_VERSION,
                   "domain": domain_id, "agents": n_agents}
@@ -109,9 +111,15 @@ def write_trace(path, domain_id: str, n_agents: int,
             next_text = ("[" + ",".join(r.text if type(r) is Record else _encode(r)
                                         for r in nxt) + "]"
                          if type(nxt) is tuple else _encode(nxt))
-            fh.write(f'{{"episode":{_encode(s.episode_id)},"step":{_encode(s.step)},'
-                     f'"state":{state_text}{_ACTION}{_encode(s.joint_action)}'
-                     f'{_NEXT}{next_text}}}\n')
+            action = s.joint_action
+            if type(action) is not tuple or not all(type(a) is str for a in action):
+                action_text = _encode(action)
+            elif (action_text := action_texts.get(action)) is None:
+                action_text = action_texts[action] = _encode(action)
+            episode, step = s.episode_id, s.step
+            fh.write(f'{{"episode":{str(episode) if type(episode) is int else _encode(episode)},'
+                     f'"step":{str(step) if type(step) is int else _encode(step)},'
+                     f'"state":{state_text}{_ACTION}{action_text}{_NEXT}{next_text}}}\n')
             n += 1
     return n
 

@@ -31,9 +31,12 @@ def plain_schema(n_features: int, task_ids=()) -> FeatureSchema:
 _ACTION_POOL = (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
 
 
-def random_layered_abstraction(seed: int, max_states: int = 40) -> PolicyAbstraction:
+def random_layered_abstraction(seed: int, max_states: int = 40,
+                               n_initial: int = 1) -> PolicyAbstraction:
     """Random 2-agent layered MMDP with self-loops, <= 40 states, <= 4 joint
-    actions, and every initial-to-goal simple path at most 12 edges long."""
+    actions, and every initial-to-goal simple path at most 12 edges long.
+    Its first layer holds ``n_initial`` initial states; more than one are
+    weighted by random initial counts."""
     rng = random.Random(f"synth:{seed}")
     schema = plain_schema(6, task_ids=("f5",))
     n_layers = rng.randint(3, 12)
@@ -43,7 +46,7 @@ def random_layered_abstraction(seed: int, max_states: int = 40) -> PolicyAbstrac
     layers: list[list[tuple[int, int]]] = []
     used = 0
     for layer in range(n_layers):
-        width = 1 if layer == 0 else rng.randint(1, 4)
+        width = n_initial if layer == 0 else rng.randint(1, 4)
         width = min(width, max_states - used - (n_layers - layer))
         width = max(width, 1)
         layers.append([pool.pop() for _ in range(width)])
@@ -66,7 +69,10 @@ def random_layered_abstraction(seed: int, max_states: int = 40) -> PolicyAbstrac
                 action = _ACTION_POOL[rng.randrange(len(_ACTION_POOL))]
                 key = (state, action, state)
                 counts[key] = counts.get(key, 0) + rng.randint(1, 9)
-    return PolicyAbstraction(schema, 2, counts, layers[0][0])
+    initial_counts = ({s: rng.randint(1, 9) for s in layers[0]} if n_initial > 1
+                      else None)
+    return PolicyAbstraction(schema, 2, counts, layers[0][0],
+                             initial_counts=initial_counts)
 
 
 def big_layered_abstraction(n_states: int = 1000) -> PolicyAbstraction:

@@ -14,9 +14,14 @@ from mapex import (
     AgentSpec,
     DomainDefinition,
     PolicyAbstraction,
+    build_abstraction,
+    get_domain,
+    query,
+    simulate,
     variable_index,
 )
 from mapex.domain import RelevanceEntry, RelevanceKnowledge
+from mapex.envs import domain_ids
 from mapex.query import (
     Query,
     answer_what,
@@ -29,6 +34,7 @@ from mapex.query import (
 )
 from mapex.errors import (
     ContradictionNotice,
+    DomainFormatError,
     PreconditionError,
     TooManyVariablesError,
     UnknownStateError,
@@ -93,6 +99,47 @@ class TestCompatible:
     def test_empty_requirement_is_vacuous(self, sr3_domain):
         assert compatible(("move", "move", "move"), frozenset(), sr3_domain)
         assert not compatible(("move", "move", "move"), [], sr3_domain)
+
+    def test_every_alternative_named_before_any_is_tested(self, sr3_domain):
+        # the first alternative matches, yet the unknown agent of the second
+        # is still refused
+        sets = [frozenset({("UAV", RESCUE)}), frozenset({("UGV_9", RESCUE)})]
+        with pytest.raises(DomainFormatError, match=r"^unknown agent 'UGV_9'$"):
+            compatible((RESCUE, "move", "move"), sets, sr3_domain)
+
+    def test_builds_no_agent_id(self, sr3_domain, monkeypatch):
+        # names resolve to positions through the domain's own index, so the
+        # per-pair check makes no AgentId record
+        def agent_id(*args):
+            raise AssertionError(f"AgentId{args} built")
+
+        monkeypatch.setattr(mapex.domain, "AgentId", agent_id)
+        sets = [frozenset({("UAV", RESCUE), ("UGV_1", RESCUE)}),
+                frozenset({("UAV", RESCUE), ("UGV_2", RESCUE)})]
+        assert [set(alt) for alt in query._compile(sets, sr3_domain)] == [
+            {(0, RESCUE), (1, RESCUE)}, {(0, RESCUE), (2, RESCUE)}]
+        assert compatible((RESCUE, "move", RESCUE), sets, sr3_domain)
+        assert not compatible((RESCUE, RESCUE, "move"), frozenset({("UGV_2", RESCUE)}),
+                              sr3_domain)
+
+    @pytest.mark.parametrize("domain_id", domain_ids())
+    def test_agrees_with_partition_targets(self, domain_id):
+        # the per-action check and the bit-mask partition are two statements
+        # of one criterion: the states with a compatible enabled action are
+        # exactly the partition's targets, under both methods
+        domain = get_domain(domain_id)
+        m = build_abstraction(simulate(domain_id, episodes=30, seed=42), domain.schema)
+        sets = []
+        for _, entry in sorted(domain.relevance.entries.items()):
+            if entry.features:
+                sets += [s for s in entry.action_sets if s not in sets]
+        assert sets
+        for pairs in sets:
+            for criterion in (pairs, relevancy_filter(pairs, domain.relevance)[2]):
+                expected = {s for s in m.states
+                            if any(compatible(a, criterion, domain)
+                                   for a in m.enabled_actions(s))}
+                assert partition(criterion, m, domain)[0] == expected
 
 
 class TestAnswerWhen:
@@ -677,7 +724,7 @@ class TestSoundnessChecksSurviveOptimize:
          "relevance set lost its generating action"),
         ("from mapex import get_domain, query\n"
          "from mapex.domain import DomainDefinition\n"
-         "ids = DomainDefinition.agent_ids.fget\n"
+         "ids = DomainDefinition.agent_ids.func\n"
          "DomainDefinition.agent_ids = property(lambda self: ids(self) * 2)\n"
          "q = query.Query('when', ('UAV',), 'norf', (('UAV', 'rescue_victim'),))\n"
          "query._condition_space(q, get_domain('sr3'), 'when')\n",

@@ -79,6 +79,18 @@ class TestMostProbablePath:
             assert expected is not None
             assert abs(path.probability - expected) <= 1e-12
 
+    def test_matches_bruteforce_from_weighted_initial_states(self):
+        # no built-in model starts from more than one abstract state; these do,
+        # and the best start is not always the most frequent one
+        lighter_start = False
+        for seed in range(12):
+            m = random_layered_abstraction(seed, n_initial=3 + seed % 3)
+            assert len(m.initial_counts) == 3 + seed % 3
+            path = most_probable_path(m)
+            assert abs(path.probability - best_path_product(m)) <= 1e-12
+            lighter_start |= m.initial_counts[path.states[0]] < max(m.initial_counts.values())
+        assert lighter_start
+
     def test_no_goal_states_at_all(self):
         # (1,) has only f0 set, so no state satisfies the f1 task predicate
         with pytest.raises(UnreachableGoalError) as exc:
