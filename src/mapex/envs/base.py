@@ -19,14 +19,15 @@ one with a ``config``, ``agent_names``, ``assign(rng)`` (once per episode)
 and ``step(world, assigned, rng)`` -> (joint action, each agent's next cell).
 
 Tables: each ``run_episodes`` call keeps, per task liveness, the open cells,
-a per-cell neighbour table, one breadth-first map per start cell from each
-reachable cell to the first step toward it (``first_steps``), the task board
-and one agent record per (cell, flags); its worlds share them, a world built
-alone keeps its own, and nothing outlives the run.  A world changes tables
-only when ``resolve`` completes a task, the one event that changes which
-cells are passable.  The scripted policy reads staging reachability and its
-first move off the map of the agent's cell, so each (liveness, cell) costs at
-most one BFS per run.
+each cell's moves (its open 4-neighbours, then itself), one breadth-first map
+per start cell from each reachable cell to the first step toward it
+(``first_steps``), one first step per (cell, task cell, rank) toward a staging
+cell (``route``), the task board and one agent record per (cell, flags).  Its
+worlds share them, a world built alone keeps its own, and nothing outlives
+the run; they are pure caches, so a world steps alike either way.  A world
+changes tables only when ``resolve`` completes a task, the one event that
+changes which cells are passable.  So each (liveness, cell) costs at most one
+BFS per run, and a routed agent's step one lookup.
 """
 
 from __future__ import annotations
@@ -179,24 +180,25 @@ def grid_domain(domain_id: str, agent_names: Sequence[str], config: GridConfig,
 
 def _open_cells(config: GridConfig, live: tuple[str, ...]
                 ) -> tuple[frozenset[Cell], dict[Cell, tuple[Cell, ...]]]:
-    """The open cells and every cell's open 4-neighbours while exactly the
-    ``live`` tasks block their cells."""
+    """The open cells, and every cell's moves while exactly the ``live``
+    tasks block their cells: its open 4-neighbours, then the cell itself."""
     blocked = config.walls | {t.cell for t in config.tasks if t.id in live}
     cells = [(r, c) for r in range(config.rows) for c in range(config.cols)]
     open_cells = frozenset(x for x in cells if x not in blocked)
     # neighbour order is sorted(): (r-1, c), (r, c-1), (r, c+1), (r+1, c)
-    neighbors = {
-        (r, c): tuple(x for x in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c))
-                      if x in open_cells)
+    moves = {
+        (r, c): (*(x for x in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c))
+                   if x in open_cells), (r, c))
         for r, c in cells
     }
-    return open_cells, neighbors
+    return open_cells, moves
 
 
 class GridWorld:
     """Mutable episode state: agent positions, task liveness, completion flags.
     ``tables`` maps a task liveness to its routing tables; the worlds of one
-    run share one dict, and a world given none keeps its own."""
+    run share one dict, and a world given none keeps its own.  ``moves`` is
+    the current liveness's table of each cell's moves."""
 
     def __init__(self, config: GridConfig, agent_names: Sequence[str],
                  tables: dict | None = None):
@@ -211,21 +213,18 @@ class GridWorld:
         self._refresh()
 
     def _refresh(self) -> None:
-        """Take the current liveness's tables: routing, the task board and the
-        records by (cell, flags); note each agent's flags until a completion."""
+        """Take the current liveness's tables (see the module docstring); note
+        each agent's flags until a completion."""
         live = tuple(t.id for t in self.config.tasks if self.alive[t.id])
         if (table := self._tables.get(live)) is None:
             board = {t.id: {"pos": [*t.cell], "present": t.id in live}
                      for t in self.config.tasks}
-            table = self._tables[live] = (*_open_cells(self.config, live), {}, board, {})
-        self._open, self._neighbors, self._steps, self._board, self._records = table
+            table = self._tables[live] = (*_open_cells(self.config, live), {}, {}, board, {})
+        self._open, self.moves, self._steps, self._routes, self._board, self._records = table
         self._flags = [tuple(done.items()) for done in self.done]
 
     def passable(self, cell: Cell) -> bool:
         return cell in self._open
-
-    def neighbors(self, cell: Cell) -> tuple[Cell, ...]:
-        return self._neighbors[cell]
 
     def first_steps(self, start: Cell) -> dict[Cell, Cell]:
         """The first cell of the breadth-first path from ``start`` to every
@@ -235,25 +234,40 @@ class GridWorld:
         if steps is None:
             steps = self._steps[start] = {start: start}
             queue = deque([start])
-            neighbors = self._neighbors
+            moves = self.moves
             while queue:
                 cur = queue.popleft()
-                for nxt in neighbors[cur]:
+                for nxt in moves[cur]:  # the last move, cur itself, is mapped
                     if nxt not in steps:
                         steps[nxt] = nxt if cur == start else steps[cur]
                         queue.append(nxt)
         return steps
 
+    def route(self, cell: Cell, task_cell: Cell, rank: int) -> Cell:
+        """The first step from ``cell`` toward its staging cell: of the
+        Chebyshev neighbours of ``task_cell`` that ``cell`` reaches, in sorted
+        order, the one at ``rank`` modulo their count, else ``cell`` itself.
+        Made once per table."""
+        key = cell, task_cell, rank
+        if (step := self._routes.get(key)) is None:
+            # a staging cell in the map is open: only the start joins it unchecked
+            steps, (r, c) = self.first_steps(cell), task_cell
+            staging = [x for x in ((r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                                   if dr or dc) if x in steps] or [cell]
+            step = self._routes[key] = steps[staging[rank % len(staging)]]
+        return step
+
     def joint_record(self) -> tuple[dict[str, Any], ...]:
         """Self-contained per-agent records: position, task board, own flags.
         Agents and worlds at one (cell, liveness, flags) share one record, made
         once per table; nothing mutates a record once built."""
-        records = self._records
+        records, joint = self._records, []
         for key in zip(self.positions, self._flags):
-            if key not in records:
-                records[key] = Record({"pos": [*key[0]], "tasks": self._board,
-                                        "done": dict(key[1])})
-        return tuple(map(records.__getitem__, zip(self.positions, self._flags)))
+            if (record := records.get(key)) is None:
+                record = records[key] = Record({"pos": [*key[0]], "tasks": self._board,
+                                                "done": dict(key[1])})
+            joint.append(record)
+        return tuple(joint)
 
     def all_done(self) -> bool:
         return not any(self.alive.values())
@@ -264,11 +278,9 @@ class GridWorld:
         for task in self.config.tasks:
             if not self.alive[task.id] or task.action not in actions:
                 continue
-            takers = {
-                self.agent_names[i]
-                for i, a in enumerate(actions)
-                if a == task.action and chebyshev(self.positions[i], task.cell) == 1
-            }
+            tr, tc = task.cell
+            takers = {name for name, (r, c), a in zip(self.agent_names, self.positions, actions)
+                      if a == task.action and max(abs(r - tr), abs(c - tc)) == 1}
             for combo in task.combos:
                 if set(combo) <= takers:
                     self.alive[task.id] = False
@@ -294,10 +306,6 @@ class GenericScriptedPolicy:
     def __init__(self, config: GridConfig, agent_names: Sequence[str]):
         self.config = config
         self.agent_names = tuple(agent_names)
-        # the eight Chebyshev neighbours of each task's cell, in sorted order
-        self._rings = {(r, c): [(r + dr, c + dc)
-                                for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
-                       for r, c in (t.cell for t in config.tasks)}
 
     def assign(self, rng: random.Random) -> tuple[tuple[tuple[TaskSpec, int], ...], ...]:
         """Each agent's plan for the episode: the tasks whose drawn combo names
@@ -312,26 +320,24 @@ class GenericScriptedPolicy:
              rng: random.Random) -> tuple[list[str], list[Cell]]:
         actions: list[str] = []
         targets: list[Cell] = []
+        alive, moves = world.alive, world.moves
         for pos, plan in zip(world.positions, plans):
             for task, rank in plan:  # the first live task of the plan
-                if world.alive[task.id]:
+                if alive[task.id]:
                     break
             else:
-                choice = rng.choice([*world.neighbors(pos), pos])
+                choice = rng.choice(moves[pos])
                 actions.append(MOVE if choice != pos else WAIT)
                 targets.append(choice)
                 continue
-            dist = chebyshev(pos, task.cell)
+            (r, c), (tr, tc) = pos, task.cell
+            dist = max(abs(r - tr), abs(c - tc))
             if dist == 1 or (dist == 2 and rng.random() < 0.5):
                 actions.append(task.action)
                 targets.append(pos)
                 continue
-            # a staging cell in the map is open and reachable: only the start
-            # joins the map unchecked, and an agent on a staging cell
-            # (Chebyshev distance 1) took the task action above
-            steps = world.first_steps(pos)
-            staging = [c for c in self._rings[task.cell] if c in steps] or [pos]
-            step_to = steps[staging[rank % len(staging)]]
+            # an agent on a staging cell (distance 1) took the task action above
+            step_to = world.route(pos, task.cell, rank)
             actions.append(MOVE if step_to != pos else WAIT)
             targets.append(step_to)
         return actions, targets

@@ -2,7 +2,8 @@
 writer, the reader and the per-schema encoding of a joint state.
 
 Writing: each simulator record's JSON text is made once, when first written,
-and ``write_trace`` joins those texts; it encodes every other record per sample.
+and ``write_trace`` joins those texts into every joint state, an episode's
+first included; it encodes every other record per sample.
 
 Reading: one ``iter_trace`` (or ``read_trace``) call hands out one shared
 record per distinct agent-record text of the writer's layout, and two calls
@@ -92,11 +93,12 @@ def write_trace(path, domain_id: str, n_agents: int,
 
     Each joint state is encoded once: a sample whose state is the previous
     sample's next state (the same object, as the simulator hands it on)
-    reuses that text.  A record the simulator made, one per (cell, liveness,
-    flags) in a run, brings its own text, made once; every other record is
-    encoded per sample, so a caller may change its dicts between samples.
-    A joint action of exact ``str`` items is encoded once per call: equal
-    tuples of other items, such as (1,) and (1.0,), encode apart.
+    reuses that text, and every other, an episode's first included, is
+    joined from its records' texts.  A record the simulator made, one per
+    (cell, liveness, flags) in a run, brings its own text, made once; every
+    other record is encoded per sample, so a caller may change its dicts
+    between samples.  A joint action of exact ``str`` items is encoded once
+    per call: equal tuples of other items, such as (1,) and (1.0,), encode apart.
     """
     n, action_texts = 0, {}
     with open(path, "w", encoding="utf-8") as fh:
@@ -106,22 +108,29 @@ def write_trace(path, domain_id: str, n_agents: int,
         previous_next, next_text = object(), ""  # object(): no sample's state is it
         for s in samples:
             state = s.joint_concrete_state
-            state_text = next_text if state is previous_next else _encode(state)
-            nxt = previous_next = s.next_joint_concrete_state
-            next_text = ("[" + ",".join(r.text if type(r) is Record else _encode(r)
-                                        for r in nxt) + "]"
-                         if type(nxt) is tuple else _encode(nxt))
+            state_text = next_text if state is previous_next else _joint_text(state)
+            next_text = _joint_text(previous_next := s.next_joint_concrete_state)
             action = s.joint_action
-            if type(action) is not tuple or not all(type(a) is str for a in action):
+            try:  # only all-str tuples are stored, so a hit encodes alike
+                action_text = action_texts[action]
+            except (KeyError, TypeError):  # not stored yet, or unhashable
                 action_text = _encode(action)
-            elif (action_text := action_texts.get(action)) is None:
-                action_text = action_texts[action] = _encode(action)
+                if type(action) is tuple and all(type(a) is str for a in action):
+                    action_texts[action] = action_text
             episode, step = s.episode_id, s.step
             fh.write(f'{{"episode":{str(episode) if type(episode) is int else _encode(episode)},'
                      f'"step":{str(step) if type(step) is int else _encode(step)},'
                      f'"state":{state_text}{_ACTION}{action_text}{_NEXT}{next_text}}}\n')
             n += 1
     return n
+
+
+def _joint_text(state) -> str:
+    """A joint state's JSON text: a tuple's is joined from its records' texts,
+    each shared ``Record`` bringing its own; anything else is encoded whole."""
+    if type(state) is not tuple:
+        return _encode(state)
+    return "[" + ",".join(r.text if type(r) is Record else _encode(r) for r in state) + "]"
 
 
 def read_trace(path) -> tuple[dict[str, Any], list[TraceSample]]:

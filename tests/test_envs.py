@@ -18,7 +18,7 @@ from mapex import (
 )
 from mapex.domain import domain_to_dict
 from mapex.envs import domain_ids, iter_trace
-from mapex.envs import search_rescue
+from mapex.envs import base, search_rescue
 from mapex.envs.base import (
     WAIT,
     GenericScriptedPolicy,
@@ -33,7 +33,7 @@ from mapex.errors import (
     TraceFormatError,
     UnknownDomainError,
 )
-from mapex.trace import TraceSample
+from mapex.trace import Record, TraceSample
 from oracles import bfs_first_move
 
 ALL_DOMAINS = [
@@ -97,12 +97,29 @@ class TestTraceDigests:
         "lbf9": "c64d0c74c625b3783e39975ebe746874ccc1d20c9e820712450ccd01ffa57386",
     }
 
+    # the same at the explain workloads' sizes of the generic-policy domains,
+    # whose runs reach many more task livenesses and routes
+    LONG_DIGESTS = {
+        ("sr5", 100): "8d0f321840a4bfbc70d9202f8dac2f5999c0e1910c7d87eecf39e29943db1458",
+        ("lbf4", 50): "77d5a35df42105dbf8b0f0c77c3c3ad94307407d686c83c9eeb2a22f72070857",
+        ("lbf9", 50): "ba749758f011fb42d265b9927d586fa03ac6a7ff5064ece79cd092e06b271cb8",
+        ("rware19", 40): "d941b428adc69b7c4e6b2cd415d23eb8029d76770d973b469ef7a5740a07550d",
+    }
+
     @pytest.mark.parametrize("domain_id", sorted(DIGESTS))
     def test_trace_bytes_pinned(self, domain_id, tmp_path):
         path = tmp_path / f"{domain_id}.jsonl"
         write_trace(path, domain_id, get_domain(domain_id).n_agents,
                     simulate(domain_id, episodes=30, seed=42))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[domain_id]
+
+    @pytest.mark.parametrize("domain_id,episodes", sorted(LONG_DIGESTS))
+    def test_long_trace_bytes_pinned(self, domain_id, episodes, tmp_path):
+        path = tmp_path / f"{domain_id}.jsonl"
+        write_trace(path, domain_id, get_domain(domain_id).n_agents,
+                    simulate(domain_id, episodes=episodes, seed=42))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.LONG_DIGESTS[domain_id, episodes]
 
 
 class TestWriteTraceReuse:
@@ -293,16 +310,16 @@ class TestBfsTree:
         assert first.first_steps((0, 0)) is second.first_steps((0, 0))
         first.resolve(["do"])
         assert first.passable((0, 1)) and not second.passable((0, 1))
-        assert first.neighbors((0, 0)) == ((0, 1),)
-        assert second.neighbors((0, 0)) == ()
+        assert first.moves[(0, 0)] == ((0, 1), (0, 0))
+        assert second.moves[(0, 0)] == ((0, 0),)
         assert (0, 2) not in second.first_steps((0, 0))
         third = GridWorld(config, ["a"], tables)
         third.resolve(["do"])
-        assert third.neighbors((0, 0)) is first.neighbors((0, 0))
+        assert third.moves is first.moves
         assert third.first_steps((0, 0)) is first.first_steps((0, 0))
         alone = GridWorld(config, ["a"])
         alone.resolve(["do"])
-        assert alone.neighbors((0, 0)) is not first.neighbors((0, 0))
+        assert alone.moves == first.moves and alone.moves is not first.moves
         assert alone.first_steps((0, 0)) is not first.first_steps((0, 0))
 
     def test_worlds_of_one_run_share_one_tree_per_liveness_and_start(self):
@@ -334,6 +351,84 @@ class TestBfsTree:
         assert world.first_steps((0, 0)) is tree
         world.resolve(["do"])
         assert world.first_steps((0, 0))[(0, 2)] == (0, 1)
+
+    @given(grid_worlds())
+    @settings(max_examples=100, deadline=None)
+    def test_route_matches_per_goal_bfs(self, case):
+        # the staging cells are the task's reachable Chebyshev neighbours, in
+        # sorted order; with none reachable the agent stays
+        world, cells = case
+        for task in world.config.tasks:
+            ring = sorted(x for x in cells if chebyshev(x, task.cell) == 1)
+            for start in cells:
+                staging = [x for x in ring
+                           if bfs_first_move(world, start, x) is not None] or [start]
+                for rank in range(9):
+                    expected = bfs_first_move(world, start, staging[rank % len(staging)])
+                    assert world.route(start, task.cell, rank) == expected, (start, rank)
+
+    def test_route_follows_completion(self):
+        config = GridConfig(1, 3, frozenset(), ((0, 0),),
+                            (TaskSpec("t", (0, 1), "do", (("a",),)),))
+        tables = {}
+        world = GridWorld(config, ["a"], tables)
+        # only (0, 0) itself is reachable while the task blocks (0, 1)
+        assert world.route((0, 0), (0, 1), 1) == (0, 0)
+        world.resolve(["do"])
+        # staging (0, 0), (0, 2): rank 1 heads through the freed cell
+        assert world.route((0, 0), (0, 1), 1) == (0, 1)
+        assert GridWorld(config, ["a"], tables).route((0, 0), (0, 1), 1) == (0, 0)
+
+
+class TestTablesArePureCaches:
+    @pytest.mark.parametrize("domain_id", domain_ids())
+    def test_worlds_with_own_tables_step_alike(self, domain_id, monkeypatch):
+        # worlds sharing one run's tables against worlds that keep their own:
+        # the same joint actions and record texts, episode by episode
+        def run():
+            samples = list(simulate(domain_id, episodes=30, seed=42))
+            by_episode = {}
+            for s in samples:
+                by_episode.setdefault(s.episode_id, []).append(
+                    (s.joint_action, [r.text for r in s.joint_concrete_state],
+                     [r.text for r in s.next_joint_concrete_state]))
+            # which episodes each record object appears in
+            owners = {}
+            for s in samples:
+                for r in s.next_joint_concrete_state:
+                    owners.setdefault(id(r), set()).add(s.episode_id)
+            return by_episode, max(map(len, owners.values()))
+
+        shared, shared_reach = run()
+        monkeypatch.setattr(base, "GridWorld",
+                            lambda config, names, tables: GridWorld(config, names))
+        own, own_reach = run()
+        assert own_reach == 1 < shared_reach  # the worlds really kept their own
+        assert len(own) == len(shared) == 30
+        for episode in shared:
+            assert own[episode] == shared[episode], episode
+
+
+class TestEpisodeStartLines:
+    def test_shared_records_write_as_equal_plain_dicts(self, tmp_path):
+        # an episode's first state is joined from its records' texts, like
+        # every next_state: escaping comes out as a whole-state encoding's
+        plain = ({"pos": [0, 1], "name": 'say "hi"', "note": "caf\u00e9 \u2603"},
+                 {"pos": [1, 1], "done": {"t": False}})
+        after = ({"pos": [0, 2], "done": {"t": True}}, plain[1])
+
+        def samples(make):
+            first, nxt, again = (tuple(map(make, x)) for x in (plain, after, plain))
+            return [TraceSample(0, 0, first, (WAIT, "move"), nxt),
+                    TraceSample(1, 0, again, (WAIT, WAIT), first)]
+
+        shared, dicts = tmp_path / "shared.jsonl", tmp_path / "dicts.jsonl"
+        write_trace(shared, "hand", 2, samples(Record))
+        write_trace(dicts, "hand", 2, samples(dict))
+        assert shared.read_bytes() == dicts.read_bytes()
+        lines = shared.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [_line(s) for s in samples(dict)]
+        assert '"name":"say \\"hi\\"","note":"caf\\u00e9 \\u2603"' in lines[1]
 
 
 class TestSharedRecords:
