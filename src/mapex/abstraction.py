@@ -10,14 +10,15 @@ the (state, action) count instead.
 
 A model holds its sorted state table, ``states``, and its transitions as
 ``columns``: the source state index, joint action, target state index and
-count lists of an ``.mmdp`` file's transition table, in its order.
+count lists, in an ``.mmdp`` file's transition order, which are that file's
+transition columns with each action row index read as its joint action.
 ``build_abstraction`` and ``load_abstraction`` both end in those columns.
 Everything else is built from them on first use and then kept:
 ``state_index``, each state's ``rows`` of the columns, the tuple-keyed
 ``counts``, ``probabilities`` (one per row, the only place the
-normalization is applied and its mass checked, read by path search and
-``save_abstraction``), the query index of when and why-not answers, and each
-per-(agent, feature) state mask.  What answers read only their states' own
+normalization is applied and its mass checked, read by path search), the
+query index of when and why-not answers, and each per-(agent, feature) state
+mask.  What answers read only their states' own
 ranges of the columns, through ``action_counts``, and keep each state's
 (joint action, count) rows.  ``out_edges`` is the per-edge ``Transition``
 view of the columns for outside readers; no command builds it.
@@ -26,14 +27,16 @@ view of the columns for outside readers; no command builds it.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, groupby, islice, repeat
-from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, compress, groupby, islice, repeat
+from operator import lt, or_
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .domain import FeatureSchema, JointAction, JointState, is_action_id
 from .errors import (
@@ -387,22 +390,27 @@ def build_abstraction(
 
 # ---------------------------------------------------------------------------
 # Abstraction files: versioned structured text with a trailing checksum.
-# Probabilities are stored for readability but recomputed from counts on load,
-# so the round-trip is lossless.
+# Version 2 lays the model out as its tables: the states as one line of agent
+# values, the distinct joint actions one per line, and the transitions as four
+# column lines.  Counts are authoritative; no probability is stored.  Version 1
+# files, one line per state and per transition, still load.
 # ---------------------------------------------------------------------------
 
 _MMDP_FORMAT = "mapex-mmdp"
-_MMDP_VERSION = 1
+_MMDP_VERSION = 2
 
 
 def save_abstraction(m: PolicyAbstraction, path) -> None:
     if m.n_transitions == 0:
         raise PreconditionError("refusing to save an empty abstraction")
-    for action in dict.fromkeys(a for joint in dict.fromkeys(m.columns[1]) for a in joint):
+    sources, actions, targets, counts = m.columns
+    table = sorted(dict.fromkeys(actions))
+    for action in dict.fromkeys(a for joint in table for a in joint):
         if not is_action_id(action):
             raise PreconditionError(f"cannot save action id {action!r}: it must be a "
                                     f"word, with no whitespace and no comma")
     index = m.state_index
+    position = dict(zip(table, range(len(table))))
     lines = [
         f"{_MMDP_FORMAT} {_MMDP_VERSION}",
         f"schema {m.schema.schema_hash()}",
@@ -412,11 +420,13 @@ def save_abstraction(m: PolicyAbstraction, path) -> None:
         f"initial {index[m.initial_state]}",
         f"init-counts {','.join(f'{index[s]}:{c}' for s, c in m.initial_counts.items())}",
         f"states {m.n_states}",
+        ",".join(map(str, chain.from_iterable(m.states))),
+        f"actions {len(table)}",
+        *map(",".join, table),
+        f"transitions {m.n_transitions}",
     ]
-    lines += (f"{i} {','.join(map(str, s))}" for i, s in enumerate(m.states))
-    lines.append(f"transitions {m.n_transitions}")
-    for s_i, a, t_i, c, p in zip(*m.columns, m.probabilities):
-        lines.append(f"{s_i} {','.join(a)} {t_i} {c} {p!r}")
+    lines += (",".join(map(str, column))
+              for column in (sources, map(position.__getitem__, actions), targets, counts))
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode()).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:
@@ -424,9 +434,185 @@ def save_abstraction(m: PolicyAbstraction, path) -> None:
         fh.write(f"checksum {digest}\n")
 
 
+_NUMERALS = re.compile("[0-9,]+")
+
+
+class _Lines:
+    """The lines of an .mmdp file, read once, forward; ``idx`` is the index
+    of the line being read, so a fault names line ``idx + 1``."""
+
+    def __init__(self, path, lines: list[str]):
+        self.path, self.lines, self.idx = path, lines, 0
+
+    def fail(self, msg: str) -> NoReturn:
+        raise AbstractionFormatError(f"{self.path}: {msg}")
+
+    def next(self) -> str:
+        self.idx += 1
+        return self.lines[self.idx]
+
+    def take(self, key: str) -> str:
+        """The value of the next line, which must start with ``key``."""
+        name, _, value = self.next().partition(" ")
+        if name != key:
+            self.fail(f"expected {key!r} on line {self.idx + 1}")
+        return value
+
+    def column(self, n: int, size: int | None = None, table: str = "") -> list[int]:
+        """The ``n`` comma-separated integers of the next line; with ``size``,
+        each must be a row index of the ``table`` table, which has ``size``
+        rows."""
+        line = self.next()
+        try:
+            # a line of plain numerals is read in one call; int() reads the rest
+            column = json.loads(f"[{line}]") if _NUMERALS.fullmatch(line) else None
+        except ValueError:  # an empty entry, or a numeral such as 01
+            column = None
+        if column is None:
+            column = self.ints(line.split(","))
+        if len(column) != n:
+            self.fail(f"line {self.idx + 1} holds {len(column)} entries, not {n}")
+        if size is not None and (min(column) < 0 or max(column) >= size):
+            self.outside(column, size, table)
+        return column
+
+    def outside(self, column: list[int], size: int, table: str) -> NoReturn:
+        """Fails naming the first entry of ``column``, the line being read,
+        that is no row index of the ``table`` table, which has ``size`` rows."""
+        k = next(k for k, i in enumerate(column) if not 0 <= i < size)
+        self.fail(f"{table} index {column[k]} on line {self.idx + 1} entry {k + 1} "
+                  f"is outside the {table} table")
+
+    def ints(self, texts: list[str]) -> list[int]:
+        """The integers of ``texts``, the comma-separated entries of the line
+        being read; the first entry that is no integer fails with its number."""
+        try:
+            return list(map(int, texts))
+        except ValueError:
+            for k, text in enumerate(texts):
+                try:
+                    int(text)
+                except ValueError as exc:
+                    self.fail(f"malformed line {self.idx + 1} entry {k + 1} "
+                              f"(ValueError: {exc})")
+            raise
+
+    def action_ids(self, rows: list[str], first: int) -> None:
+        """Fails unless every comma-separated id of the action rows ``rows``,
+        from line ``first`` on, is an action id (``is_action_id``), checked
+        on their text at once: it holds no whitespace and no empty id."""
+        text = ",".join(rows)
+        if rows and not (text.split() == [text] and ",," not in text
+                         and text[0] != "," != text[-1]):
+            k, bad = next((k, a) for k, row in enumerate(rows) for a in row.split(",")
+                          if not is_action_id(a))
+            self.fail(f"action id {bad!r} on line {first + k} must be a word, with no "
+                      f"whitespace and no comma")
+
+    def in_order(self, rows: Sequence, what: str, where) -> None:
+        """Fails unless every row sorts strictly after the one before it, as
+        saved; ``where(k)`` names the place of row k."""
+        if not all(map(lt, rows, islice(rows, 1, None))):
+            k = next(k for k in range(1, len(rows)) if not rows[k - 1] < rows[k])
+            self.fail(f"duplicate {what} {where(k)}" if rows[k - 1] == rows[k]
+                      else f"{what} out of order {where(k)}")
+
+
+def _v1_tables(r: _Lines, n_agents: int, limit: int) -> tuple[tuple[JointState, ...], Columns]:
+    """The state table and transition columns of a version 1 file, read row
+    by row."""
+    # agent values are bit sets over the schema's features; each text is read once
+    value_of: dict[str, int] = {}
+    states: list[JointState] = []
+    for k in range(int(r.take("states"))):
+        num, bits = r.next().split(" ", 1)
+        texts = bits.split(",")
+        try:
+            values, read = tuple(map(value_of.__getitem__, texts)), ()
+        except KeyError:
+            values = read = tuple(map(int, texts))
+        if int(num) != k:
+            r.fail(f"state rows out of order at line {r.idx + 1}")
+        if read and (min(read) < 0 or max(read) >= limit):
+            r.fail(f"state {k} on line {r.idx + 1} has an agent value outside [0, {limit})")
+        value_of.update(zip(texts, read))
+        states.append(values)
+    r.in_order(states, "state rows", lambda k: f"at line {r.idx + 2 - len(states) + k}")
+    index_of = dict(zip(map(str, range(len(states))), range(len(states))))
+
+    def joint(action: str) -> JointAction:
+        r.action_ids([action], r.idx + 1)
+        table[action] = a = tuple(action.split(","))
+        return a
+
+    sources, actions, targets, counts = columns = ([], [], [], [])
+    table: dict[str, JointAction] = {}  # one tuple per action text
+    for _ in range(int(r.take("transitions"))):
+        s_i, action, t_i, count, _prob = r.next().split(" ")
+        if (s := index_of.get(s_i)) is None or (t := index_of.get(t_i)) is None:
+            r.fail(f"transition {s_i} -> {t_i} on line {r.idx + 1} names a state "
+                   f"index outside the state table")
+        sources.append(s)
+        actions.append(table.get(action) or joint(action))
+        targets.append(t)
+        counts.append(int(count))
+    r.in_order(list(zip(sources, actions, targets)), "transition lines",
+               lambda k: f"at line {r.idx + 2 - len(sources) + k}")
+    return tuple(states), columns
+
+
+def _v2_tables(r: _Lines, n_agents: int, limit: int) -> tuple[tuple[JointState, ...], Columns]:
+    """The state table and transition columns of a version 2 file.  Each
+    table is checked whole; only a failed check looks for its first bad
+    entry."""
+    n_states = int(r.take("states"))
+    texts = r.next().split(",")
+    line = r.idx + 1
+    if len(texts) != n_states * n_agents:
+        r.fail(f"line {line} holds {len(texts)} agent values, not {n_states} states "
+               f"of {n_agents} agents")
+    # agent values are bit sets over the schema's features, and few: each
+    # distinct text is read and range-checked once
+    try:
+        value_of = {text: int(text) for text in {*texts}}
+    except ValueError:  # the first malformed entry fails with its number
+        value_of = dict(zip(texts, r.ints(texts)))
+    if min(value_of.values()) < 0 or max(value_of.values()) >= limit:
+        k = next(k for k, text in enumerate(texts) if not 0 <= value_of[text] < limit)
+        r.fail(f"state {k // n_agents} on line {line} entry {k + 1} has an agent value "
+               f"outside [0, {limit})")
+    states = tuple(zip(*[map(value_of.__getitem__, texts)] * n_agents))
+    r.in_order(states, "state", lambda k: f"on line {line} entry {k * n_agents + 1}")
+
+    n_actions = int(r.take("actions"))
+    first = r.idx + 2  # the line number of action row 0
+    rows = r.lines[r.idx + 1:r.idx + 1 + max(n_actions, 0)]
+    r.idx += len(rows)
+    r.action_ids(rows, first)
+    table = [tuple(row.split(",")) for row in rows]
+    r.in_order(table, "action row", lambda k: f"at line {first + k}")
+
+    n = int(r.take("transitions"))
+    sources = r.column(n, n_states, "state")
+    action_index = r.column(n)
+    # the distinct action indices are the table's row numbers exactly when
+    # each lies in the table and each row is used
+    used = {*action_index}
+    if min(used) < 0 or max(used) >= len(table):
+        r.outside(action_index, len(table), "action")
+    targets = r.column(n, n_states, "state")
+    counts = r.column(n)
+    r.in_order(list(zip(sources, action_index, targets)), "transition",
+               lambda k: f"at entry {k + 1} of lines {r.idx - 2}-{r.idx}")
+    if len(used) != len(table):
+        k = min({*range(len(table))} - used)
+        r.fail(f"action row on line {first + k} is used by no transition")
+    return states, (sources, list(map(table.__getitem__, action_index)), targets, counts)
+
+
 def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
-    """The model saved at ``path``, read into its columns.  A bad row fails
-    with its line number."""
+    """The model saved at ``path``, in either version, read into its
+    columns.  A bad row or entry fails with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     # the checksum line is the last; it covers the text before it
@@ -438,103 +624,45 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
     actual = hashlib.sha256(body.encode()).hexdigest()
     if actual != expected:
         raise AbstractionFormatError(f"{path}: checksum mismatch (file corrupted?)")
-    lines = raw.splitlines()  # the checksum line last, so a table overrun reads it
-
-    def fail(msg: str):
-        raise AbstractionFormatError(f"{path}: {msg}")
-
-    header = lines[0].split()
+    # the checksum line last, so a table overrun reads it
+    r = _Lines(path, raw.splitlines())
+    header = r.lines[0].split()
     if len(header) != 2 or header[0] != _MMDP_FORMAT:
-        fail("not a mapex-mmdp file")
-    if header[1] != str(_MMDP_VERSION):
-        fail(f"unsupported version {header[1]}")
-
-    idx = 0  # the index of the line being read; the file is read once, forward
-
-    def take(key: str) -> str:
-        """The value of the next line, which must start with ``key``."""
-        nonlocal idx
-        idx += 1
-        name, _, value = lines[idx].partition(" ")
-        if name != key:
-            fail(f"expected {key!r} on line {idx + 1}")
-        return value
-
-    def ordered(previous, key, rows: str):
-        """``key``; it sorts strictly after the previous row's, as saved."""
-        if key <= previous:
-            fail(f"duplicate {rows} at line {idx + 1}" if key == previous
-                 else f"{rows} out of order at line {idx + 1}")
-        return key
+        r.fail("not a mapex-mmdp file")
+    tables = {"1": _v1_tables, "2": _v2_tables}.get(header[1])
+    if tables is None:
+        r.fail(f"unsupported version {header[1]}")
 
     try:
-        schema_hash = take("schema")
+        schema_hash = r.take("schema")
         if schema_hash != schema.schema_hash():
             raise SchemaMismatchError(
                 f"{path}: abstraction was built against schema {schema_hash}, "
                 f"not the supplied schema {schema.schema_hash()}"
             )
-        n_agents = int(take("agents"))
-        if int(take("features")) != schema.n_features:
-            fail("feature count disagrees with the supplied schema")
-        normalization = take("normalization")
-        initial = take("initial")
-        init_counts = []
-        index = -1
-        for part in take("init-counts").split(","):
-            s_i, c = part.split(":")
-            index = ordered(index, int(s_i), "init-counts entries")
-            init_counts.append((s_i, int(c)))
-
-        # agent values are bit sets over the schema's features; each text is read once
-        limit = 1 << schema.n_features
-        value_of: dict[str, int] = {}
-        states: list[JointState] = []
-        row = ()
-        for k in range(int(take("states"))):
-            idx += 1
-            num, bits = lines[idx].split(" ", 1)
-            texts = bits.split(",")
-            try:
-                values, read = tuple(map(value_of.__getitem__, texts)), ()
-            except KeyError:
-                values = read = tuple(map(int, texts))
-            if int(num) != k:
-                fail(f"state rows out of order at line {idx + 1}")
-            if read and (min(read) < 0 or max(read) >= limit):
-                fail(f"state {k} on line {idx + 1} has an agent value outside [0, {limit})")
-            value_of.update(zip(texts, read))
-            states.append(row := values if values > row else ordered(row, values, "state rows"))
-        index_of = dict(zip(map(str, range(len(states))), range(len(states))))
-
-        sources, actions, targets, counts = columns = ([], [], [], [])
-        table: dict[str, JointAction] = {}  # one tuple per action text
-        key = ()
-        for _ in range(int(take("transitions"))):
-            idx += 1
-            s_i, action, t_i, count, _prob = lines[idx].split(" ")
-            if (s := index_of.get(s_i)) is None or (t := index_of.get(t_i)) is None:
-                fail(f"transition {s_i} -> {t_i} on line {idx + 1} names a state "
-                     f"index outside the state table")
-            a = table.get(action) or table.setdefault(action, tuple(action.split(",")))
-            row = (s, a, t)
-            key = row if row > key else ordered(key, row, "transition lines")
-            sources.append(s)
-            actions.append(a)
-            targets.append(t)
-            counts.append(int(count))
-        if idx != len(lines) - 2:
-            fail(f"unexpected line {idx + 2} after the transition table")
+        n_agents = int(r.take("agents"))
+        if int(r.take("features")) != schema.n_features:
+            r.fail("feature count disagrees with the supplied schema")
+        normalization = r.take("normalization")
+        initial = r.take("initial")
+        init_counts = [(s_i, int(c)) for s_i, c in
+                       (part.split(":") for part in r.take("init-counts").split(","))]
+        r.in_order([int(s_i) for s_i, _ in init_counts], "init-counts entries",
+                   lambda k: f"at line {r.idx + 1}")
+        states, columns = tables(r, n_agents, 1 << schema.n_features)
+        if r.idx != len(r.lines) - 2:
+            r.fail(f"unexpected line {r.idx + 2} after the transition table")
     except (ValueError, IndexError) as exc:
-        fail(f"malformed line {idx + 1} ({type(exc).__name__}: {exc})")
+        r.fail(f"malformed line {r.idx + 1} ({type(exc).__name__}: {exc})")
 
     def state(text: str, line: int) -> int:
-        if text not in index_of:
-            fail(f"state index {text} on line {line} is outside the state table")
-        return index_of[text]
+        # a state index as saved: the plain numeral of a row of the state table
+        k = int(text) if text.isascii() and text.isdigit() and len(text) < 20 else -1
+        if not 0 <= k < len(states) or str(k) != text:
+            r.fail(f"state index {text} on line {line} is outside the state table")
+        return k
 
     # the header's state indices (lines 6 and 7), now that the state table is read
-    states = tuple(states)
     initial_state = states[state(initial, 6)]
     counted = {state(s_i, 7): c for s_i, c in init_counts}
     m = PolicyAbstraction.__new__(PolicyAbstraction)
@@ -544,5 +672,6 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
     named = {*columns[0], *columns[2], *counted}
     if len(named) != len(states):
         k = next(k for k in range(len(states)) if k not in named)
-        fail(f"state {k} on line {9 + k} is named by no transition or initial count")
+        where = f"line {9 + k}" if tables is _v1_tables else f"line 9 entry {k * n_agents + 1}"
+        r.fail(f"state {k} on {where} is named by no transition or initial count")
     return m

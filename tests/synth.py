@@ -1,7 +1,7 @@
 """Synthetic fixtures: schemas with explicit-feature predicates, seeded
 random layered abstractions for path-search and latency checks, random
-domain definitions with traces, and malformed but well-checksummed .mmdp
-files."""
+domain definitions with traces, the version 1 .mmdp writer, and malformed
+but well-checksummed .mmdp files of both versions."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import random
 
 from mapex import (ActionPhrases, AgentSpec, DomainDefinition, FeatureSchema,
                    PolicyAbstraction, PredicateSpec, RelevanceEntry, RelevanceKnowledge)
+from mapex.domain import is_action_id
+from mapex.errors import PreconditionError
 
 
 def plain_schema(n_features: int, task_ids=()) -> FeatureSchema:
@@ -149,6 +151,42 @@ def random_domain(seed: int):
     return domain, lines
 
 
+_MMDP_FORMAT = "mapex-mmdp"
+_MMDP_VERSION = 1
+
+
+def save_v1(m: PolicyAbstraction, path) -> None:
+    """The version 1 writer, one line per state and per transition, each
+    transition with its probability; ``save_abstraction`` writes version 2,
+    and this keeps files of the older layout at hand to load."""
+    if m.n_transitions == 0:
+        raise PreconditionError("refusing to save an empty abstraction")
+    for action in dict.fromkeys(a for joint in dict.fromkeys(m.columns[1]) for a in joint):
+        if not is_action_id(action):
+            raise PreconditionError(f"cannot save action id {action!r}: it must be a "
+                                    f"word, with no whitespace and no comma")
+    index = m.state_index
+    lines = [
+        f"{_MMDP_FORMAT} {_MMDP_VERSION}",
+        f"schema {m.schema.schema_hash()}",
+        f"agents {m.n_agents}",
+        f"features {m.schema.n_features}",
+        f"normalization {m.normalization}",
+        f"initial {index[m.initial_state]}",
+        f"init-counts {','.join(f'{index[s]}:{c}' for s, c in m.initial_counts.items())}",
+        f"states {m.n_states}",
+    ]
+    lines += (f"{i} {','.join(map(str, s))}" for i, s in enumerate(m.states))
+    lines.append(f"transitions {m.n_transitions}")
+    for s_i, a, t_i, c, p in zip(*m.columns, m.probabilities):
+        lines.append(f"{s_i} {','.join(a)} {t_i} {c} {p!r}")
+    body = "\n".join(lines) + "\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(body)
+        fh.write(f"checksum {digest}\n")
+
+
 def rewrite_mmdp(path, out, edit):
     """Apply ``edit`` to the body lines of an .mmdp file and re-checksum it, so
     only the parser, not the checksum, can reject the result."""
@@ -258,13 +296,16 @@ def _short_state(lines):
     lines[i] = lines[i].rsplit(",", 1)[0]
 
 
+# MALFORMED_MMDP and BAD_MODEL_MMDP edit version 1 files (``save_v1``); the
+# _V2 sets below edit what ``save_abstraction`` writes
 MALFORMED_MMDP = {
     "non-numeric-count": (_set_count, "malformed line"),
     "target-out-of-range": (_set_target, "transition 0 -> 9999 on line"),
-    "duplicate-transition": (_duplicate, "duplicate transition lines"),
+    "duplicate-transition": (_duplicate, "duplicate transition lines at line 29"),
     "trailing-line": (_append, "unexpected line"),
-    "swapped-transitions": (_swap_transitions, "transition lines out of order"),
-    "swapped-states": (_swap_states, "state rows out of order"),
+    "swapped-transitions": (_swap_transitions, "transition lines out of order at "
+                            "line 29"),
+    "swapped-states": (_swap_states, "state rows out of order at line 10"),
     "repeated-init-count": (_repeat_init_count, "duplicate init-counts entries"),
     "bits-out-of-range": (_bits_out_of_range, "state 0 on line 9 has an agent value outside"),
     "unnamed-state": (_unnamed_state, "state 18 on line 27 is named by no transition"),
@@ -286,6 +327,8 @@ MALFORMED_MMDP = {
                       "with the supplied schema"),
     "initial-out-of-range": (_header_line("initial", "initial 99"), "state index 99 on "
                              "line 6 is outside the state table"),
+    "empty-action-id": (_edit_row("transitions", 1, "move,move,"), "action id '' on line 28 "
+                        "must be a word, with no whitespace and no comma"),
 }
 
 # files the parser reads but whose model the constructor rejects, with the
@@ -295,4 +338,126 @@ BAD_MODEL_MMDP = {
                    "((0, 0, 0), ('move', 'move', 'move'), (0, 0, 0))"),
     "short-state": (_short_state, "transition arity mismatch for ((0, 0), ('move', "
                     "'move', 'move'), (0, 0)); expected 3"),
+}
+
+
+def _entries(table, row, edit):
+    """An edit that applies ``edit`` to the list of comma-separated entries
+    of the ``row``-th line after the line starting with ``table``."""
+    def apply(lines):
+        i = _first_row(lines, table) + row
+        entries = lines[i].split(",")
+        edit(entries)
+        lines[i] = ",".join(entries)
+    return apply
+
+
+def _put(k, value):
+    """An entries edit that sets entry ``k``."""
+    def edit(entries):
+        entries[k] = value
+    return edit
+
+
+def _swap(a, b):
+    """An entries edit that swaps entries ``a`` and ``b``."""
+    def edit(entries):
+        entries[a], entries[b] = entries[b], entries[a]
+    return edit
+
+
+def _replace_line(old, new):
+    def edit(lines):
+        lines[lines.index(old)] = new
+    return edit
+
+
+def _swap_rows(table, a, b):
+    def edit(lines):
+        i = _first_row(lines, table)
+        lines[i + a], lines[i + b] = lines[i + b], lines[i + a]
+    return edit
+
+
+def _add_row(table, k, row):
+    """An edit that inserts ``row`` (a copy of row ``k`` when None) at row
+    ``k`` of ``table`` and counts it in the table's header line."""
+    def edit(lines):
+        i = _first_row(lines, table)
+        lines.insert(i + k, lines[i + k] if row is None else row)
+        lines[i - 1] = f"{table} {int(lines[i - 1].split(' ')[1]) + 1}"
+    return edit
+
+
+def _swap_values(a, b):
+    """An entries edit of the state line: states ``a`` and ``b`` (sr3 has
+    3 agents) trade places."""
+    def edit(entries):
+        sa, sb = slice(3 * a, 3 * a + 3), slice(3 * b, 3 * b + 3)
+        entries[sa], entries[sb] = entries[sb], entries[sa]
+    return edit
+
+
+def _copy_values(a, b):
+    """An entries edit of the state line: state ``b`` becomes state ``a``."""
+    def edit(entries):
+        entries[3 * b:3 * b + 3] = entries[3 * a:3 * a + 3]
+    return edit
+
+
+def _extra_value_state(lines):
+    # a well-formed last state, (63, 63, 63), that nothing names
+    i = _first_row(lines, "states")
+    lines[i] += ",63,63,63"
+    lines[i - 1] = f"states {int(lines[i - 1].split(' ')[1]) + 1}"
+
+
+# version 2 files of the 200-episode sr3 model, laid out as line 9 (its 18
+# states of 3 agents), lines 11-19 (its 9 action rows) and lines 21-24 (the
+# source, action, target and count columns of its 23 transitions):
+# (edit, message), one case per whole-table check
+MALFORMED_MMDP_V2 = {
+    "value-count": (_entries("states", 0, list.pop), "line 9 holds 53 agent values, "
+                    "not 18 states of 3 agents"),
+    "value-out-of-range": (_entries("states", 0, _put(4, "64")), "state 1 on line 9 "
+                           "entry 5 has an agent value outside [0, 64)"),
+    "negative-value": (_entries("states", 0, _put(4, "-1")), "state 1 on line 9 entry 5 "
+                       "has an agent value outside [0, 64)"),
+    "non-numeric-value": (_entries("states", 0, _put(1, "x")), "malformed line 9 entry 2 "
+                          "(ValueError: invalid literal for int() with base 10: 'x')"),
+    "swapped-states": (_entries("states", 0, _swap_values(1, 2)), "state out of order on "
+                       "line 9 entry 7"),
+    "duplicate-state": (_entries("states", 0, _copy_values(1, 2)), "duplicate state on "
+                        "line 9 entry 7"),
+    "unnamed-state": (_extra_value_state, "state 18 on line 9 entry 55 is named by no "
+                      "transition or initial count"),
+    "duplicate-action-row": (_add_row("actions", 0, None), "duplicate action row at "
+                             "line 12"),
+    "swapped-action-rows": (_swap_rows("actions", 0, 1), "action row out of order at "
+                            "line 12"),
+    "unused-action-row": (_add_row("actions", 9, "wait,wait,wait"), "action row on "
+                          "line 20 is used by no transition"),
+    "empty-action-id": (_replace_line("fight_fire,wait,wait", "fight_fire,wait,"), "action id '' on "
+                        "line 11 must be a word, with no whitespace and no comma"),
+    "short-column": (_entries("transitions", 3, list.pop), "line 24 holds 22 entries, "
+                     "not 23"),
+    "state-index-out-of-range": (_entries("transitions", 2, _put(0, "18")), "state index "
+                                 "18 on line 23 entry 1 is outside the state table"),
+    "action-index-out-of-range": (_entries("transitions", 1, _put(2, "9")), "action index "
+                                  "9 on line 22 entry 3 is outside the action table"),
+    "duplicate-transition": (_entries("transitions", 2, _put(1, "0")), "duplicate "
+                             "transition at entry 2 of lines 21-23"),
+    "swapped-transitions": (_entries("transitions", 2, _swap(2, 3)), "transition out of "
+                            "order at entry 4 of lines 21-23"),
+    "non-numeric-entry": (_entries("transitions", 3, _put(2, "x")), "malformed line 24 "
+                          "entry 3 (ValueError: invalid literal for int() with base 10: "
+                          "'x')"),
+    "trailing-line": (_append, "unexpected line 25 after the transition table"),
+}
+
+BAD_MODEL_MMDP_V2 = {
+    "zero-count": (_entries("transitions", 3, _put(0, "0")), "transition count 0 < 1 for "
+                   "((0, 0, 0), ('move', 'move', 'move'), (0, 0, 0))"),
+    "short-action": (_replace_line("move,move,move", "move,move"), "transition arity "
+                     "mismatch for ((0, 0, 0), ('move', 'move'), (0, 0, 0)); expected 3"),
 }

@@ -26,7 +26,9 @@ from mapex import (
 )
 from mapex.abstraction import NORMALIZATIONS
 from mapex.envs import domain_ids
+from mapex.cli import main
 from mapex.nlg import PhraseMap, render
+from mapex.summarize import CHART_FORMATS, render_chart, summarize
 from mapex.query import METHODS, Query, answer
 from mapex.trace import TraceSample
 from mapex.errors import (
@@ -38,8 +40,9 @@ from mapex.errors import (
     TraceFormatError,
 )
 from oracles import recount_trace
-from synth import (BAD_MODEL_MMDP, MALFORMED_MMDP, plain_schema, random_domain,
-                   random_layered_abstraction, rewrite_mmdp)
+from synth import (BAD_MODEL_MMDP, BAD_MODEL_MMDP_V2, MALFORMED_MMDP, MALFORMED_MMDP_V2,
+                   plain_schema, random_domain, random_layered_abstraction, rewrite_mmdp,
+                   save_v1)
 
 
 def rec(*true_ids):
@@ -258,7 +261,7 @@ class TestFiles:
         assert not path.exists()
 
     def test_loaded_model_shares_action_tuples(self, tmp_path):
-        # one tuple per distinct action text: sr5 at 30 episodes has 211 in 585 lines
+        # one tuple per action row: sr5 at 30 episodes has 211 for 585 transitions
         domain = mapex.get_domain("sr5")
         path = tmp_path / "sr5.mmdp"
         save_abstraction(build_abstraction(mapex.simulate("sr5", episodes=30, seed=42),
@@ -269,17 +272,24 @@ class TestFiles:
 
     def test_zero_padded_state_values_load_as_their_ints(self, tmp_path, sr3_domain,
                                                          sr3_abstraction):
-        # every other state row pads its values, so 3 and 03 both occur
-        def pad(lines):
+        # every other state row (version 1) or agent value (version 2) is
+        # padded, so 3 and 03 both occur
+        def pad_rows(lines):
             first = next(i for i, ln in enumerate(lines) if ln.startswith("states ")) + 1
             for i in range(first, first + sr3_abstraction.n_states, 2):
                 num, bits = lines[i].split(" ")
                 lines[i] = f"{num} " + ",".join("0" + b for b in bits.split(","))
-        path = tmp_path / "m.mmdp"
-        save_abstraction(sr3_abstraction, path)
-        padded = load_abstraction(rewrite_mmdp(path, tmp_path / "padded.mmdp", pad),
-                                  sr3_domain.schema)
-        assert padded == sr3_abstraction and padded.states == sr3_abstraction.states
+
+        def pad_values(lines):
+            i = next(i for i, ln in enumerate(lines) if ln.startswith("states ")) + 1
+            lines[i] = ",".join("0" * (k % 2) + v for k, v in enumerate(lines[i].split(",")))
+
+        for save, pad in ((save_v1, pad_rows), (save_abstraction, pad_values)):
+            path = tmp_path / "m.mmdp"
+            save(sr3_abstraction, path)
+            padded = load_abstraction(rewrite_mmdp(path, tmp_path / "padded.mmdp", pad),
+                                      sr3_domain.schema)
+            assert padded == sr3_abstraction and padded.states == sr3_abstraction.states
 
     def test_wide_schema_loads_in_memory_bounded_by_the_file(self, tmp_path):
         # 24 features allow 2^24 agent values; a load must not grow with them
@@ -336,14 +346,27 @@ class TestFiles:
     def test_version_rejected(self, tmp_path, sr3_domain, sr3_abstraction):
         path = tmp_path / "m.mmdp"
         save_abstraction(sr3_abstraction, path)
-        text = path.read_text().replace("mapex-mmdp 1", "mapex-mmdp 2", 1)
+        text = path.read_text().replace("mapex-mmdp 2", "mapex-mmdp 3", 1)
         body, _, _ = text.rpartition("checksum ")
-        import hashlib
         digest = hashlib.sha256(body.encode()).hexdigest()
-        bad = tmp_path / "v2.mmdp"
+        bad = tmp_path / "v3.mmdp"
         bad.write_text(body + f"checksum {digest}\n")
-        with pytest.raises(AbstractionFormatError):
+        with pytest.raises(AbstractionFormatError, match="unsupported version 3$"):
             load_abstraction(bad, sr3_domain.schema)
+
+    def test_readme_example_is_what_save_writes(self, tmp_path):
+        # the worked example of README.md's "Abstraction files" paragraph
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = text.split("**Abstraction files**", 1)[1].split("```text\n", 1)[1]
+        m = PolicyAbstraction(plain_schema(2, task_ids=("f1",)), 2,
+                              {((0, 0), ("go", "wait"), (0, 0)): 1,
+                               ((0, 0), ("go", "wait"), (1, 0)): 3,
+                               ((1, 0), ("push", "push"), (3, 2)): 2}, (0, 0),
+                              initial_counts={(0, 0): 4})
+        path = tmp_path / "tiny.mmdp"
+        save_abstraction(m, path)
+        assert example.split("```", 1)[0] == path.read_text(encoding="utf-8")
+        assert load_abstraction(path, m.schema) == m
 
 
 class TestRoundTripEquality:
@@ -421,23 +444,123 @@ class TestRoundTripEquality:
         self.check(m, tmp_path)
 
 
+class TestVersionsAgree:
+    # a model saved by the version 1 writer and by save_abstraction loads as
+    # the same model from both files, and every command prints the same
+
+    @staticmethod
+    def loaded(m, tmp_path):
+        """The model as loaded from its version 1 and version 2 files."""
+        paths = tmp_path / "v1.mmdp", tmp_path / "v2.mmdp"
+        save_v1(m, paths[0])
+        save_abstraction(m, paths[1])
+        assert [p.read_text().split("\n", 1)[0] for p in paths] == ["mapex-mmdp 1",
+                                                                     "mapex-mmdp 2"]
+        v1, v2 = (load_abstraction(p, m.schema) for p in paths)
+        for loaded in (v1, v2):
+            assert loaded.states == m.states and loaded.columns == m.columns
+            assert list(loaded.initial_counts.items()) == list(m.initial_counts.items())
+        return paths, v1, v2
+
+    @pytest.mark.parametrize("virtual_init", [False, True], ids=["init", "virtual-init"])
+    @pytest.mark.parametrize("episodes", [30, 100])
+    @pytest.mark.parametrize("domain_id", domain_ids())
+    def test_builtin(self, tmp_path, capsys, domain_id, episodes, virtual_init):
+        domain = mapex.get_domain(domain_id)
+        m = build_abstraction(mapex.simulate(domain_id, episodes=episodes, seed=42),
+                              domain.schema, virtual_init=virtual_init)
+        paths, v1, v2 = self.loaded(m, tmp_path)
+        outputs = []
+        for path in paths:
+            for fmt in CHART_FORMATS:
+                assert main(["summarize", "--mmdp", str(path), "--domain", domain_id,
+                             "--format", fmt]) == 0
+                outputs.append(capsys.readouterr())
+        assert outputs[:2] == outputs[2:]
+        assert (TestRoundTripEquality.answers(v1, domain)
+                == TestRoundTripEquality.answers(v2, domain))
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_layered(self, tmp_path, seed, normalization):
+        built = random_layered_abstraction(seed, n_initial=1 + seed % 3)
+        m = PolicyAbstraction(built.schema, 2, built.counts, built.initial_state,
+                              normalization=normalization,
+                              initial_counts=built.initial_counts)
+        _, v1, v2 = self.loaded(m, tmp_path)
+        assert v1.probabilities == v2.probabilities == m.probabilities
+        for fmt in CHART_FORMATS:
+            assert render_chart(summarize(v1), fmt) == render_chart(summarize(v2), fmt)
+
+
+class TestEpisodeOrder:
+    # metamorphic relation: the order of a trace's episodes, ids kept, does
+    # not reach the model file
+    @pytest.mark.parametrize("domain_id", domain_ids())
+    def test_permuted_episodes_give_identical_bytes(self, tmp_path, capsys, domain_id):
+        trace_path = tmp_path / "t.jsonl"
+        assert main(["simulate", "--domain", domain_id, "--episodes", "30", "--seed", "42",
+                     "--out", str(trace_path)]) == 0
+        header, *records = trace_path.read_text().splitlines()
+        episodes: dict[int, list[str]] = {}
+        for line in records:
+            episodes.setdefault(json.loads(line)["episode"], []).append(line)
+        order = list(episodes)
+        random.Random(f"episode-order:{domain_id}").shuffle(order)
+        assert order != sorted(order)
+        permuted = tmp_path / "p.jsonl"
+        permuted.write_text("\n".join([header, *(ln for e in order for ln in episodes[e])])
+                            + "\n")
+        for flags in ([], ["--virtual-init"]):
+            files = []
+            for k, trace in enumerate((trace_path, permuted)):
+                out = tmp_path / f"m{k}.mmdp"
+                assert main(["abstract", "--trace", str(trace), "--domain", domain_id,
+                             "--out", str(out), *flags]) == 0
+                files.append(out.read_bytes())
+            assert files[0] == files[1]
+        capsys.readouterr()
+
+
 class TestMalformedFiles:
-    # well-checksummed files the parser must still reject
+    # well-checksummed files the parser must still reject, of version 1
+    # (test_rejected) and version 2 (test_rejected_v2)
     @pytest.mark.parametrize("case", sorted(MALFORMED_MMDP))
     def test_rejected(self, tmp_path, sr3_domain, sr3_abstraction, case):
         edit, message = MALFORMED_MMDP[case]
         path = tmp_path / "m.mmdp"
-        save_abstraction(sr3_abstraction, path)
+        save_v1(sr3_abstraction, path)
         bad = rewrite_mmdp(path, tmp_path / "bad.mmdp", edit)
         with pytest.raises(AbstractionFormatError, match=re.escape(message)):
             load_abstraction(bad, sr3_domain.schema)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MMDP_V2))
+    def test_rejected_v2(self, tmp_path, sr3_domain, sr3_abstraction, case):
+        edit, message = MALFORMED_MMDP_V2[case]
+        path = tmp_path / "m.mmdp"
+        save_abstraction(sr3_abstraction, path)
+        bad = rewrite_mmdp(path, tmp_path / "bad.mmdp", edit)
+        with pytest.raises(AbstractionFormatError, match=f"^{re.escape(f'{bad}: {message}')}$"):
+            load_abstraction(bad, sr3_domain.schema)
+
 
 class TestMmdpDigests:
-    # SHA-256 of the .mmdp that save_abstraction writes for
-    # build_abstraction(simulate(d, episodes=30, seed=42)); any change to the
-    # counts, the canonical order or the number formatting shows here
+    # SHA-256 of the .mmdp that save_abstraction (version 2) and save_v1
+    # write for build_abstraction(simulate(d, episodes=30, seed=42)); any
+    # change to the counts, the canonical order or the number formatting
+    # shows here, and the version 1 writer cannot drift
     DIGESTS = {
+        "sr3": "002619bb997802221994c946db18d84e981f402ee7baebaf774834a2c0f9fde7",
+        "sr4": "6652dfd624716227210c63f4a6f4cc8c4eebfc9954358fb66ea0e45abc974799",
+        "sr5": "f6f339066c808e4e84c89c0ace6172940f79fa287ff726320053898913b749f1",
+        "rware2": "f69a9f30aa088e00937b04897c17ec1ca71e63f9295fe5f8f902c46aadb61ee3",
+        "rware4": "0e7a03e1f226577e1822b7c76d18b43eb41eea065e438cefad902f05cce43259",
+        "rware19": "266a7edcf734a18c51b3e63299197e48179ace64ef7afc3eaa1851285c133758",
+        "lbf2": "45bb0469da4a55a9626425c6aed80a82275e31652ae736f78cb5e56f3704fc96",
+        "lbf4": "c7e61df9e7ed066c905026ec7b38f60d2b6b6f43ff5425b6fc2019e34050edc7",
+        "lbf9": "b2550225367fd307f90efbc69bf510837b74c6e279d5fc938b08adac710694f8",
+    }
+    DIGESTS_V1 = {
         "sr3": "965c24d6319de70f0f9e7f01caa1eaa4ba23c8fa29a3da943894ee827edf083a",
         "sr4": "43d438f4508a931b8c09a7094792a57b0e03cf3c3e0aaf8546b9145d70de0706",
         "sr5": "62dc013a62eab8870813d6daec13868a92d4c474031dcda0b5b3aa1dbe5c0e83",
@@ -454,10 +577,11 @@ class TestMmdpDigests:
         domain = mapex.get_domain(domain_id)
         m = build_abstraction(mapex.simulate(domain_id, episodes=30, seed=42),
                               domain.schema)
-        path = tmp_path / f"{domain_id}.mmdp"
-        save_abstraction(m, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[domain_id]
-        assert load_abstraction(path, domain.schema) == m
+        for save, digests in ((save_abstraction, self.DIGESTS), (save_v1, self.DIGESTS_V1)):
+            path = tmp_path / f"{domain_id}.mmdp"
+            save(m, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[domain_id]
+            assert load_abstraction(path, domain.schema) == m
 
 
 class TestSoundnessChecksSurviveOptimize:
@@ -489,16 +613,39 @@ class TestSoundnessChecksSurviveOptimize:
         run = self.run_optimized(wrapped)
         assert run.stdout == message + "\n", run.stderr
 
-    @pytest.mark.parametrize("case", sorted(BAD_MODEL_MMDP))
+    @pytest.mark.parametrize("case", [*sorted(BAD_MODEL_MMDP), "malformed-v1",
+                                      "malformed-v2"])
     def test_loaded_file_exits_2_under_optimize(self, tmp_path, sr3_abstraction, case):
-        edit, message = BAD_MODEL_MMDP[case]
+        # a bad model of version 1, or every malformed file or bad model of one
+        # version, each through the CLI in one optimized process
+        if case in BAD_MODEL_MMDP:
+            save, cases, models = save_v1, {case: BAD_MODEL_MMDP[case]}, {case}
+        elif case == "malformed-v1":
+            save, cases, models = save_v1, MALFORMED_MMDP, set()
+        else:
+            save, models = save_abstraction, set(BAD_MODEL_MMDP_V2)
+            cases = {**MALFORMED_MMDP_V2, **BAD_MODEL_MMDP_V2}
         path = tmp_path / "m.mmdp"
-        save_abstraction(sr3_abstraction, path)
-        bad = rewrite_mmdp(path, tmp_path / "bad.mmdp", edit)
+        save(sr3_abstraction, path)
+        bad = {name: str(rewrite_mmdp(path, tmp_path / f"{name}.mmdp", edit))
+               for name, (edit, _) in cases.items()}
         run = self.run_optimized(
-            "import sys\nfrom mapex.cli import main\n"
-            f"sys.exit(main(['summarize', '--mmdp', {str(bad)!r}, '--domain', 'sr3']))\n")
-        assert (run.returncode, run.stderr) == (2, f"error: {message}\n")
+            "import contextlib, io, json\nfrom mapex.cli import main\nresults = {}\n"
+            f"for name, path in {bad!r}.items():\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        code = main(['summarize', '--mmdp', path, '--domain', 'sr3'])\n"
+            "    results[name] = [code, err.getvalue()]\n"
+            "print(json.dumps(results))\n")
+        results = json.loads(run.stdout)
+        for name, (_, message) in cases.items():
+            code, err = results[name]
+            # a bad model names its transition, a malformed file its path first
+            if name in models:
+                assert (code, err) == (2, f"error: {message}\n"), (name, run.stderr)
+            else:
+                assert code == 2 and err.startswith(f"error: {bad[name]}: {message}")
+                assert err.count("\n") == 1, (name, err)
 
     @staticmethod
     def run_optimized(code: str) -> subprocess.CompletedProcess:

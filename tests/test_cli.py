@@ -17,7 +17,8 @@ from mapex import (abstraction, boolmin, build_abstraction, get_domain, load_abs
 from mapex import cli
 from mapex.cli import main
 from mapex.domain import domain_to_dict
-from synth import BAD_MODEL_MMDP, MALFORMED_MMDP, rewrite_mmdp
+from synth import (BAD_MODEL_MMDP, BAD_MODEL_MMDP_V2, MALFORMED_MMDP, MALFORMED_MMDP_V2,
+                   rewrite_mmdp, save_v1)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,12 @@ def pipeline(tmp_path_factory):
     assert main(["abstract", "--trace", str(trace), "--domain", "sr3",
                  "--out", str(mmdp)]) == 0
     return root, trace, mmdp
+
+
+def v1_copy(mmdp, out, domain_id="sr3"):
+    """The model of ``mmdp`` saved by the version 1 writer at ``out``."""
+    save_v1(load_abstraction(mmdp, get_domain(domain_id).schema), out)
+    return out
 
 
 class TestSimulate:
@@ -496,10 +503,18 @@ class TestMalformedInputFiles:
     def test_malformed_mmdp_exits_2(self, pipeline, tmp_path, capsys, case):
         _, _, mmdp = pipeline
         edit, message = MALFORMED_MMDP[case]
-        bad = rewrite_mmdp(mmdp, tmp_path / "bad.mmdp", edit)
+        bad = rewrite_mmdp(v1_copy(mmdp, tmp_path / "v1.mmdp"), tmp_path / "bad.mmdp", edit)
         assert main(["summarize", "--mmdp", str(bad), "--domain", "sr3"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MMDP_V2))
+    def test_malformed_mmdp_v2_exits_2(self, pipeline, tmp_path, capsys, case):
+        _, _, mmdp = pipeline
+        edit, message = MALFORMED_MMDP_V2[case]
+        bad = rewrite_mmdp(mmdp, tmp_path / "bad.mmdp", edit)
+        assert main(["summarize", "--mmdp", str(bad), "--domain", "sr3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
 
     @pytest.mark.parametrize("entries,count", [("0:1,1:0", 0), ("0:-1,1:1", -1)],
                              ids=["zero", "negative"])
@@ -520,6 +535,14 @@ class TestMalformedInputFiles:
         # the constructor's own checks: the line names the transition, not the file
         _, _, mmdp = pipeline
         edit, message = BAD_MODEL_MMDP[case]
+        bad = rewrite_mmdp(v1_copy(mmdp, tmp_path / "v1.mmdp"), tmp_path / "bad.mmdp", edit)
+        assert main(["summarize", "--mmdp", str(bad), "--domain", "sr3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_MMDP_V2))
+    def test_bad_model_v2_exits_2(self, pipeline, tmp_path, capsys, case):
+        _, _, mmdp = pipeline
+        edit, message = BAD_MODEL_MMDP_V2[case]
         bad = rewrite_mmdp(mmdp, tmp_path / "bad.mmdp", edit)
         assert main(["summarize", "--mmdp", str(bad), "--domain", "sr3"]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
@@ -813,14 +836,15 @@ def _json_paths(value, path=()) -> list[tuple]:
 
 @pytest.fixture(scope="module")
 def small_pipeline(tmp_path_factory):
-    """A 4-episode sr3 trace and its abstraction, small enough to fuzz."""
+    """A 4-episode sr3 trace and its abstraction, as saved and as the version
+    1 writer saves it, small enough to fuzz."""
     root = tmp_path_factory.mktemp("fuzz")
     trace, mmdp = root / "sr3.jsonl", root / "sr3.mmdp"
     assert main(["simulate", "--domain", "sr3", "--episodes", "4", "--seed", "3",
                  "--out", str(trace)]) == 0
     assert main(["abstract", "--trace", str(trace), "--domain", "sr3",
                  "--out", str(mmdp)]) == 0
-    return trace, mmdp
+    return trace, mmdp, v1_copy(mmdp, root / "sr3-v1.mmdp")
 
 
 class TestCliFuzz:
@@ -840,7 +864,7 @@ class TestCliFuzz:
     @given(data=st.data(), domain=st.sampled_from(["sr3", "sr4", "sr5", "lbf2"]),
            target=st.sampled_from(["trace", "mmdp", "domain file"]))
     def test_mutated_inputs(self, small_pipeline, data, domain, target):
-        trace, mmdp = small_pipeline
+        trace, mmdp, mmdp_v1 = small_pipeline
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             if target == "trace":
@@ -854,14 +878,18 @@ class TestCliFuzz:
                 bad.write_text("\n".join(lines) + "\n")
                 argv = ["abstract", "--trace", str(bad), "--out", str(tmp / "m.mmdp")]
             elif target == "mmdp":
+                # a space-separated word or a comma-separated entry of a line
+                # of either version replaced
                 def edit(lines):
                     k = data.draw(st.integers(0, len(lines) - 1), label="line")
-                    words = lines[k].split(" ")
+                    sep = data.draw(st.sampled_from([" ", ","]), label="separator")
+                    words = lines[k].split(sep)
                     w = data.draw(st.integers(0, len(words)), label="word")
                     text = data.draw(st.text("01239,:-x ", max_size=4), label="text")
-                    lines[k] = " ".join(words[:w] + [text] + words[w + 1:])
+                    lines[k] = sep.join(words[:w] + [text] + words[w + 1:])
 
-                bad = rewrite_mmdp(mmdp, tmp / "bad.mmdp", edit)
+                source = data.draw(st.sampled_from([mmdp, mmdp_v1]), label="version")
+                bad = rewrite_mmdp(source, tmp / "bad.mmdp", edit)
                 argv = data.draw(st.sampled_from(self.COMMANDS), label="command")
                 argv = [argv[0], "--mmdp", str(bad), *argv[1:]]
             else:
@@ -890,7 +918,7 @@ class TestCliFuzz:
         """One node of one record changed and written back in the writer's
         compact layout, and with it, if drawn, the next record's state: the
         mutation reaches the reader's reuse path."""
-        trace, _ = small_pipeline
+        trace, _, _ = small_pipeline
         header, *records = trace.read_text().splitlines()
         k = data.draw(st.integers(0, min(len(records), 12) - 2), label="record")
         rec, nxt = json.loads(records[k]), json.loads(records[k + 1])
