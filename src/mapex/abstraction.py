@@ -203,6 +203,8 @@ class PolicyAbstraction:
         self.columns = columns
         self._state_masks: dict[tuple[int, int], int] = {}
         self._action_counts: dict[int, list[tuple[JointAction, int]]] = {}
+        # the query layer's variable orders, each kept with its minterm projection
+        self.spaces: dict = {}
 
     @property
     def n_states(self) -> int:

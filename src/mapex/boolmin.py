@@ -5,8 +5,11 @@ assignment in neither set is a don't-care the minimizer may absorb.  A one's
 primes are the minimal hitting sets of its differences with the zeros.  As a
 set hits a family exactly when it hits the family's inclusion-minimal members,
 only those enter the depth-first search (MMCS), which yields every prime, with
-no cap, once: from the first one it covers.  A prime stays a flat record, its
-sort key and masks, until the cover is chosen; only its primes become objects.
+no cap, once: from the first one it covers.  A prime of the k-th one covers no
+earlier one exactly when it hits the k-th one's difference with each of them,
+so the search branches on those differences as sets it must hit, as it does
+on the zeros'.  A prime stays a flat record, its sort key and masks, until the
+cover is chosen; only its primes become objects.
 
 One search picks every cover (O. Coudert, "Two-level logic minimization: an
 overview", Integration 17(2), 1994): the table of ones by primes is cut to its
@@ -94,13 +97,22 @@ def _minimal_transversals(
 ) -> list[int]:
     """The minimal hitting sets of ``edges`` (variable bitmasks) that also hit
     every set in ``earlier``, by depth-first MMCS (Murakami & Uno, Discrete
-    Applied Mathematics, 2014): a node branches on the uncovered edge with the
-    fewest candidate variables and withholds each variable it has tried from
-    its later siblings, so every minimal set is reached once.  A branch is cut
-    when a chosen variable has no critical edge (none where it is the only
-    chosen one; more variables never give it one back), or when its chosen and
-    candidate variables together miss a set in ``earlier``.
+    Applied Mathematics, 2014).  A node branches on the set it must still hit
+    with the fewest candidate variables, the first on a tie: an uncovered
+    edge, or a set in ``earlier`` no chosen variable hits, whose candidates
+    are only those in some uncovered edge.  Every wanted set below the node is
+    reached: it hits that set in a candidate, as each of its unchosen
+    variables lies in an uncovered edge, its critical one (where it is the
+    only chosen variable).  Each once: the node tries the branch's variables
+    in order and withholds each from its later siblings, so a wanted set is
+    reached only through the first of its variables tried.  A branch is cut
+    when a chosen variable loses its last critical edge (more variables never
+    give it one back), or when an unhit set in ``earlier`` has no candidate
+    left; a child covering every edge is kept, with no call of its own, if it
+    hits every set in ``earlier``.
     """
+    if not edges:  # the empty set hits no earlier set
+        return [] if earlier else [0]
     found: list[int] = []
     # per variable, the edges holding it as bits by position; uncov and crit alike
     in_edges = [0] * n_vars
@@ -111,26 +123,35 @@ def _minimal_transversals(
 
     def search(chosen: int, cand: int, uncov: int, crit: list[int]):
         _check_deadline(deadline, "prime generation", primes_so_far)
-        reach = chosen | cand if uncov else chosen
-        for d in earlier:
-            if not d & reach:
-                return
-        if not uncov:
-            found.append(chosen)
-            return
-        fewest = n_vars + 1  # the first edge of fewest candidates
+        fewest, live = n_vars + 1, 0  # live: the variables of the uncovered edges
         for f in select_bits(edges, uncov):
+            live |= f
             if (f & cand).bit_count() < fewest:
                 branch, fewest = f & cand, (f & cand).bit_count()
+        for d in earlier:
+            if not d & chosen:
+                d &= cand & live
+                if d.bit_count() < fewest:
+                    if not d:
+                        return
+                    branch, fewest = d, d.bit_count()
         cand &= ~branch
         while branch:
             bit = branch & -branch
             branch ^= bit
             holding = in_edges[bit.bit_length() - 1]
             kept = [c & ~holding for c in crit]
-            if all(kept):
+            if not all(kept):
+                continue
+            if uncov & ~holding:
                 kept.append(uncov & holding)
                 search(chosen | bit, cand | branch, uncov & ~holding, kept)
+                continue
+            for d in earlier:
+                if not d & (chosen | bit):
+                    break
+            else:
+                found.append(chosen | bit)
 
     search(0, (1 << n_vars) - 1, (1 << len(edges)) - 1, [])  # every variable a candidate
     return found

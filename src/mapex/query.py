@@ -291,6 +291,15 @@ def _condition_space(
     return space, criterion
 
 
+def _model_space(
+    query: Query, m: PolicyAbstraction, domain: DomainDefinition, kind: str
+) -> tuple[BooleanSpace, object]:
+    """``_condition_space`` with the model's first equal space, so one model's
+    answers build each variable order's projection once."""
+    space, criterion = _condition_space(query, domain, kind)
+    return m.spaces.setdefault(space, space), criterion
+
+
 def _check_width(space: BooleanSpace, max_vars: int) -> None:
     """The minimizer's variable guardrail, applied before any state is read."""
     if space.n_variables > max_vars:
@@ -355,7 +364,7 @@ def when_partition(
     the compatibility check, and a non-target when at least one fails; states
     qualifying as both count as targets only.
     """
-    space, criterion = _condition_space(query, domain, "when")
+    space, criterion = _model_space(query, m, domain, "when")
     return (space, *partition(criterion, m, domain))
 
 
@@ -372,7 +381,7 @@ def answer_when(
     An empty target set yields the empty (never) DNF; a criterion satisfied in
     every state yields the tautology (always) DNF.
     """
-    space, criterion = _condition_space(query, domain, "when")
+    space, criterion = _model_space(query, m, domain, "when")
     _check_width(space, max_vars)
     targets, nontargets = _partition_masks(criterion, m, domain)
     return _condition_answer(query, space, m, m.states_of(targets),
@@ -395,7 +404,7 @@ def answer_whynot(
     the action at all, the DNF degenerates to the tautology, rendered as "the
     agents never take this action".
     """
-    space, criterion = _condition_space(query, domain, "whynot")
+    space, criterion = _model_space(query, m, domain, "whynot")
     _check_width(space, max_vars)
     s_q = query.state
     if s_q not in m.state_index:

@@ -298,6 +298,45 @@ class TestEachPrimeOnce:
             assert len(made) == len(result), (ones, zeros)
 
 
+class TestPrimeSearchCalls:
+    # each search call polls the deadline once, so the fake clock counts the
+    # calls: the pins move with any change to the branching choice, which
+    # the prime sets alone do not show
+    @pytest.mark.parametrize("problem, calls", [
+        (("sr5", 100, "UAV", "rescue_victim"), 292),
+        (("lbf9", 50, "F_1", "collect_food_1"), 1018),
+    ], ids=["sr5@100", "lbf9@50"])
+    def test_when_norf_calls_pinned(self, fake_clock, problem, calls):
+        ones, zeros, _ = when_norf_problem(*problem)
+        start = next(fake_clock)
+        _prime_implicants(ones, zeros, float("inf"))
+        assert next(fake_clock) - start - 1 == calls
+
+
+class TestVariableRenumbering:
+    # a metamorphic relation: the search branches in variable order, yet
+    # renumbering the variables maps the primes onto the renumbered
+    # problem's, each once
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_primes_follow_the_renumbering(self, data):
+        n_vars = data.draw(st.integers(3, 10))
+        minterm = st.integers(0, (1 << n_vars) - 1)
+        ones = sorted(data.draw(st.sets(minterm, min_size=1, max_size=12)))
+        zeros = sorted(data.draw(st.sets(minterm, max_size=24)) - set(ones))
+        perm = data.draw(st.permutations(range(n_vars)))
+
+        def renumber(bits):
+            return sum(1 << perm[v] for v in range(n_vars) if bits >> v & 1)
+
+        def primes(ones, zeros):
+            return sorted((care, values) for _, care, values, _
+                          in _prime_implicants(ones, zeros, None))
+
+        want = sorted((renumber(care), renumber(values)) for care, values in primes(ones, zeros))
+        assert primes(sorted(map(renumber, ones)), sorted(map(renumber, zeros))) == want
+
+
 class TestGreedyCover:
     @staticmethod
     def problems():
@@ -496,6 +535,15 @@ class TestGuardrails:
     def test_implicant_invariant(self):
         with pytest.raises(ValueError):
             Implicant(0b01, 0b10)
+
+
+class TestDeadlineBoundary:
+    def test_poll_at_the_deadline_does_not_time_out(self, fake_clock):
+        # the one poll, the prime search's root, reads 0.0: the deadline
+        # itself, not past it
+        dnf = minimize([0], [1], 1, deadline=0.0)
+        assert [(imp.care_mask, imp.values) for imp in dnf] == [(1, 0)]
+        assert next(fake_clock) == 1
 
 
 class TestEvaluate:
