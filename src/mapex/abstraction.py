@@ -8,20 +8,22 @@ state, so the product of edge probabilities along a path equals the empirical
 probability of that action-labeled trajectory.  ``"state-action"`` divides by
 the (state, action) count instead.
 
-A model holds its sorted state table, ``states``, and its transitions as
-``columns``: the source state index, joint action, target state index and
-count lists, in an ``.mmdp`` file's transition order, which are that file's
-transition columns with each action row index read as its joint action.
-``build_abstraction`` and ``load_abstraction`` both end in those columns.
+A model holds an ``.mmdp`` file's tables as they are: its sorted state
+table, ``states``, its sorted table of distinct joint actions, ``actions``,
+and its transitions as ``columns``, the source state index, action row
+index, target state index and count lists in the file's transition order.
+As both tables are strictly sorted, index order is tuple order.
+``build_abstraction`` and ``load_abstraction`` both end in those tables.
 Everything else is built from them on first use and then kept:
 ``state_index``, each state's ``rows`` of the columns, the tuple-keyed
 ``counts``, ``probabilities`` (one per row, the only place the
 normalization is applied and its mass checked, read by path search), the
-query index of when and why-not answers, and each per-(agent, feature) state
-mask.  What answers read only their states' own
-ranges of the columns, through ``action_counts``, and keep each state's
-(joint action, count) rows.  ``out_edges`` is the per-edge ``Transition``
-view of the columns for outside readers; no command builds it.
+query index of when and why-not answers, each state's ``enabled`` joint
+actions, and each per-(agent, feature) state mask.  What answers read only
+their states' own ranges of the columns, through ``action_counts``, and
+keep each state's (joint action, count) rows.  ``out_edges`` is the
+per-edge ``Transition`` view of the columns for outside readers; no command
+builds it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress, groupby, islice, repeat
-from operator import lt, or_
+from operator import itemgetter, lt, or_
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .domain import FeatureSchema, JointAction, JointState, is_action_id
@@ -76,11 +78,11 @@ def select_bits(items: Sequence, mask: int) -> Iterator:
 class QueryIndex:
     """The when/why-not index of a model, over int bit masks.
 
-    ``actions`` holds each distinct enabled joint action in first-seen
-    canonical order, and ``state_masks[k]`` has bit j set when ``states[j]``
-    enables ``actions[k]``; both come from the one pass over each state's
-    rows of the model's action column that builds ``enabled``.  A mask over
-    action positions selects joint actions:
+    ``actions`` is the model's action table, every row of which some
+    transition uses, and ``state_masks[k]`` has bit j set when ``states[j]``
+    enables ``actions[k]``; one pass over the source and action row columns
+    builds them, one new bit per run of equal sources.  The index keeps no
+    reference to its model.  A mask over action rows selects joint actions:
     ``requirement`` selects those meeting one (agent index, action)
     requirement, derived the first time a query asks for it and then
     memoised, and ``every_action`` selects all.  ``enabled_by`` turns a
@@ -89,27 +91,23 @@ class QueryIndex:
     come from the model's per-(agent, feature) ``state_mask`` instead.
     """
 
-    def __init__(self, states: tuple[JointState, ...], actions: Sequence[JointAction],
-                 rows: Sequence[slice]):
-        enabled: dict[JointState, tuple[JointAction, ...]] = {}
-        masks: dict[JointAction, int] = {}
-        enabling = 0
-        for j, (s, state_rows) in enumerate(zip(states, rows)):
-            distinct = enabled[s] = tuple(dict.fromkeys(actions[state_rows]))
-            if distinct:
-                bit = 1 << j
+    def __init__(self, actions: Sequence[JointAction], sources: Sequence[int],
+                 rows: Sequence[int]):
+        masks = [0] * len(actions)
+        source, bit, enabling = -1, 0, 0
+        for s, a in zip(sources, rows):
+            if s != source:
+                source, bit = s, 1 << s
                 enabling |= bit
-                for a in distinct:
-                    masks[a] = masks.get(a, 0) | bit
-        self.enabled = enabled
-        self.actions = tuple(masks)
-        self.state_masks = tuple(masks.values())
+            masks[a] |= bit
+        self.actions = actions
+        self.state_masks = tuple(masks)
         self.enabling = enabling
-        self.every_action = (1 << len(masks)) - 1
+        self.every_action = (1 << len(actions)) - 1
         self._requirements: dict[tuple[int, str], int] = {}
 
     def requirement(self, agent: int, action: str) -> int:
-        """Positions of the joint actions in which agent ``agent`` takes ``action``."""
+        """Rows of the joint actions in which agent ``agent`` takes ``action``."""
         mask = self._requirements.get((agent, action))
         if mask is None:
             mask = self._requirements[(agent, action)] = sum(
@@ -117,16 +115,17 @@ class QueryIndex:
         return mask
 
     def enabled_by(self, actions: int) -> int:
-        """The states enabling any of the masked action positions."""
+        """The states enabling any of the masked action rows."""
         states = 0
         for mask in select_bits(self.state_masks, actions):
             states |= mask
         return states
 
 
-# source state index, joint action, target state index and count per
-# transition, in canonical (source, action, target) order
-Columns = tuple[list[int], list[JointAction], list[int], list[int]]
+# source state index, action row index, target state index and count per
+# transition, in canonical (source, action, target) order; index order is
+# the order of the sorted state and action tables
+Columns = tuple[list[int], list[int], list[int], list[int]]
 
 
 class PolicyAbstraction:
@@ -154,22 +153,24 @@ class PolicyAbstraction:
         initial_counts = dict(sorted((initial_counts or {initial_state: 1}).items()))
         states = tuple(sorted({*sources, *targets, *initial_counts}))
         index = dict(zip(states, range(len(states))))
-        columns = (list(map(index.__getitem__, sources)), list(actions),
+        table = tuple(sorted({*actions}))
+        row = dict(zip(table, range(len(table))))
+        columns = (list(map(index.__getitem__, sources)), list(map(row.__getitem__, actions)),
                    list(map(index.__getitem__, targets)),
                    list(map(transition_counts.__getitem__, keys)))
-        self._setup(schema, n_agents, states, columns, initial_state, normalization,
+        self._setup(schema, n_agents, states, table, columns, initial_state, normalization,
                     initial_counts)
         self.state_index = index
 
     def _setup(self, schema: FeatureSchema, n_agents: int, states: tuple[JointState, ...],
-               columns: Columns, initial_state: JointState, normalization: str,
-               initial_counts: dict[JointState, int]) -> None:
-        """Check and keep a model given as its sorted state table and its
-        transition columns.  Soundness checks are explicit raises, so they
-        also run under python -O."""
+               actions: tuple[JointAction, ...], columns: Columns, initial_state: JointState,
+               normalization: str, initial_counts: dict[JointState, int]) -> None:
+        """Check and keep a model given as its sorted state and action tables
+        and its transition columns, which use every action row.  Soundness
+        checks are explicit raises, so they also run under python -O."""
         if normalization not in NORMALIZATIONS:
             raise PreconditionError(f"unknown normalization {normalization!r}")
-        _, actions, _, counts = columns
+        counts = columns[3]
         if not counts:
             raise PreconditionError("abstraction needs at least one transition")
         self.schema = schema
@@ -188,8 +189,8 @@ class PolicyAbstraction:
                 raise PreconditionError(f"initial count {c} < 1 for {s}")
         # the columns pass as a whole, or the first bad row raises
         if min(counts) < 1 or {*map(len, states), *map(len, actions)} != {n_agents}:
-            for s_i, a, t_i, c in zip(*columns):
-                s, t = states[s_i], states[t_i]
+            for s_i, a_i, t_i, c in zip(*columns):
+                s, a, t = states[s_i], actions[a_i], states[t_i]
                 if c < 1:
                     raise PreconditionError(f"transition count {c} < 1 for {(s, a, t)}")
                 if len(s) != n_agents or len(t) != n_agents or len(a) != n_agents:
@@ -200,6 +201,7 @@ class PolicyAbstraction:
             raise AssertionError(f"state count {len(states)} exceeds the "
                                  f"2^|F|^N bound {max_states}")
         self.states = states
+        self.actions = actions
         self.columns = columns
         self._state_masks: dict[tuple[int, int], int] = {}
         self._action_counts: dict[int, list[tuple[JointAction, int]]] = {}
@@ -227,9 +229,10 @@ class PolicyAbstraction:
     @cached_property
     def counts(self) -> dict[tuple[JointState, JointAction, JointState], int]:
         """(source, action, target) -> count, in canonical order."""
-        sources, actions, targets, counts = self.columns
+        sources, rows, targets, counts = self.columns
         state = self.states.__getitem__
-        return dict(zip(zip(map(state, sources), actions, map(state, targets)), counts))
+        return dict(zip(zip(map(state, sources), map(self.actions.__getitem__, rows),
+                            map(state, targets)), counts))
 
     @cached_property
     def probabilities(self) -> list[float]:
@@ -237,17 +240,18 @@ class PolicyAbstraction:
         its denominator's total, the source's or, under "state-action", the
         source and action's.  Each denominator's probabilities are checked to
         sum to one before any is handed out."""
-        sources, actions, _, counts = self.columns
+        sources, rows, _, counts = self.columns
         by_action = self.normalization == "state-action"
         probabilities: list[float] = []
         end = 0
-        for key, group in groupby(zip(sources, actions) if by_action else sources):
+        for key, group in groupby(zip(sources, rows) if by_action else sources):
             start, end = end, end + len(list(group))
             total = sum(counts[start:end])
             column = [c / total for c in counts[start:end]]
             mass = math.fsum(column)
             if not math.isclose(mass, 1.0, abs_tol=_PROB_TOLERANCE):
-                named = (self.states[key[0]], key[1]) if by_action else self.states[key]
+                named = ((self.states[key[0]], self.actions[key[1]]) if by_action
+                         else self.states[key])
                 raise AssertionError(f"outgoing probability mass {mass} != 1 for {named}")
             probabilities += column
         return probabilities
@@ -257,9 +261,9 @@ class PolicyAbstraction:
         """Each state's transitions in canonical order, as ``Transition``
         objects: the per-edge view of the columns and ``probabilities`` for
         readers outside the package; no command builds it."""
-        _, actions, targets, counts = self.columns
+        _, rows, targets, counts = self.columns
         states, probabilities = self.states, self.probabilities
-        return {s: tuple(map(Transition, repeat(s), actions[r],
+        return {s: tuple(map(Transition, repeat(s), map(self.actions.__getitem__, rows[r]),
                              map(states.__getitem__, targets[r]), counts[r], probabilities[r]))
                 for s, r in zip(states, self.rows)}
 
@@ -267,20 +271,31 @@ class PolicyAbstraction:
     def query_index(self) -> QueryIndex:
         """The model's query index, built on first use, so building, loading
         and summarizing a model never pay for it."""
-        return QueryIndex(self.states, self.columns[1], self.rows)
+        return QueryIndex(self.actions, self.columns[0], self.columns[1])
+
+    @cached_property
+    def enabled(self) -> dict[JointState, tuple[JointAction, ...]]:
+        """Each state's distinct enabled joint actions, in table order; read
+        by ``enabled_actions`` only."""
+        sources, rows, _, _ = self.columns
+        enabled = dict.fromkeys(self.states, ())
+        for j, pairs in groupby(dict.fromkeys(zip(sources, rows)), itemgetter(0)):
+            enabled[self.states[j]] = tuple(self.actions[a] for _, a in pairs)
+        return enabled
 
     def action_counts(self, mask: int) -> list[tuple[JointAction, int]]:
         """The (joint action, count) rows of the masked states.  Each state's
         are read from its own range of the columns on first use, then kept."""
-        sources, actions, _, counts = self.columns
+        sources, action_rows, _, counts = self.columns
         rows = []
         for j in select_bits(range(len(self.states)), mask):
             state_rows = self._action_counts.get(j)
             if state_rows is None:
                 start = bisect_left(sources, j)
                 end = bisect_left(sources, j + 1, start)
-                state_rows = self._action_counts[j] = list(zip(actions[start:end],
-                                                               counts[start:end]))
+                state_rows = self._action_counts[j] = list(zip(
+                    map(self.actions.__getitem__, action_rows[start:end]),
+                    counts[start:end]))
             rows += state_rows
         return rows
 
@@ -297,8 +312,8 @@ class PolicyAbstraction:
         return frozenset(select_bits(self.states, mask))
 
     def enabled_actions(self, state: JointState) -> tuple[JointAction, ...]:
-        """The state's distinct enabled joint actions, in first-seen order."""
-        return self.query_index.enabled.get(state, ())
+        """The state's distinct enabled joint actions, in table order."""
+        return self.enabled.get(state, ())
 
     def is_goal(self, state: JointState) -> bool:
         return reduce(or_, state, 0) & self._goal_mask == self._goal_mask
@@ -318,6 +333,7 @@ class PolicyAbstraction:
             and self.n_agents == other.n_agents
             and self.normalization == other.normalization
             and self.states == other.states
+            and self.actions == other.actions
             and self.columns == other.columns
             and self.initial_state == other.initial_state
             and self.initial_counts == other.initial_counts
@@ -405,14 +421,11 @@ _MMDP_VERSION = 2
 def save_abstraction(m: PolicyAbstraction, path) -> None:
     if m.n_transitions == 0:
         raise PreconditionError("refusing to save an empty abstraction")
-    sources, actions, targets, counts = m.columns
-    table = sorted(dict.fromkeys(actions))
-    for action in dict.fromkeys(a for joint in table for a in joint):
+    for action in dict.fromkeys(a for joint in m.actions for a in joint):
         if not is_action_id(action):
             raise PreconditionError(f"cannot save action id {action!r}: it must be a "
                                     f"word, with no whitespace and no comma")
     index = m.state_index
-    position = dict(zip(table, range(len(table))))
     lines = [
         f"{_MMDP_FORMAT} {_MMDP_VERSION}",
         f"schema {m.schema.schema_hash()}",
@@ -423,12 +436,11 @@ def save_abstraction(m: PolicyAbstraction, path) -> None:
         f"init-counts {','.join(f'{index[s]}:{c}' for s, c in m.initial_counts.items())}",
         f"states {m.n_states}",
         ",".join(map(str, chain.from_iterable(m.states))),
-        f"actions {len(table)}",
-        *map(",".join, table),
+        f"actions {len(m.actions)}",
+        *map(",".join, m.actions),
         f"transitions {m.n_transitions}",
     ]
-    lines += (",".join(map(str, column))
-              for column in (sources, map(position.__getitem__, actions), targets, counts))
+    lines += (",".join(map(str, column)) for column in m.columns)
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode()).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:
@@ -520,9 +532,12 @@ class _Lines:
                       else f"{what} out of order {where(k)}")
 
 
-def _v1_tables(r: _Lines, n_agents: int, limit: int) -> tuple[tuple[JointState, ...], Columns]:
-    """The state table and transition columns of a version 1 file, read row
-    by row."""
+Tables = tuple[tuple[JointState, ...], tuple[JointAction, ...], Columns]
+
+
+def _v1_tables(r: _Lines, n_agents: int, limit: int) -> Tables:
+    """The state and action tables and transition columns of a version 1
+    file, read row by row."""
     # agent values are bit sets over the schema's features; each text is read once
     value_of: dict[str, int] = {}
     states: list[JointState] = []
@@ -542,31 +557,37 @@ def _v1_tables(r: _Lines, n_agents: int, limit: int) -> tuple[tuple[JointState, 
     r.in_order(states, "state rows", lambda k: f"at line {r.idx + 2 - len(states) + k}")
     index_of = dict(zip(map(str, range(len(states))), range(len(states))))
 
-    def joint(action: str) -> JointAction:
+    def first_seen(action: str) -> int:
         r.action_ids([action], r.idx + 1)
-        table[action] = a = tuple(action.split(","))
+        seen[action] = a = len(seen)
         return a
 
-    sources, actions, targets, counts = columns = ([], [], [], [])
-    table: dict[str, JointAction] = {}  # one tuple per action text
+    sources, rows, targets, counts = [], [], [], []
+    seen: dict[str, int] = {}  # each distinct action text's first-seen number
     for _ in range(int(r.take("transitions"))):
         s_i, action, t_i, count, _prob = r.next().split(" ")
         if (s := index_of.get(s_i)) is None or (t := index_of.get(t_i)) is None:
             r.fail(f"transition {s_i} -> {t_i} on line {r.idx + 1} names a state "
                    f"index outside the state table")
         sources.append(s)
-        actions.append(table.get(action) or joint(action))
+        a = seen.get(action)
+        rows.append(first_seen(action) if a is None else a)
         targets.append(t)
         counts.append(int(count))
-    r.in_order(list(zip(sources, actions, targets)), "transition lines",
+    # each first-seen number's row of the sorted table; a text names one tuple
+    joint = [tuple(text.split(",")) for text in seen]
+    table = tuple(sorted(joint))
+    row_of = list(map(dict(zip(table, range(len(table)))).__getitem__, joint))
+    rows = list(map(row_of.__getitem__, rows))
+    r.in_order(list(zip(sources, rows, targets)), "transition lines",
                lambda k: f"at line {r.idx + 2 - len(sources) + k}")
-    return tuple(states), columns
+    return tuple(states), table, (sources, rows, targets, counts)
 
 
-def _v2_tables(r: _Lines, n_agents: int, limit: int) -> tuple[tuple[JointState, ...], Columns]:
-    """The state table and transition columns of a version 2 file.  Each
-    table is checked whole; only a failed check looks for its first bad
-    entry."""
+def _v2_tables(r: _Lines, n_agents: int, limit: int) -> Tables:
+    """The state and action tables and transition columns of a version 2
+    file, kept as read.  Each table is checked whole; only a failed check
+    looks for its first bad entry."""
     n_states = int(r.take("states"))
     texts = r.next().split(",")
     line = r.idx + 1
@@ -591,7 +612,7 @@ def _v2_tables(r: _Lines, n_agents: int, limit: int) -> tuple[tuple[JointState, 
     rows = r.lines[r.idx + 1:r.idx + 1 + max(n_actions, 0)]
     r.idx += len(rows)
     r.action_ids(rows, first)
-    table = [tuple(row.split(",")) for row in rows]
+    table = tuple(tuple(row.split(",")) for row in rows)
     r.in_order(table, "action row", lambda k: f"at line {first + k}")
 
     n = int(r.take("transitions"))
@@ -609,12 +630,12 @@ def _v2_tables(r: _Lines, n_agents: int, limit: int) -> tuple[tuple[JointState, 
     if len(used) != len(table):
         k = min({*range(len(table))} - used)
         r.fail(f"action row on line {first + k} is used by no transition")
-    return states, (sources, list(map(table.__getitem__, action_index)), targets, counts)
+    return states, table, (sources, action_index, targets, counts)
 
 
 def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
     """The model saved at ``path``, in either version, read into its
-    columns.  A bad row or entry fails with its line number."""
+    tables.  A bad row or entry fails with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     # the checksum line is the last; it covers the text before it
@@ -651,7 +672,7 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
                        (part.split(":") for part in r.take("init-counts").split(","))]
         r.in_order([int(s_i) for s_i, _ in init_counts], "init-counts entries",
                    lambda k: f"at line {r.idx + 1}")
-        states, columns = tables(r, n_agents, 1 << schema.n_features)
+        states, actions, columns = tables(r, n_agents, 1 << schema.n_features)
         if r.idx != len(r.lines) - 2:
             r.fail(f"unexpected line {r.idx + 2} after the transition table")
     except (ValueError, IndexError) as exc:
@@ -668,7 +689,7 @@ def load_abstraction(path, schema: FeatureSchema) -> PolicyAbstraction:
     initial_state = states[state(initial, 6)]
     counted = {state(s_i, 7): c for s_i, c in init_counts}
     m = PolicyAbstraction.__new__(PolicyAbstraction)
-    m._setup(schema, n_agents, states, columns, initial_state, normalization,
+    m._setup(schema, n_agents, states, actions, columns, initial_state, normalization,
              {states[i]: c for i, c in counted.items()})
     # saved files list only the states the model names
     named = {*columns[0], *columns[2], *counted}

@@ -56,9 +56,10 @@ def most_probable_path(m: PolicyAbstraction) -> MostProbablePath:
     _, actions, targets, _ = m.columns
     probabilities, rows = m.probabilities, m.rows
 
-    # states by index; a predecessor is an (index, joint action) pair
+    # states by index; a predecessor is a (state index, action row) pair,
+    # whose order is the (state, joint action) order of the sorted tables
     dist = {index[s]: -math.log(p) for s, p in m.initial_distribution().items()}
-    pred: dict[int, tuple[int, JointAction]] = {}
+    pred: dict[int, tuple[int, int]] = {}
     settled: set[int] = set()
     heap = [(d, i) for i, d in dist.items()]
     heapq.heapify(heap)
@@ -96,7 +97,7 @@ def most_probable_path(m: PolicyAbstraction) -> MostProbablePath:
         steps.append(pred[steps[-1][0]])
     steps.reverse()
     return MostProbablePath(tuple(m.states[i] for i, _ in steps),
-                            tuple(a for _, a in steps[:-1]), -dist[goal])
+                            tuple(m.actions[a] for _, a in steps[:-1]), -dist[goal])
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,7 @@ def save_v1(m: PolicyAbstraction, path) -> None:
     and this keeps files of the older layout at hand to load."""
     if m.n_transitions == 0:
         raise PreconditionError("refusing to save an empty abstraction")
-    for action in dict.fromkeys(a for joint in dict.fromkeys(m.columns[1]) for a in joint):
+    for action in dict.fromkeys(a for joint in m.actions for a in joint):
         if not is_action_id(action):
             raise PreconditionError(f"cannot save action id {action!r}: it must be a "
                                     f"word, with no whitespace and no comma")
@@ -178,8 +178,8 @@ def save_v1(m: PolicyAbstraction, path) -> None:
     ]
     lines += (f"{i} {','.join(map(str, s))}" for i, s in enumerate(m.states))
     lines.append(f"transitions {m.n_transitions}")
-    for s_i, a, t_i, c, p in zip(*m.columns, m.probabilities):
-        lines.append(f"{s_i} {','.join(a)} {t_i} {c} {p!r}")
+    for s_i, a_i, t_i, c, p in zip(*m.columns, m.probabilities):
+        lines.append(f"{s_i} {','.join(m.actions[a_i])} {t_i} {c} {p!r}")
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode()).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:

@@ -26,7 +26,7 @@ from mapex import (
 )
 from mapex.abstraction import NORMALIZATIONS
 from mapex.envs import domain_ids
-from mapex.cli import main
+from mapex.cli import _bench_queries, main
 from mapex.nlg import PhraseMap, render
 from mapex.summarize import CHART_FORMATS, render_chart, summarize
 from mapex.query import METHODS, Query, answer
@@ -133,6 +133,18 @@ class TestBuild:
         equal_schema = dataclasses.replace(sr3_domain.schema)
         assert build_abstraction(samples, equal_schema).counts == m.counts
         assert len(calls) == 2 * len(records)  # another schema encodes again
+
+    def test_models_differing_in_one_action_id_are_unequal(self, tiny_schema):
+        # the columns hold action rows, so equal columns over action tables
+        # that differ in one id are two models
+        def model(action):
+            return PolicyAbstraction(tiny_schema, 1, {((0,), ("go",), (1,)): 1,
+                                                      ((1,), (action,), (3,)): 2}, (0,))
+
+        push, pull = model("push"), model("pull")
+        assert push.states == pull.states and push.columns == pull.columns
+        assert push.actions == (("go",), ("push",)) and pull.actions == (("go",), ("pull",))
+        assert push != pull and push == model("push")
 
     def test_counts_order_insensitive(self, sr3_domain, sr3_samples):
         shuffled = list(sr3_samples)
@@ -384,7 +396,7 @@ class TestRoundTripEquality:
                                 e.probability.hex()) for e in edges])
                           for s, edges in m.out_edges.items()],
             "initial_counts": list(m.initial_counts.items()),
-            "enabled": list(index.enabled.items()),
+            "enabled": list(m.enabled.items()),
             "actions": index.actions,
             "state_masks": index.state_masks,
         }
@@ -520,6 +532,51 @@ class TestEpisodeOrder:
                 files.append(out.read_bytes())
             assert files[0] == files[1]
         capsys.readouterr()
+
+
+class TestCountScaling:
+    # metamorphic relation: every episode duplicated under a fresh id doubles
+    # every count, and a when, why-not or what answer reads only the enabled
+    # actions and their count ratios, so no explain output changes
+    @staticmethod
+    def explain_flags(q: Query) -> list[str]:
+        flags = ["--type", q.kind, "--agents", ",".join(q.agents), "--method", q.method]
+        if q.kind == "what":
+            return flags + ["--predicates", ",".join(q.predicates)]
+        flags += ["--actions", ",".join(act for _, act in q.actions)]
+        return flags + ["--state", ",".join(map(str, q.state))] if q.state else flags
+
+    @pytest.mark.parametrize("domain_id", domain_ids())
+    def test_duplicated_episodes_give_identical_answers(self, tmp_path, capsys, domain_id):
+        trace_path = tmp_path / "t.jsonl"
+        assert main(["simulate", "--domain", domain_id, "--episodes", "30", "--seed", "42",
+                     "--out", str(trace_path)]) == 0
+        header, *records = trace_path.read_text().splitlines()
+        fresh = 1 + max(json.loads(line)["episode"] for line in records)
+        copies = []
+        for line in records:
+            record = json.loads(line)
+            record["episode"] += fresh
+            copies.append(json.dumps(record, separators=(",", ":")))
+        doubled = tmp_path / "d.jsonl"
+        doubled.write_text("\n".join([header, *records, *copies]) + "\n")
+        domain, mmdp = mapex.get_domain(domain_id), tmp_path / "m.mmdp"
+        models, outputs = [], []
+        for trace_file in (trace_path, doubled):
+            # one path for both models, so no message differs by its file name
+            assert main(["abstract", "--trace", str(trace_file), "--domain", domain_id,
+                         "--out", str(mmdp)]) == 0
+            capsys.readouterr()
+            models.append(load_abstraction(mmdp, domain.schema))
+            outputs.append([])
+            for q in _bench_queries(domain, models[0]):
+                code = main(["explain", "--mmdp", str(mmdp), "--domain", domain_id,
+                             *self.explain_flags(q)])
+                outputs[-1].append((code, *capsys.readouterr()))
+        single, double = models
+        assert double.columns[3] == [2 * c for c in single.columns[3]]
+        assert (double.states, double.actions) == (single.states, single.actions)
+        assert outputs[0] == outputs[1]
 
 
 class TestMalformedFiles:

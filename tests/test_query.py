@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,10 +22,12 @@ from mapex import (
     simulate,
     variable_index,
 )
+from mapex.cli import _bench_queries
 from mapex.domain import RelevanceEntry, RelevanceKnowledge
 from mapex.envs import domain_ids
 from mapex.query import (
     Query,
+    answer,
     answer_what,
     answer_when,
     answer_whynot,
@@ -674,6 +678,39 @@ class TestMaskIndex:
             assert "query_index" not in vars(model)
         when_partition(when_query("UAV", RESCUE, "withrf"), m, sr3_domain)
         assert "query_index" in vars(m)
+
+    def test_when_and_whynot_answers_read_no_rows(self, tmp_path, sr5_model):
+        # the index is one pass over the loaded source and action row columns
+        domain, built = sr5_model
+        path = tmp_path / "sr5.mmdp"
+        mapex.save_abstraction(built, path)
+        m = mapex.load_abstraction(path, domain.schema)
+        kinds = set()
+        for q in _bench_queries(domain, m):
+            if q.kind != "what":
+                kinds.add(answer(q, m, domain, max_vars=30).query.kind)
+        assert kinds == {"when", "whynot"}
+        assert "query_index" in vars(m) and "rows" not in vars(m)
+
+    def test_answered_model_is_freed_by_reference_counting(self, tmp_path, sr3_domain,
+                                                            sr3_abstraction):
+        # nothing a when, why-not or what answer keeps on the model refers
+        # back to it, so the last reference frees it without the cycle GC
+        path = tmp_path / "sr3.mmdp"
+        mapex.save_abstraction(sr3_abstraction, path)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            m = mapex.load_abstraction(path, sr3_domain.schema)
+            kinds = {answer(q, m, sr3_domain).query.kind
+                     for q in _bench_queries(sr3_domain, m)}
+            assert kinds == {"when", "whynot", "what"}
+            model = weakref.ref(m)
+            del m
+            assert model() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestMaskProjection:
