@@ -92,10 +92,10 @@ class QueryIndex:
     """
 
     def __init__(self, actions: Sequence[JointAction], sources: Sequence[int],
-                 rows: Sequence[int]):
+                 action_rows: Sequence[int]):
         masks = [0] * len(actions)
         source, bit, enabling = -1, 0, 0
-        for s, a in zip(sources, rows):
+        for s, a in zip(sources, action_rows):
             if s != source:
                 source, bit = s, 1 << s
                 enabling |= bit
@@ -229,9 +229,9 @@ class PolicyAbstraction:
     @cached_property
     def counts(self) -> dict[tuple[JointState, JointAction, JointState], int]:
         """(source, action, target) -> count, in canonical order."""
-        sources, rows, targets, counts = self.columns
+        sources, action_rows, targets, counts = self.columns
         state = self.states.__getitem__
-        return dict(zip(zip(map(state, sources), map(self.actions.__getitem__, rows),
+        return dict(zip(zip(map(state, sources), map(self.actions.__getitem__, action_rows),
                             map(state, targets)), counts))
 
     @cached_property
@@ -240,11 +240,11 @@ class PolicyAbstraction:
         its denominator's total, the source's or, under "state-action", the
         source and action's.  Each denominator's probabilities are checked to
         sum to one before any is handed out."""
-        sources, rows, _, counts = self.columns
+        sources, action_rows, _, counts = self.columns
         by_action = self.normalization == "state-action"
         probabilities: list[float] = []
         end = 0
-        for key, group in groupby(zip(sources, rows) if by_action else sources):
+        for key, group in groupby(zip(sources, action_rows) if by_action else sources):
             start, end = end, end + len(list(group))
             total = sum(counts[start:end])
             column = [c / total for c in counts[start:end]]
@@ -261,9 +261,9 @@ class PolicyAbstraction:
         """Each state's transitions in canonical order, as ``Transition``
         objects: the per-edge view of the columns and ``probabilities`` for
         readers outside the package; no command builds it."""
-        _, rows, targets, counts = self.columns
-        states, probabilities = self.states, self.probabilities
-        return {s: tuple(map(Transition, repeat(s), map(self.actions.__getitem__, rows[r]),
+        _, action_rows, targets, counts = self.columns
+        states, action, probabilities = self.states, self.actions.__getitem__, self.probabilities
+        return {s: tuple(map(Transition, repeat(s), map(action, action_rows[r]),
                              map(states.__getitem__, targets[r]), counts[r], probabilities[r]))
                 for s, r in zip(states, self.rows)}
 
@@ -277,9 +277,9 @@ class PolicyAbstraction:
     def enabled(self) -> dict[JointState, tuple[JointAction, ...]]:
         """Each state's distinct enabled joint actions, in table order; read
         by ``enabled_actions`` only."""
-        sources, rows, _, _ = self.columns
+        sources, action_rows, _, _ = self.columns
         enabled = dict.fromkeys(self.states, ())
-        for j, pairs in groupby(dict.fromkeys(zip(sources, rows)), itemgetter(0)):
+        for j, pairs in groupby(dict.fromkeys(zip(sources, action_rows)), itemgetter(0)):
             enabled[self.states[j]] = tuple(self.actions[a] for _, a in pairs)
         return enabled
 
@@ -557,12 +557,7 @@ def _v1_tables(r: _Lines, n_agents: int, limit: int) -> Tables:
     r.in_order(states, "state rows", lambda k: f"at line {r.idx + 2 - len(states) + k}")
     index_of = dict(zip(map(str, range(len(states))), range(len(states))))
 
-    def first_seen(action: str) -> int:
-        r.action_ids([action], r.idx + 1)
-        seen[action] = a = len(seen)
-        return a
-
-    sources, rows, targets, counts = [], [], [], []
+    sources, action_rows, targets, counts = [], [], [], []
     seen: dict[str, int] = {}  # each distinct action text's first-seen number
     for _ in range(int(r.take("transitions"))):
         s_i, action, t_i, count, _prob = r.next().split(" ")
@@ -571,17 +566,20 @@ def _v1_tables(r: _Lines, n_agents: int, limit: int) -> Tables:
                    f"index outside the state table")
         sources.append(s)
         a = seen.get(action)
-        rows.append(first_seen(action) if a is None else a)
+        if a is None:
+            r.action_ids([action], r.idx + 1)
+            a = seen[action] = len(seen)
+        action_rows.append(a)
         targets.append(t)
         counts.append(int(count))
     # each first-seen number's row of the sorted table; a text names one tuple
     joint = [tuple(text.split(",")) for text in seen]
     table = tuple(sorted(joint))
     row_of = list(map(dict(zip(table, range(len(table)))).__getitem__, joint))
-    rows = list(map(row_of.__getitem__, rows))
-    r.in_order(list(zip(sources, rows, targets)), "transition lines",
+    action_rows = list(map(row_of.__getitem__, action_rows))
+    r.in_order(list(zip(sources, action_rows, targets)), "transition lines",
                lambda k: f"at line {r.idx + 2 - len(sources) + k}")
-    return tuple(states), table, (sources, rows, targets, counts)
+    return tuple(states), table, (sources, action_rows, targets, counts)
 
 
 def _v2_tables(r: _Lines, n_agents: int, limit: int) -> Tables:
